@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import dsl, emit as emit_mod, env as env_mod, itlc, sim
-from .model import FsmSpec, moore_output, validate
+from .model import FsmSpec, ValidationReport, validate
 from .timer import DEFAULT_LONG_TICKS, DEFAULT_SHORT_TICKS, TimerConfig
 
 LIGHT_ORDER = ("mg", "my", "mr", "sg", "sy", "sr")
@@ -47,11 +47,19 @@ def _timer_config(args: argparse.Namespace) -> TimerConfig:
         raise _CliError(2, str(exc)) from exc
 
 
+def _findings_text(report: ValidationReport) -> str:
+    return "".join(f"{f.kind} {f.state or '-'} {f.message}\n" for f in report.findings)
+
+
+def _require_valid(report: ValidationReport) -> None:
+    """Exit 1 with every finding on stderr, in `check`'s format."""
+    if not report.ok:
+        raise _CliError(1, _findings_text(report).rstrip("\n"))
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.fsm)
-    report = validate(spec)
-    for f in report.findings:
-        print(f"{f.kind} {f.state or '-'} {f.message}")
+    report = validate(_load_spec(args.fsm))
+    sys.stdout.write(_findings_text(report))
     return 0 if report.ok else 1
 
 
@@ -61,6 +69,7 @@ def _light_bits(moore: dict[str, int]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.fsm)
+    _require_valid(validate(spec))
     cfg = _timer_config(args)
     try:
         stim = sim.parse_stimulus(_read_text(args.stim, "stimulus"))
@@ -84,16 +93,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_emit(args: argparse.Namespace) -> int:
     spec = _load_spec(args.fsm)
-    report = validate(spec)
-    if not report.ok:
-        for f in report.findings:
-            print(f"{f.kind} {f.state or '-'} {f.message}", file=sys.stderr)
-        return 1
     try:
         if args.format == "verilog":
             opts = emit_mod.EmitOptions(module_name=spec.name, state_encoding=args.encoding)
-            text = emit_mod.emit_verilog(spec, opts)
+            text = emit_mod.emit_verilog(spec, opts)  # validates the spec
         else:
+            _require_valid(validate(spec))
             if args.pins:
                 pins = emit_mod.parse_pin_file(_read_text(args.pins, "pin file"))
             else:
@@ -102,6 +107,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
             pins.check_against(spec)
             text = emit_mod.emit_ucf(pins)
     except emit_mod.EmitError as exc:
+        # Findings outrank every other emit error, a bad module name included.
+        _require_valid(exc.report if isinstance(exc, emit_mod.InvalidSpecError) else validate(spec))
         raise _CliError(2, str(exc)) from exc
     if args.output:
         Path(args.output).write_text(text, "utf-8")
@@ -112,6 +119,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     spec = _load_spec(args.fsm)
+    _require_valid(validate(spec))
     cfg = _timer_config(args)
     if not 0.0 <= args.arrival <= 1.0:
         raise _CliError(2, f"--arrival must be in [0, 1], got {args.arrival}")
@@ -128,15 +136,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(metrics.as_record(prefix=f"seed={seed} "))
     except (ValueError, sim.SimError) as exc:
         raise _CliError(2, str(exc)) from exc
-    k = len(results)
-    aggregate = env_mod.Metrics(
-        mean_side_wait=sum(m.mean_side_wait for m in results) / k,
-        max_side_wait=max(m.max_side_wait for m in results),
-        main_green_share=sum(m.main_green_share for m in results) / k,
-        side_vehicles_served=sum(m.side_vehicles_served for m in results),
-        cycles_completed=sum(m.cycles_completed for m in results),
-    )
-    print(aggregate.as_record(prefix="aggregate "))
+    print(env_mod.Metrics.aggregate(results).as_record(prefix="aggregate "))
     return 0
 
 

@@ -19,6 +19,7 @@ canonical form that `parse` maps back to a structurally equal spec.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -39,6 +40,11 @@ KEYWORDS = frozenset({
 # fine as signal/state names (the bundled controller has an input named
 # `reset`).  Only the in-line markers are truly ambiguous.
 NAME_RESERVED = frozenset({"when", "emit"})
+
+# Cap on guard nesting, applied to parentheses and to the operators on any
+# root-to-leaf path.  Parsing recurses 4 frames per parenthesis, evaluation,
+# printing and emission 1 per operator: all stay under the default limit 1000.
+MAX_GUARD_DEPTH = 100
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[0-9]+|[!&|(){}=]|\S")
@@ -119,8 +125,9 @@ class _LineParser:
             return SourceSpan(last.line, last.column + len(last.text), 1)
         return SourceSpan(self.lineno, 1, 1)
 
-    def fail(self, message: str, tok: _Token | None = None, kind: str = SYNTAX) -> None:
-        span = tok.span if tok is not None else self.end_span()
+    def fail(self, message: str, tok: _Token | None = None, kind: str = SYNTAX,
+             span: SourceSpan | None = None) -> None:
+        span = span or (tok.span if tok is not None else self.end_span())
         self.errors.append(ParseError(span, kind, message))
         raise _LineAbort()
 
@@ -148,46 +155,60 @@ class _LineAbort(Exception):
     pass
 
 
-def _parse_expr(p: _LineParser) -> GuardExpr:
-    return _parse_or(p)
+def _parse_guard(p: _LineParser) -> GuardExpr:
+    """A guard, up to `emit` or the line's end, nested at most MAX_GUARD_DEPTH
+    deep.  Parentheses are counted first, since the parser recurses on them."""
+    toks = list(itertools.takewhile(lambda t: t.text != "emit", p.tokens[p.pos:]))
+    parens = itertools.accumulate({"(": 1, ")": -1}.get(t.text, 0) for t in toks)
+    if max(parens, default=0) <= MAX_GUARD_DEPTH:
+        guard, depth = _parse_binary(p)
+        if depth <= MAX_GUARD_DEPTH:
+            return guard
+    width = toks[-1].column + len(toks[-1].text) - toks[0].column
+    p.fail(f"guard nests deeper than {MAX_GUARD_DEPTH} levels",
+           span=SourceSpan(toks[0].line, toks[0].column, width))
 
 
-def _parse_or(p: _LineParser) -> GuardExpr:
-    expr = _parse_and(p)
-    while (tok := p.peek()) is not None and tok.text == "|":
+_BINARY = (("|", Or), ("&", And))  # loosest first
+
+
+def _parse_binary(p: _LineParser, level: int = 0) -> tuple[GuardExpr, int]:
+    """An expression and the most operators on one of its root-to-leaf
+    paths; `_parse_unary` and `_parse_atom` return the same pair."""
+    if level == len(_BINARY):
+        return _parse_unary(p)
+    op, node = _BINARY[level]
+    expr, depth = _parse_binary(p, level + 1)
+    while (tok := p.peek()) is not None and tok.text == op:
         p.next()
-        expr = Or(expr, _parse_and(p))
-    return expr
+        right, right_depth = _parse_binary(p, level + 1)
+        expr, depth = node(expr, right), 1 + max(depth, right_depth)
+    return expr, depth
 
 
-def _parse_and(p: _LineParser) -> GuardExpr:
-    expr = _parse_unary(p)
-    while (tok := p.peek()) is not None and tok.text == "&":
+def _parse_unary(p: _LineParser) -> tuple[GuardExpr, int]:
+    nots = 0
+    while (tok := p.peek()) is not None and tok.text == "!":
         p.next()
-        expr = And(expr, _parse_unary(p))
-    return expr
+        nots += 1
+    expr, depth = _parse_atom(p)
+    for _ in range(nots):
+        expr = Not(expr)
+    return expr, depth + nots
 
 
-def _parse_unary(p: _LineParser) -> GuardExpr:
-    tok = p.peek()
-    if tok is not None and tok.text == "!":
-        p.next()
-        return Not(_parse_unary(p))
-    return _parse_atom(p)
-
-
-def _parse_atom(p: _LineParser) -> GuardExpr:
+def _parse_atom(p: _LineParser) -> tuple[GuardExpr, int]:
     tok = p.next()
     if tok is None:
         p.fail("expected guard expression")
     if tok.text == "(":
-        expr = _parse_expr(p)
+        parsed = _parse_binary(p)
         p.expect(")")
-        return expr
+        return parsed
     if tok.text in ("0", "1"):
-        return Const(int(tok.text))
+        return Const(int(tok.text)), 0
     if _NAME_RE.fullmatch(tok.text) and tok.text not in NAME_RESERVED:
-        return Var(tok.text)
+        return Var(tok.text), 0
     p.fail("expected guard expression", tok)
 
 
@@ -287,7 +308,7 @@ def parse(text: str) -> FsmSpec:
                 dst = p.expect_name("destination state")
                 p.expect("when")
                 guard_start = p.pos
-                guard = _parse_expr(p)
+                guard = _parse_guard(p)
                 guard_vars = [
                     t for t in tokens[guard_start:p.pos]
                     if _NAME_RE.fullmatch(t.text) and t.text not in NAME_RESERVED
@@ -386,26 +407,24 @@ def parse(text: str) -> FsmSpec:
 _PREC = {Or: 1, And: 2, Not: 3}
 
 
-def format_guard(expr: GuardExpr, _parent_prec: int = 0) -> str:
-    """Canonical text of a guard, with minimal parentheses."""
+def format_guard(expr: GuardExpr, literals: tuple[str, str] = ("0", "1"),
+                 _parent_prec: int = 0) -> str:
+    """Canonical text of a guard, with minimal parentheses.  `literals`
+    spells the constants 0 and 1, e.g. ("1'b0", "1'b1") for Verilog."""
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Const):
-        return str(1 if expr.value else 0)
-    if isinstance(expr, Not):
-        text = "!" + format_guard(expr.operand, _PREC[Not])
-        prec = _PREC[Not]
-    elif isinstance(expr, And):
-        text = f"{format_guard(expr.left, _PREC[And])} & {format_guard(expr.right, _PREC[And] + 1)}"
-        prec = _PREC[And]
-    elif isinstance(expr, Or):
-        text = f"{format_guard(expr.left, _PREC[Or])} | {format_guard(expr.right, _PREC[Or] + 1)}"
-        prec = _PREC[Or]
-    else:
+        return literals[1 if expr.value else 0]
+    prec = _PREC.get(type(expr))
+    if prec is None:
         raise TypeError(f"not a guard expression: {expr!r}")
-    if prec < _parent_prec:
-        return f"({text})"
-    return text
+    if isinstance(expr, Not):
+        text = "!" + format_guard(expr.operand, literals, prec)
+    else:
+        op = " & " if isinstance(expr, And) else " | "
+        text = (format_guard(expr.left, literals, prec) + op
+                + format_guard(expr.right, literals, prec + 1))
+    return f"({text})" if prec < _parent_prec else text
 
 
 def serialize(spec: FsmSpec) -> str:

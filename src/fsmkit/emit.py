@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import And, Const, FsmSpec, GuardExpr, Not, Or, Var, validate
+from .dsl import format_guard
+from .model import FsmSpec, ValidationReport, validate
 
 BINARY = "binary"
 ONE_HOT = "onehot"
@@ -31,6 +32,14 @@ repeat task tri wand while wire wor xnor xor
 
 class EmitError(Exception):
     """The spec cannot be rendered as HDL; message lists the offenders."""
+
+
+class InvalidSpecError(EmitError):
+    """The spec has validation findings; `report` holds them."""
+
+    def __init__(self, message: str, report: ValidationReport):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -97,26 +106,6 @@ def emit_ucf(pins: PinMap) -> str:
 # Verilog
 # ---------------------------------------------------------------------------
 
-_PREC = {Or: 1, And: 2, Not: 3}
-
-
-def _verilog_guard(expr: GuardExpr, parent_prec: int = 0) -> str:
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Const):
-        return f"1'b{1 if expr.value else 0}"
-    if isinstance(expr, Not):
-        text = "!" + _verilog_guard(expr.operand, _PREC[Not])
-        prec = _PREC[Not]
-    elif isinstance(expr, And):
-        text = f"{_verilog_guard(expr.left, _PREC[And])} & {_verilog_guard(expr.right, _PREC[And] + 1)}"
-        prec = _PREC[And]
-    else:
-        text = f"{_verilog_guard(expr.left, _PREC[Or])} | {_verilog_guard(expr.right, _PREC[Or] + 1)}"
-        prec = _PREC[Or]
-    return f"({text})" if prec < parent_prec else text
-
-
 def _check_identifiers(spec: FsmSpec, opts: EmitOptions) -> None:
     reserved = {"clk", "state", "state_next"}
     reserved.update(f"{p}_next" for p in spec.pulse_outputs)
@@ -143,9 +132,9 @@ def emit_verilog(spec: FsmSpec, opts: EmitOptions) -> str:
     """
     report = validate(spec)
     if not report.ok:
-        raise EmitError(
+        raise InvalidSpecError(
             f"spec '{spec.name}' has {len(report.findings)} validation findings; "
-            "emit requires a clean spec")
+            "emit requires a clean spec", report)
     _check_identifiers(spec, opts)
 
     n = len(spec.states)
@@ -197,7 +186,8 @@ def emit_verilog(spec: FsmSpec, opts: EmitOptions) -> str:
         w(f"{indent}    {s.name}: begin")
         for j, t in enumerate(s.transitions):
             keyword = "if" if j == 0 else "end else if"
-            w(f"{indent}        {keyword} ({_verilog_guard(t.guard)}) begin")
+            guard = format_guard(t.guard, ("1'b0", "1'b1"))
+            w(f"{indent}        {keyword} ({guard}) begin")
             w(f"{indent}            state_next = {t.destination};")
             for p in spec.pulse_outputs:
                 if p in t.pulses:

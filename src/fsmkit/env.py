@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import FsmSpec, moore_output, step_spec
-from .sim import START_PULSE, TickRecord, Trace, _require_closed_loop
-from .timer import TimerConfig, TimerState, timer_commit, timer_outputs
+from .model import FsmSpec
+from .sim import TickRecord, Trace, _require_closed_loop, _trace, closed_loop_tick
+from .timer import TimerConfig, TimerState
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,6 +82,18 @@ class Metrics:
         value = getattr(self, key)
         return f"{value:.3f}" if isinstance(value, float) else str(value)
 
+    @classmethod
+    def aggregate(cls, runs: list[Metrics]) -> Metrics:
+        """Across runs: means of means and shares, maximum of maxima, sums of counts."""
+        k = len(runs)
+        return cls(
+            mean_side_wait=sum(m.mean_side_wait for m in runs) / k,
+            max_side_wait=max(m.max_side_wait for m in runs),
+            main_green_share=sum(m.main_green_share for m in runs) / k,
+            side_vehicles_served=sum(m.side_vehicles_served for m in runs),
+            cycles_completed=sum(m.cycles_completed for m in runs),
+        )
+
 
 @dataclass(frozen=True)
 class EnvResult:
@@ -92,7 +104,6 @@ class EnvResult:
     served_waits: tuple[int, ...]
     queue_remaining: int
     service_ticks: tuple[int, ...]  # ticks at which at least one vehicle departed
-    sensor_reads: tuple[tuple[int, bool], ...]  # (c value, queue nonempty) per tick
 
 
 def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> tuple[Metrics, Trace]:
@@ -103,7 +114,7 @@ def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> tuple[Metri
 def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> EnvResult:
     """Closed-loop run against the traffic model; deterministic for fixed
     (seed, model, cfg).  Per tick: arrivals (north drawn before south), sensor
-    read, service while the side green is up, then the kernel tick."""
+    read, the kernel tick, then side-green service, which cannot change c."""
     _require_closed_loop(spec)
     rng = SplitMix64(model.seed)
     state = spec.initial_state
@@ -116,7 +127,6 @@ def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> En
     green_main = 0
     cycles = 0
     service_ticks: list[int] = []
-    sensor_reads: list[tuple[int, bool]] = []
 
     for tick in range(model.horizon):
         for approach in (0, 1):  # fixed draw order: north then south
@@ -124,14 +134,13 @@ def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> En
             if arrived and slots[approach] is None:
                 slots[approach] = tick
                 arrivals += 1
-        occupied = [a for a in slots if a is not None]
-        c = 1 if occupied else 0
-        sensor_reads.append((c, bool(occupied)))
+        c = 1 if slots[0] is not None or slots[1] is not None else 0
 
-        lights = moore_output(spec, state)
-        if lights.get("mg"):
+        record, next_state, timer = closed_loop_tick(spec, cfg, tick, state, timer, c, 0)
+        records.append(record)
+        if record.moore.get("mg"):
             green_main += 1
-        if lights.get("sg"):
+        if record.moore.get("sg"):
             served = 0
             while served < model.service_rate and any(a is not None for a in slots):
                 # Oldest arrival first; north wins ties by draw order.
@@ -143,19 +152,11 @@ def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> En
                 served += 1
             if served:
                 service_ticks.append(tick)
-
-        ts, tl = timer_outputs(cfg, timer)
-        valuation = {"reset": 0, "c": c, "ts": ts, "tl": tl}
-        next_state, pulses = step_spec(spec, state, valuation)
-        records.append(TickRecord(
-            tick=tick, state=state, inputs=valuation, moore=lights,
-            pulses=pulses, timer_count=timer.count))
         # A completed cycle is a non-trivial return to the initial state
         # (for the traffic controller: the S3 -> S0 transition).
         if state != spec.initial_state and next_state == spec.initial_state:
             cycles += 1
         state = next_state
-        timer = timer_commit(cfg, timer, 1 if START_PULSE in pulses else 0)
 
     metrics = Metrics(
         mean_side_wait=(sum(waits) / len(waits)) if waits else 0.0,
@@ -164,14 +165,11 @@ def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> En
         side_vehicles_served=len(waits),
         cycles_completed=cycles,
     )
-    trace = Trace(spec.name, cfg, tuple(records),
-                  pulse_names=spec.pulse_outputs, state_names=spec.state_names())
     return EnvResult(
         metrics=metrics,
-        trace=trace,
+        trace=_trace(spec, cfg, records),
         arrivals=arrivals,
         served_waits=tuple(waits),
         queue_remaining=sum(1 for a in slots if a is not None),
         service_ticks=tuple(service_ticks),
-        sensor_reads=tuple(sensor_reads),
     )

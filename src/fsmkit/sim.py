@@ -11,11 +11,14 @@ Per-tick order, fixed and relied on by every downstream consumer:
   3. evaluate the transition step (next state, pulses);
   4. record the tick with the CURRENT state's Moore outputs;
   5. commit: state := next, timer advances (restarting on st).
+`closed_loop_tick` is the one implementation of steps 2-5; `simulate`,
+`explore_reachable` and `env.run_env_detailed` only supply step 1.
 Moore outputs are registered, so a transition's new lights appear one tick
 after its guard fires.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -140,6 +143,22 @@ def _require_closed_loop(spec: FsmSpec) -> None:
             f"{sorted(CLOSED_LOOP_INPUTS)}, spec '{spec.name}' has {list(spec.inputs)}")
 
 
+def _trace(spec: FsmSpec, cfg: TimerConfig | None, records: list[TickRecord]) -> Trace:
+    return Trace(spec.name, cfg, tuple(records),
+                 pulse_names=spec.pulse_outputs, state_names=spec.state_names())
+
+
+def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, tick: int, state: str, timer: TimerState,
+                     c: Bit, reset: Bit) -> tuple[TickRecord, str, TimerState]:
+    """One closed-loop clock, steps 2-5 above.  Returns the tick's record, the
+    next state and the next timer state."""
+    ts, tl = timer_outputs(cfg, timer)
+    valuation = {"reset": reset, "c": c, "ts": ts, "tl": tl}
+    next_state, pulses = step_spec(spec, state, valuation)
+    record = TickRecord(tick, state, valuation, moore_output(spec, state), pulses, timer.count)
+    return record, next_state, timer_commit(cfg, timer, record.st)
+
+
 def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
     """Closed-loop run over the stimulus horizon.  Pure: identical arguments
     give identical traces."""
@@ -148,21 +167,9 @@ def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
     timer = TimerState(0)
     records: list[TickRecord] = []
     for tick, ext in enumerate(stim.ticks):
-        ts, tl = timer_outputs(cfg, timer)
-        valuation = {"reset": ext.reset, "c": ext.c, "ts": ts, "tl": tl}
-        next_state, pulses = step_spec(spec, state, valuation)
-        records.append(TickRecord(
-            tick=tick,
-            state=state,
-            inputs=valuation,
-            moore=moore_output(spec, state),
-            pulses=pulses,
-            timer_count=timer.count,
-        ))
-        state = next_state
-        timer = timer_commit(cfg, timer, 1 if START_PULSE in pulses else 0)
-    return Trace(spec.name, cfg, tuple(records),
-                 pulse_names=spec.pulse_outputs, state_names=spec.state_names())
+        record, state, timer = closed_loop_tick(spec, cfg, tick, state, timer, ext.c, ext.reset)
+        records.append(record)
+    return _trace(spec, cfg, records)
 
 
 def simulate_open(spec: FsmSpec, valuations: Iterable[Mapping[str, Bit]]) -> Trace:
@@ -177,18 +184,11 @@ def simulate_open(spec: FsmSpec, valuations: Iterable[Mapping[str, Bit]]) -> Tra
                 f"tick {tick}: valuation keys {sorted(valuation)} do not match "
                 f"spec inputs {sorted(expected)}")
         next_state, pulses = step_spec(spec, state, valuation)
-        records.append(TickRecord(
-            tick=tick,
-            state=state,
-            inputs=dict(valuation),
-            moore=moore_output(spec, state),
-            pulses=pulses,
-        ))
+        records.append(TickRecord(tick, state, dict(valuation), moore_output(spec, state), pulses))
         state = next_state
     if not records:
         raise SimError("open-loop simulation needs at least one tick")
-    return Trace(spec.name, None, tuple(records),
-                 pulse_names=spec.pulse_outputs, state_names=spec.state_names())
+    return _trace(spec, None, records)
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +196,19 @@ def simulate_open(spec: FsmSpec, valuations: Iterable[Mapping[str, Bit]]) -> Tra
 # ---------------------------------------------------------------------------
 
 def explore_reachable(spec: FsmSpec, cfg: TimerConfig) -> frozenset[tuple[str, int]]:
-    """Breadth-first set of all (state, timer count) configurations reachable
-    in closed loop under arbitrary c/reset sequences.  Bounded because the
-    counter saturates at long_ticks."""
+    """Set of all (state, timer count) configurations reachable in closed
+    loop under arbitrary c/reset sequences.  Bounded because the counter
+    saturates at long_ticks."""
     _require_closed_loop(spec)
-    start = (spec.initial_state, 0)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for state, count in frontier:
-            ts, tl = timer_outputs(cfg, TimerState(count))
-            for c in (0, 1):
-                for reset in (0, 1):
-                    nxt, pulses = step_spec(
-                        spec, state, {"reset": reset, "c": c, "ts": ts, "tl": tl})
-                    st = 1 if START_PULSE in pulses else 0
-                    cfg_next = (nxt, timer_commit(cfg, TimerState(count), st).count)
-                    if cfg_next not in seen:
-                        seen.add(cfg_next)
-                        next_frontier.append(cfg_next)
-        frontier = next_frontier
+    seen = {(spec.initial_state, 0)}
+    pending = list(seen)
+    while pending:
+        state, count = pending.pop()
+        for c, reset in itertools.product((0, 1), repeat=2):
+            _, nxt, timer = closed_loop_tick(spec, cfg, 0, state, TimerState(count), c, reset)
+            if (nxt, timer.count) not in seen:
+                seen.add((nxt, timer.count))
+                pending.append((nxt, timer.count))
     return frozenset(seen)
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from fsmkit.cli import main
+from fsmkit.dsl import MAX_GUARD_DEPTH
 
 REPO = Path(__file__).resolve().parent.parent
 ITLC = str(REPO / "designs" / "itlc.fsm")
@@ -16,11 +17,42 @@ trans A -> A when a
 """
 
 
+CLOSED_LOOP_HEADER = """fsm loop
+inputs reset c ts tl
+outputs mg
+pulses st
+initial S0
+reset reset
+state S0 { mg=1 }
+"""
+# Two guards overlap wherever c & tl holds.
+OVERLAP_SPEC = CLOSED_LOOP_HEADER + """trans S0 -> S0 when !c
+trans S0 -> S0 when c
+trans S0 -> S0 when c & tl emit st
+"""
+# No guard holds while c is low, which a stimulus holding c high never hits.
+CLOSED_GAP_SPEC = CLOSED_LOOP_HEADER + "trans S0 -> S0 when c\n"
+
+
 @pytest.fixture
 def gap_fsm(tmp_path):
     path = tmp_path / "gappy.fsm"
     path.write_text(GAP_SPEC)
     return str(path)
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def check_findings(fsm, capsys):
+    """What `check` prints for a spec with findings."""
+    assert main(["check", fsm]) == 1
+    out = capsys.readouterr().out
+    assert out
+    return out
 
 
 class TestCheck:
@@ -47,6 +79,16 @@ class TestCheck:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("spec_text", [OVERLAP_SPEC, CLOSED_GAP_SPEC])
+    def test_findings_exit_1_before_tick_0(self, tmp_path, capsys, spec_text):
+        fsm = write(tmp_path, "loop.fsm", spec_text)
+        stim = write(tmp_path, "busy.stim", "horizon 40\n0 c=1\n")
+        findings = check_findings(fsm, capsys)
+        assert main(["simulate", fsm, stim]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == findings
+
     def test_idle_log_lights(self, tmp_path, capsys):
         stim = tmp_path / "idle.stim"
         stim.write_text("horizon 20\n0 c=0\n")
@@ -97,6 +139,16 @@ class TestEmit:
         assert captured.out == ""
         assert "gap" in captured.err
 
+    def test_findings_outrank_bad_module_name(self, tmp_path, capsys):
+        fsm = write(tmp_path, "gap.fsm", GAP_SPEC.replace("fsm gappy", "fsm module"))
+        findings = check_findings(fsm, capsys)
+        assert main(["emit", fsm]) == 1
+        assert capsys.readouterr().err == findings
+        clean = write(tmp_path, "clean.fsm", GAP_SPEC.replace("fsm gappy", "fsm module")
+                      .replace("when a", "when 1"))
+        assert main(["emit", clean]) == 2
+        assert "module name" in capsys.readouterr().err
+
     def test_custom_pin_file(self, tmp_path, capsys):
         pins = tmp_path / "pins.txt"
         pins.write_text("c N17 input\n")
@@ -109,6 +161,32 @@ class TestEmit:
 
 
 class TestBench:
+    @pytest.mark.parametrize("spec_text", [OVERLAP_SPEC, CLOSED_GAP_SPEC])
+    def test_findings_exit_1_before_tick_0(self, tmp_path, capsys, spec_text):
+        fsm = write(tmp_path, "loop.fsm", spec_text)
+        findings = check_findings(fsm, capsys)
+        assert main(["bench", fsm, "--arrival", "1", "--horizon", "40"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == findings
+
+    def test_pinned_output(self, capsys):
+        assert main(["bench", ITLC, "--arrival", "0.1", "--seeds", "2",
+                     "--horizon", "100"]) == 0
+        assert capsys.readouterr().out == (
+            "seed=0 mean_side_wait=16.500 max_side_wait=27 main_green_share=0.610 "
+            "side_vehicles_served=6 cycles_completed=3\n"
+            "seed=1 mean_side_wait=15.571 max_side_wait=25 main_green_share=0.600 "
+            "side_vehicles_served=7 cycles_completed=3\n"
+            "aggregate mean_side_wait=16.036 max_side_wait=27 main_green_share=0.605 "
+            "side_vehicles_served=13 cycles_completed=6\n")
+
+    @pytest.mark.parametrize("horizon, cycles", [(43, 0), (44, 1)])
+    def test_cycle_closing_on_final_tick_counts(self, capsys, horizon, cycles):
+        # Saturated traffic returns to S0 on tick 43, the 44th tick.
+        assert main(["bench", ITLC, "--arrival", "1", "--horizon", str(horizon)]) == 0
+        assert capsys.readouterr().out.endswith(f" cycles_completed={cycles}\n")
+
     def test_idle_aggregate(self, capsys):
         assert main(["bench", ITLC, "--arrival", "0", "--seeds", "3",
                      "--horizon", "1000"]) == 0
@@ -132,6 +210,34 @@ class TestBench:
 
     def test_seeds_must_be_positive(self, capsys):
         assert main(["bench", ITLC, "--arrival", "0.5", "--seeds", "0"]) == 2
+
+
+def nested_guard(form, depth):
+    # At the cap (an even depth) both forms are true, so the spec is valid.
+    if form == "parens":
+        return "(" * depth + "1" + ")" * depth
+    return "!" * depth + "1"
+
+
+class TestGuardNesting:
+    @pytest.mark.parametrize("form", ["parens", "nots"])
+    def test_at_the_cap_checks_and_emits(self, tmp_path, capsys, form):
+        guard = nested_guard(form, MAX_GUARD_DEPTH)
+        fsm = write(tmp_path, "deep.fsm", GAP_SPEC.replace("when a", f"when {guard}"))
+        assert main(["check", fsm]) == 0
+        assert main(["emit", fsm]) == 0
+        assert "always @*" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("form", ["parens", "nots"])
+    @pytest.mark.parametrize("command", ["check", "emit"])
+    def test_one_level_above_the_cap_is_a_parse_error(self, tmp_path, capsys, form, command):
+        guard = nested_guard(form, MAX_GUARD_DEPTH + 1)
+        fsm = write(tmp_path, "deep.fsm", GAP_SPEC.replace("when a", f"when {guard}"))
+        assert main([command, fsm]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{fsm}:5:19: syntax: guard nests deeper than {MAX_GUARD_DEPTH} levels\n")
 
 
 class TestUsage:

@@ -49,6 +49,23 @@ class TestParse:
             dsl.parse(src)
         assert any(e.kind == dsl.DUPLICATE_NAME for e in exc.value.errors)
 
+    def test_operator_chain_depth_is_capped_at_the_guard_span(self):
+        def source(operators):
+            guard = " | ".join(["a"] * (operators + 1))
+            return (f"fsm m\ninputs a\npulses p\ninitial A\nstate A {{ }}\n"
+                    f"trans A -> A when {guard} emit p\n"), guard
+        text, guard = source(dsl.MAX_GUARD_DEPTH)
+        spec = dsl.parse(text)
+        assert dsl.format_guard(spec.states[0].transitions[0].guard) == guard
+        assert validate(spec).findings  # a gap at a=0, found without recursing too deep
+        text, guard = source(dsl.MAX_GUARD_DEPTH + 1)
+        with pytest.raises(dsl.ParseFailure) as exc:
+            dsl.parse(text)
+        (err,) = exc.value.errors
+        assert err.message == f"guard nests deeper than {dsl.MAX_GUARD_DEPTH} levels"
+        line = text.split("\n")[5]
+        assert line[err.span.column - 1:err.span.column - 1 + err.span.length] == guard
+
     def test_bad_bit_value(self):
         src = "fsm m\noutputs y\ninitial A\nstate A { y=2 }\ntrans A -> A when 1\n"
         with pytest.raises(dsl.ParseFailure) as exc:

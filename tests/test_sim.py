@@ -131,6 +131,13 @@ class TestReachability:
             assert not (lights["mg"] and lights["sg"])
 
 
+    def test_configuration_counts(self, itlc_spec):
+        # Pinned so that a change to the tick kernel cannot shrink the set the
+        # safety check ranges over without notice.
+        assert len(explore_reachable(itlc_spec, TimerConfig(4, 16))) == 44
+        assert len(explore_reachable(itlc_spec, TimerConfig(8, 64))) == 148
+
+
 class TestWriteVcd:
     def test_open_loop_constant_trace_has_single_section(self, itlc_spec):
         vals = [{"reset": 0, "c": 0, "ts": 0, "tl": 0}] * 64
