@@ -131,7 +131,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             model = env_mod.TrafficModel(
                 arrival_prob=args.arrival, seed=seed, horizon=args.horizon,
                 service_rate=args.service_rate)
-            metrics, _trace = env_mod.run_env(spec, cfg, model)
+            metrics = env_mod.run_env(spec, cfg, model)
             results.append(metrics)
             print(metrics.as_record(prefix=f"seed={seed} "))
     except (ValueError, sim.SimError) as exc:

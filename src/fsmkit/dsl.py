@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Container
 
 from .model import (
     And, Const, FsmSpec, GuardExpr, Not, Or, StateDef, Transition, Var,
@@ -340,30 +341,16 @@ def parse(text: str) -> FsmSpec:
                 tok.span, DUPLICATE_NAME, f"duplicate signal name '{tok.text}'"))
         declared_signals.add(tok.text)
 
+    def undeclared(toks: list[_Token], what: str, known: Container[str]) -> None:
+        errors.extend(ParseError(tok.span, UNKNOWN_SIGNAL, f"'{tok.text}' is not a declared {what}")
+                      for tok in toks if tok.text not in known)
+
     known_inputs = set(inputs)
-    known_outputs = set(outputs)
-    known_pulses = set(pulses)
-    for state_name, out_tok in state_assign_toks:
-        if out_tok.text not in known_outputs:
-            errors.append(ParseError(
-                out_tok.span, UNKNOWN_SIGNAL,
-                f"'{out_tok.text}' is not a declared output"))
+    undeclared([tok for _state, tok in state_assign_toks], "output", outputs)
     for t in transitions:
-        for ref, what in ((t.source_tok, "state"), (t.dest_tok, "state")):
-            if ref.text not in states:
-                errors.append(ParseError(
-                    ref.span, UNKNOWN_SIGNAL,
-                    f"'{ref.text}' is not a declared {what}"))
-        for tok in t.guard_vars:
-            if tok.text not in known_inputs:
-                errors.append(ParseError(
-                    tok.span, UNKNOWN_SIGNAL,
-                    f"'{tok.text}' is not a declared input"))
-        for tok in t.pulses:
-            if tok.text not in known_pulses:
-                errors.append(ParseError(
-                    tok.span, UNKNOWN_SIGNAL,
-                    f"'{tok.text}' is not a declared pulse"))
+        undeclared([t.source_tok, t.dest_tok], "state", states)
+        undeclared(t.guard_vars, "input", known_inputs)
+        undeclared(t.pulses, "pulse", pulses)
     if name is not None:
         if initial is None:
             errors.append(ParseError(

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import FsmSpec
-from .sim import TickRecord, Trace, _require_closed_loop, _trace, closed_loop_tick
-from .timer import TimerConfig, TimerState
+from .sim import TickRecord, Trace, _ClosedLoop, _retick, _trace
+from .timer import TimerConfig
 
 _MASK64 = (1 << 64) - 1
 
@@ -97,36 +97,36 @@ class Metrics:
 
 @dataclass(frozen=True)
 class EnvResult:
-    """run_env output plus the bookkeeping the property tests lean on."""
+    """run_env_detailed output: metrics, trace and the bookkeeping tests lean on."""
     metrics: Metrics
     trace: Trace
     arrivals: int
     served_waits: tuple[int, ...]
     queue_remaining: int
-    service_ticks: tuple[int, ...]  # ticks at which at least one vehicle departed
 
 
-def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> tuple[Metrics, Trace]:
-    result = run_env_detailed(spec, cfg, model)
-    return result.metrics, result.trace
+def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> Metrics:
+    """Metrics of one run against the traffic model; builds no trace."""
+    return _run(spec, cfg, model, None).metrics
 
 
 def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> EnvResult:
-    """Closed-loop run against the traffic model; deterministic for fixed
-    (seed, model, cfg).  Per tick: arrivals (north drawn before south), sensor
-    read, the kernel tick, then side-green service, which cannot change c."""
-    _require_closed_loop(spec)
-    rng = SplitMix64(model.seed)
-    state = spec.initial_state
-    timer = TimerState(0)
-    slots: list[int | None] = [None, None]  # [north, south] arrival ticks
+    """The same run as `run_env`, with its trace and bookkeeping."""
+    return _run(spec, cfg, model, [])
 
-    records: list[TickRecord] = []
+
+def _run(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
+         records: list[TickRecord] | None) -> EnvResult:
+    """Per tick: arrivals (north drawn before south), sensor read, the kernel
+    tick, then side-green service, which cannot change c.  Deterministic for
+    fixed (seed, model, cfg); each tick's record goes to `records` if given."""
+    loop = _ClosedLoop(spec, cfg)
+    cells, fill, configs = loop.cells, loop.fill, loop.configs
+    rng = SplitMix64(model.seed)
+    i = 0  # id of the current configuration in the table
+    slots: list[int | None] = [None, None]  # [north, south] arrival ticks
     waits: list[int] = []
-    arrivals = 0
-    green_main = 0
-    cycles = 0
-    service_ticks: list[int] = []
+    arrivals = green_main = cycles = 0
 
     for tick in range(model.horizon):
         for approach in (0, 1):  # fixed draw order: north then south
@@ -134,29 +134,24 @@ def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> En
             if arrived and slots[approach] is None:
                 slots[approach] = tick
                 arrivals += 1
-        c = 1 if slots[0] is not None or slots[1] is not None else 0
-
-        record, next_state, timer = closed_loop_tick(spec, cfg, tick, state, timer, c, 0)
-        records.append(record)
+        c = 0 if slots[0] is None and slots[1] is None else 1
+        k = 4 * i + 2 * c  # reset stays low
+        nxt, record = cells[k] or fill(k, tick)
+        if records is not None:
+            records.append(_retick(record, tick))
         if record.moore.get("mg"):
             green_main += 1
         if record.moore.get("sg"):
-            served = 0
-            while served < model.service_rate and any(a is not None for a in slots):
-                # Oldest arrival first; north wins ties by draw order.
-                idx = min(
-                    (i for i in (0, 1) if slots[i] is not None),
-                    key=lambda i: (slots[i], i))
-                waits.append(tick - slots[idx])  # type: ignore[operator]
-                slots[idx] = None
-                served += 1
-            if served:
-                service_ticks.append(tick)
+            # Oldest arrival first; north wins ties by draw order.
+            waiting = sorted((a, n) for n, a in enumerate(slots) if a is not None)
+            for arrived_at, n in waiting[:model.service_rate]:
+                waits.append(tick - arrived_at)
+                slots[n] = None
         # A completed cycle is a non-trivial return to the initial state
         # (for the traffic controller: the S3 -> S0 transition).
-        if state != spec.initial_state and next_state == spec.initial_state:
+        if record.state != spec.initial_state and configs[nxt][0] == spec.initial_state:
             cycles += 1
-        state = next_state
+        i = nxt
 
     metrics = Metrics(
         mean_side_wait=(sum(waits) / len(waits)) if waits else 0.0,
@@ -165,11 +160,5 @@ def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> En
         side_vehicles_served=len(waits),
         cycles_completed=cycles,
     )
-    return EnvResult(
-        metrics=metrics,
-        trace=_trace(spec, cfg, records),
-        arrivals=arrivals,
-        served_waits=tuple(waits),
-        queue_remaining=sum(1 for a in slots if a is not None),
-        service_ticks=tuple(service_ticks),
-    )
+    return EnvResult(metrics, _trace(spec, cfg, records or []), arrivals, tuple(waits),
+                     sum(1 for a in slots if a is not None))

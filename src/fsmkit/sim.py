@@ -11,15 +11,15 @@ Per-tick order, fixed and relied on by every downstream consumer:
   3. evaluate the transition step (next state, pulses);
   4. record the tick with the CURRENT state's Moore outputs;
   5. commit: state := next, timer advances (restarting on st).
-`closed_loop_tick` is the one implementation of steps 2-5; `simulate`,
-`explore_reachable` and `env.run_env_detailed` only supply step 1.
+`closed_loop_tick` is the one implementation of steps 2-5, evaluated once per
+reached (configuration, input) cell of a `_ClosedLoop` table; `simulate`,
+`explore_reachable` and `env.run_env[_detailed]` supply step 1 and read it.
 Moore outputs are registered, so a transition's new lights appear one tick
 after its guard fires.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .model import Bit, FsmSpec, moore_output, step_spec
@@ -41,6 +41,10 @@ class StimulusError(SimError):
 class ExternalInputs:
     c: Bit = 0
     reset: Bit = 0
+
+    def __post_init__(self) -> None:
+        if self.c not in (0, 1) or self.reset not in (0, 1):
+            raise SimError(f"c and reset must be 0 or 1, got c={self.c!r} reset={self.reset!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ def parse_stimulus(text: str) -> Stimulus:
     [reset=<bit>]` lines with strictly increasing ticks.  Unlisted ticks hold
     the previous values; everything starts at 0."""
     horizon: int | None = None
-    events: list[tuple[int, dict[str, Bit]]] = []
+    events: dict[int, dict[str, Bit]] = {}
     last_tick = -1
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,25 +126,17 @@ def parse_stimulus(text: str) -> Stimulus:
             values[key] = int(val)
         if not values:
             raise StimulusError(f"line {lineno}: tick line assigns nothing")
-        events.append((tick, values))
+        events[tick] = values
     if horizon is None:
         raise StimulusError("line 1: expected 'horizon <n>' header")
 
     ticks: list[ExternalInputs] = []
-    current = {"c": 0, "reset": 0}
-    pending = dict(events)
+    current = ExternalInputs()
     for tick in range(horizon):
-        if tick in pending:
-            current.update(pending[tick])
-        ticks.append(ExternalInputs(c=current["c"], reset=current["reset"]))
+        if tick in events:
+            current = replace(current, **events[tick])
+        ticks.append(current)
     return Stimulus(tuple(ticks))
-
-
-def _require_closed_loop(spec: FsmSpec) -> None:
-    if set(spec.inputs) != CLOSED_LOOP_INPUTS:
-        raise SimError(
-            f"closed-loop simulation needs inputs exactly "
-            f"{sorted(CLOSED_LOOP_INPUTS)}, spec '{spec.name}' has {list(spec.inputs)}")
 
 
 def _trace(spec: FsmSpec, cfg: TimerConfig | None, records: list[TickRecord]) -> Trace:
@@ -159,16 +155,50 @@ def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, tick: int, state: str, tim
     return record, next_state, timer_commit(cfg, timer, record.st)
 
 
+def _retick(r: TickRecord, tick: int) -> TickRecord:
+    return TickRecord(tick, r.state, r.inputs, r.moore, r.pulses, r.timer_count)
+
+
+class _ClosedLoop:
+    """Memo table over `closed_loop_tick` for one run.  Configuration i is the
+    i-th (state, timer count) reached; cell 4*i + 2*c + reset holds (next id,
+    kernel record), filled on its first hit.  `cells` only grows in place, so
+    drivers may hold it; the records' mappings are shared and read-only."""
+
+    def __init__(self, spec: FsmSpec, cfg: TimerConfig):
+        if set(spec.inputs) != CLOSED_LOOP_INPUTS:
+            raise SimError(
+                f"closed-loop simulation needs inputs exactly "
+                f"{sorted(CLOSED_LOOP_INPUTS)}, spec '{spec.name}' has {list(spec.inputs)}")
+        self.spec, self.cfg = spec, cfg
+        self.configs: list[tuple[str, int]] = [(spec.initial_state, 0)]
+        self.ids = {self.configs[0]: 0}
+        self.cells: list[tuple[int, TickRecord] | None] = [None] * 4
+
+    def fill(self, k: int, tick: int) -> tuple[int, TickRecord]:
+        state, count = self.configs[k >> 2]
+        record, nxt, timer = closed_loop_tick(
+            self.spec, self.cfg, tick, state, TimerState(count), k >> 1 & 1, k & 1)
+        config = (nxt, timer.count)
+        if config not in self.ids:
+            self.ids[config] = len(self.configs)
+            self.configs.append(config)
+            self.cells.extend((None,) * 4)
+        cell = self.cells[k] = (self.ids[config], record)
+        return cell
+
+
 def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
     """Closed-loop run over the stimulus horizon.  Pure: identical arguments
     give identical traces."""
-    _require_closed_loop(spec)
-    state = spec.initial_state
-    timer = TimerState(0)
+    loop = _ClosedLoop(spec, cfg)
+    cells, fill = loop.cells, loop.fill
+    i = 0
     records: list[TickRecord] = []
     for tick, ext in enumerate(stim.ticks):
-        record, state, timer = closed_loop_tick(spec, cfg, tick, state, timer, ext.c, ext.reset)
-        records.append(record)
+        k = 4 * i + 2 * ext.c + ext.reset
+        i, record = cells[k] or fill(k, tick)
+        records.append(_retick(record, tick))
     return _trace(spec, cfg, records)
 
 
@@ -197,19 +227,13 @@ def simulate_open(spec: FsmSpec, valuations: Iterable[Mapping[str, Bit]]) -> Tra
 
 def explore_reachable(spec: FsmSpec, cfg: TimerConfig) -> frozenset[tuple[str, int]]:
     """Set of all (state, timer count) configurations reachable in closed
-    loop under arbitrary c/reset sequences.  Bounded because the counter
-    saturates at long_ticks."""
-    _require_closed_loop(spec)
-    seen = {(spec.initial_state, 0)}
-    pending = list(seen)
-    while pending:
-        state, count = pending.pop()
-        for c, reset in itertools.product((0, 1), repeat=2):
-            _, nxt, timer = closed_loop_tick(spec, cfg, 0, state, TimerState(count), c, reset)
-            if (nxt, timer.count) not in seen:
-                seen.add((nxt, timer.count))
-                pending.append((nxt, timer.count))
-    return frozenset(seen)
+    loop under arbitrary c/reset sequences: every cell of every reached
+    configuration, filled.  Bounded because the counter saturates at
+    long_ticks."""
+    loop = _ClosedLoop(spec, cfg)
+    for k, _ in enumerate(loop.cells):  # also visits the cells each fill appends
+        loop.fill(k, 0)
+    return frozenset(loop.configs)
 
 
 # ---------------------------------------------------------------------------

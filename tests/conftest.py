@@ -92,3 +92,37 @@ def valid_machines(draw, max_states=6, max_inputs=4):
         initial_state=draw(st.sampled_from(state_names)),
         reset_input=reset,
     )
+
+
+CLOSED_LOOP_INPUTS = ("reset", "c", "ts", "tl")
+
+
+@st.composite
+def closed_loop_machines(draw, max_states=5):
+    """Random machines over exactly the closed-loop inputs, with lights mg/sg
+    and the timer pulse st.  Each state's guards partition all 16 valuations,
+    so every run is defined; reset is declared or left an ordinary input."""
+    names = [f"Q{i}" for i in range(draw(st.integers(1, max_states)))]
+    valuations = list(all_valuations(CLOSED_LOOP_INPUTS))
+    states = []
+    for name in names:
+        n_trans = draw(st.integers(1, 3))
+        owner = [draw(st.integers(0, n_trans - 1)) for _ in valuations]
+        transitions = []
+        for t_idx in range(n_trans):
+            minterms = [v for v, o in zip(valuations, owner) if o == t_idx]
+            guard = guard_from_minterms(minterms, CLOSED_LOOP_INPUTS, len(valuations))
+            pulses = frozenset({"st"}) if draw(st.booleans()) else frozenset()
+            transitions.append(Transition(guard, draw(st.sampled_from(names)), pulses))
+        lights = {"mg": draw(st.integers(0, 1)), "sg": draw(st.integers(0, 1))}
+        states.append(StateDef(name, lights, tuple(transitions)))
+    return FsmSpec(
+        name="loop", inputs=CLOSED_LOOP_INPUTS, moore_outputs=("mg", "sg"),
+        pulse_outputs=("st",), states=tuple(states), initial_state=names[0],
+        reset_input=draw(st.sampled_from(["reset", None])))
+
+
+@st.composite
+def timer_configs(draw, max_long=24):
+    short = draw(st.integers(1, max_long - 1))
+    return TimerConfig(short, draw(st.integers(short + 1, max_long)))

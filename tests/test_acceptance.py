@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from fsmkit import dsl
 from fsmkit.emit import EmitOptions, PinEntry, PinMap, emit_ucf, emit_verilog
-from fsmkit.env import TrafficModel, run_env
+from fsmkit.env import TrafficModel, run_env, run_env_detailed
 from fsmkit.itlc import (
     ControllerState, DEFAULT_PIN_ROWS, ItlcInputs, bundled_spec,
     bundled_stimulus_source, reference_next, reference_output,
@@ -84,7 +84,7 @@ def test_scenario_ordering():
 
 
 def test_idle_prioritization():
-    metrics, _ = run_env(
+    metrics = run_env(
         bundled_spec(), CFG, TrafficModel(0.0, seed=0, horizon=10_000))
     assert metrics.main_green_share == 1.0
     assert metrics.cycles_completed == 0
@@ -95,7 +95,7 @@ def test_bounded_side_road_wait():
     start = time.perf_counter()
     spec = bundled_spec()
     for seed in range(20):
-        metrics, _ = run_env(
+        metrics = run_env(
             spec, CFG, TrafficModel(1.0, seed=seed, horizon=10_000))
         assert metrics.max_side_wait <= WAIT_BOUND, (seed, metrics.max_side_wait)
     assert time.perf_counter() - start < 5.0
@@ -110,7 +110,7 @@ def test_determinism_and_golden_files():
     assert simulate(spec, CFG, stim) == trace
 
     model = TrafficModel(0.2, seed=5, horizon=2000)
-    assert run_env(spec, CFG, model) == run_env(spec, CFG, model)
+    assert run_env_detailed(spec, CFG, model) == run_env_detailed(spec, CFG, model)
 
     vcd = write_vcd(trace)
     assert write_vcd(trace) == vcd

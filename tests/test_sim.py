@@ -4,12 +4,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fsmkit import sim
-from fsmkit.itlc import bundled_stimulus_source
-from fsmkit.model import moore_output
+from conftest import closed_loop_machines, timer_configs
+from fsmkit import dsl, sim
+from fsmkit.env import TrafficModel, run_env, run_env_detailed
+from fsmkit.itlc import bundled_spec, bundled_stimulus_source
+from fsmkit.model import (
+    ContractViolation, FsmSpec, Not, StateDef, StructuralError, Transition, Var,
+    moore_output,
+)
 from fsmkit.sim import (
-    ExternalInputs, SimError, Stimulus, StimulusError, parse_stimulus,
-    simulate, simulate_open, write_vcd, explore_reachable,
+    ExternalInputs, SimError, Stimulus, StimulusError, Trace, closed_loop_tick,
+    parse_stimulus, simulate, simulate_open, write_vcd, explore_reachable,
 )
 from fsmkit.timer import TimerConfig, TimerState, timer_outputs
 
@@ -18,6 +23,63 @@ GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 def constant_stim(n, c=0, reset=0):
     return Stimulus(tuple(ExternalInputs(c=c, reset=reset) for _ in range(n)))
+
+
+def stim_of(bits):
+    """Stimulus from a string of c bits, one character per tick."""
+    return Stimulus(tuple(ExternalInputs(c=int(b)) for b in bits))
+
+
+def reference_simulate(spec, cfg, stim):
+    """The untabulated closed loop: one kernel call per tick."""
+    state, timer, records = spec.initial_state, TimerState(0), []
+    for tick, ext in enumerate(stim.ticks):
+        record, state, timer = closed_loop_tick(spec, cfg, tick, state, timer, ext.c, ext.reset)
+        records.append(record)
+    return Trace(spec.name, cfg, tuple(records),
+                 pulse_names=spec.pulse_outputs, state_names=spec.state_names())
+
+
+# c at random, reset high on about one tick in ten.
+stimuli = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9)), min_size=1, max_size=300).map(
+    lambda ticks: Stimulus(tuple(ExternalInputs(c, int(r == 0)) for c, r in ticks)))
+
+CLOSED_HEADER = "fsm m\ninputs reset c ts tl\noutputs mg\npulses st\ninitial S0\nreset reset\n"
+GAP_SPEC = CLOSED_HEADER + "state S0 { mg=1 }\ntrans S0 -> S0 when !c\n"
+OVERLAP_SPEC = CLOSED_HEADER + "state S0 { mg=1 }\ntrans S0 -> S0 when 1\ntrans S0 -> S0 when c & ts\n"
+
+
+def into_undeclared_state():
+    # The parser refuses a transition to an undeclared state; library callers
+    # can still build one.
+    s0 = StateDef("S0", {"mg": 1}, (Transition(Var("c"), "GONE", frozenset({"st"})),
+                                    Transition(Not(Var("c")), "S0")))
+    return FsmSpec("lost", ("reset", "c", "ts", "tl"), ("mg",), ("st",), (s0,), "S0", "reset")
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every closed-loop table built while the test runs."""
+    built = []
+    init = sim._ClosedLoop.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+    monkeypatch.setattr(sim._ClosedLoop, "__init__", recording_init)
+    return built
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count of closed-loop kernel evaluations while the test runs."""
+    calls = [0]
+
+    def counting_kernel(*args):
+        calls[0] += 1
+        return closed_loop_tick(*args)
+    monkeypatch.setattr(sim, "closed_loop_tick", counting_kernel)
+    return calls
 
 
 class TestParseStimulus:
@@ -98,6 +160,84 @@ class TestSimulate:
         stim = constant_stim(64, c=1)
         assert simulate(itlc_spec, default_cfg, stim) == \
             simulate(itlc_spec, default_cfg, stim)
+
+
+class TestClosedLoopTable:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
+           cfg=timer_configs(), stim=stimuli)
+    def test_simulate_matches_the_untabulated_kernel(self, spec, cfg, stim):
+        assert simulate(spec, cfg, stim) == reference_simulate(spec, cfg, stim)
+
+    def test_kernel_runs_once_per_filled_cell(self, itlc_spec, default_cfg, tables,
+                                              kernel_calls):
+        runs = [
+            lambda: simulate(itlc_spec, default_cfg, stim_of("0110" * 1000)),
+            lambda: run_env(itlc_spec, default_cfg, TrafficModel(0.2, seed=3, horizon=4000)),
+            lambda: run_env_detailed(itlc_spec, default_cfg,
+                                     TrafficModel(0.5, seed=4, horizon=4000)),
+        ]
+        for run in runs:
+            kernel_calls[0] = 0
+            run()
+            filled = sum(cell is not None for cell in tables[-1].cells)
+            assert kernel_calls[0] == filled <= 4 * 44
+
+    def test_exploration_fills_every_cell(self, itlc_spec, default_cfg, tables, kernel_calls):
+        reached = explore_reachable(itlc_spec, default_cfg)
+        assert None not in tables[0].cells
+        assert kernel_calls[0] == len(tables[0].cells) == 4 * len(reached)
+
+    def test_no_table_in_proportion_to_the_timer_threshold(self, itlc_spec, tables):
+        cfg = TimerConfig(4, 10**9)
+        simulate(itlc_spec, cfg, constant_stim(300, c=1))
+        run_env(itlc_spec, cfg, TrafficModel(1.0, seed=0, horizon=300))
+        assert len(tables) == 2
+        for table in tables:
+            assert len(table.configs) <= 301
+            assert len(table.cells) == 4 * len(table.configs)
+
+    @pytest.mark.parametrize("source, bits, k, message", [
+        (GAP_SPEC, "0000001111", 6, "state 'S0': 0 transition guards true at "
+                                    "{reset=0, c=1, ts=1, tl=0}; validate the spec first"),
+        # c & ts is false on ticks 2 and 3, so the overlap first shows on tick 4.
+        (OVERLAP_SPEC, "0011111111", 4, "state 'S0': 2 transition guards true at "
+                                        "{reset=0, c=1, ts=1, tl=0}; validate the spec first"),
+    ])
+    def test_unvalidated_guards_fail_at_the_first_bad_tick(self, source, bits, k, message,
+                                                          default_cfg):
+        spec = dsl.parse(source)
+        assert len(simulate(spec, default_cfg, stim_of(bits[:k])).records) == k
+        for run in (simulate, reference_simulate):
+            with pytest.raises(ContractViolation) as exc:
+                run(spec, default_cfg, stim_of(bits[:k + 1]))
+            assert str(exc.value) == message
+
+    def test_a_failed_kernel_caches_nothing(self, default_cfg):
+        table = sim._ClosedLoop(dsl.parse(GAP_SPEC), default_cfg)
+        with pytest.raises(ContractViolation):
+            table.fill(2, 0)  # c=1, reset=0 on the initial configuration
+        assert table.cells == [None] * 4
+        assert table.configs == [("S0", 0)]
+
+    def test_undeclared_state_fails_on_the_next_tick(self, default_cfg):
+        spec = into_undeclared_state()
+        trace = simulate(spec, default_cfg, stim_of("0001"))  # fires on the final tick
+        assert [r.state for r in trace.records] == ["S0"] * 4
+        assert trace == reference_simulate(spec, default_cfg, stim_of("0001"))
+        with pytest.raises(StructuralError, match="unknown state 'GONE'"):
+            simulate(spec, default_cfg, stim_of("00010"))
+        # The traffic run sees c=1 on tick 0 at arrival probability 1.
+        assert run_env(spec, default_cfg, TrafficModel(1.0, horizon=1)).cycles_completed == 0
+        with pytest.raises(StructuralError, match="unknown state 'GONE'"):
+            run_env(spec, default_cfg, TrafficModel(1.0, horizon=2))
+
+    @pytest.mark.parametrize("c, reset", [(2, 0), (0, 2), (-1, 0), (1, 3)])
+    def test_non_bit_inputs_are_refused(self, c, reset):
+        # A non-bit would address a neighbouring cell of the table, so it
+        # cannot reach a run: the inputs refuse it when built.
+        with pytest.raises(SimError, match="must be 0 or 1"):
+            ExternalInputs(c=c, reset=reset)
 
 
 class TestSimulateOpen:
