@@ -27,8 +27,15 @@ class _CliError(Exception):
 def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(2, f"cannot read {what} '{path}': {exc}") from exc
+
+
+def _write_text(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, "utf-8")
+    except OSError as exc:
+        raise _CliError(2, f"cannot write {what} '{path}': {exc}") from exc
 
 
 def _load_spec(path: str) -> FsmSpec:
@@ -63,10 +70,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _light_bits(moore: dict[str, int]) -> str:
-    return "".join(str(moore.get(name, 0)) for name in LIGHT_ORDER)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.fsm)
     _require_valid(validate(spec))
@@ -76,18 +79,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace = sim.simulate(spec, cfg, stim)
     except sim.SimError as exc:
         raise _CliError(2, str(exc)) from exc
-    log_lines = [
-        f"{r.tick} {r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
-        f"tl={r.inputs['tl']} st={r.st} {_light_bits(dict(r.moore))}"
-        for r in trace.records
-    ]
+    bodies: dict[int, str] = {}  # by record id: records of one table cell are one object
+    log_lines = []
+    for tick, r in enumerate(trace.records):
+        if id(r) not in bodies:
+            lights = "".join(str(r.moore.get(name, 0)) for name in LIGHT_ORDER)
+            bodies[id(r)] = (f"{r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
+                             f"tl={r.inputs['tl']} st={r.st} {lights}")
+        log_lines.append(f"{tick} {bodies[id(r)]}")
     log_text = "\n".join(log_lines) + "\n"
     if args.log:
-        Path(args.log).write_text(log_text, "utf-8")
+        _write_text(args.log, log_text, "log")
     else:
         sys.stdout.write(log_text)
     if args.vcd:
-        Path(args.vcd).write_text(sim.write_vcd(trace), "utf-8")
+        _write_text(args.vcd, sim.write_vcd(trace), "VCD")
     return 0
 
 
@@ -111,7 +117,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         _require_valid(exc.report if isinstance(exc, emit_mod.InvalidSpecError) else validate(spec))
         raise _CliError(2, str(exc)) from exc
     if args.output:
-        Path(args.output).write_text(text, "utf-8")
+        _write_text(args.output, text, "output")
     else:
         sys.stdout.write(text)
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import FsmSpec
-from .sim import TickRecord, Trace, _ClosedLoop, _retick, _trace
+from .sim import TickRecord, Trace, _ClosedLoop, _trace
 from .timer import TimerConfig
 
 _MASK64 = (1 << 64) - 1
@@ -136,9 +136,9 @@ def _run(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
                 arrivals += 1
         c = 0 if slots[0] is None and slots[1] is None else 1
         k = 4 * i + 2 * c  # reset stays low
-        nxt, record = cells[k] or fill(k, tick)
+        nxt, record = cells[k] or fill(k)
         if records is not None:
-            records.append(_retick(record, tick))
+            records.append(record)
         if record.moore.get("mg"):
             green_main += 1
         if record.moore.get("sg"):

@@ -14,6 +14,8 @@ Per-tick order, fixed and relied on by every downstream consumer:
 `closed_loop_tick` is the one implementation of steps 2-5, evaluated once per
 reached (configuration, input) cell of a `_ClosedLoop` table; `simulate`,
 `explore_reachable` and `env.run_env[_detailed]` supply step 1 and read it.
+A record's tick is its index in `Trace.records`: every tick that hits a cell
+appends the cell's one read-only record, so output renders once per cell.
 Moore outputs are registered, so a transition's new lights appear one tick
 after its guard fires.
 """
@@ -62,7 +64,7 @@ class Stimulus:
 
 @dataclass(frozen=True)
 class TickRecord:
-    tick: int
+    """One clock of a run; its tick is its index in `Trace.records`."""
     state: str
     inputs: Mapping[str, Bit]
     moore: Mapping[str, Bit]
@@ -144,26 +146,22 @@ def _trace(spec: FsmSpec, cfg: TimerConfig | None, records: list[TickRecord]) ->
                  pulse_names=spec.pulse_outputs, state_names=spec.state_names())
 
 
-def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, tick: int, state: str, timer: TimerState,
+def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, state: str, timer: TimerState,
                      c: Bit, reset: Bit) -> tuple[TickRecord, str, TimerState]:
     """One closed-loop clock, steps 2-5 above.  Returns the tick's record, the
     next state and the next timer state."""
     ts, tl = timer_outputs(cfg, timer)
     valuation = {"reset": reset, "c": c, "ts": ts, "tl": tl}
     next_state, pulses = step_spec(spec, state, valuation)
-    record = TickRecord(tick, state, valuation, moore_output(spec, state), pulses, timer.count)
+    record = TickRecord(state, valuation, moore_output(spec, state), pulses, timer.count)
     return record, next_state, timer_commit(cfg, timer, record.st)
-
-
-def _retick(r: TickRecord, tick: int) -> TickRecord:
-    return TickRecord(tick, r.state, r.inputs, r.moore, r.pulses, r.timer_count)
 
 
 class _ClosedLoop:
     """Memo table over `closed_loop_tick` for one run.  Configuration i is the
     i-th (state, timer count) reached; cell 4*i + 2*c + reset holds (next id,
     kernel record), filled on its first hit.  `cells` only grows in place, so
-    drivers may hold it; the records' mappings are shared and read-only."""
+    drivers may hold it; a record is shared by all ticks of its cell and read-only."""
 
     def __init__(self, spec: FsmSpec, cfg: TimerConfig):
         if set(spec.inputs) != CLOSED_LOOP_INPUTS:
@@ -175,10 +173,10 @@ class _ClosedLoop:
         self.ids = {self.configs[0]: 0}
         self.cells: list[tuple[int, TickRecord] | None] = [None] * 4
 
-    def fill(self, k: int, tick: int) -> tuple[int, TickRecord]:
+    def fill(self, k: int) -> tuple[int, TickRecord]:
         state, count = self.configs[k >> 2]
         record, nxt, timer = closed_loop_tick(
-            self.spec, self.cfg, tick, state, TimerState(count), k >> 1 & 1, k & 1)
+            self.spec, self.cfg, state, TimerState(count), k >> 1 & 1, k & 1)
         config = (nxt, timer.count)
         if config not in self.ids:
             self.ids[config] = len(self.configs)
@@ -195,10 +193,10 @@ def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
     cells, fill = loop.cells, loop.fill
     i = 0
     records: list[TickRecord] = []
-    for tick, ext in enumerate(stim.ticks):
+    for ext in stim.ticks:
         k = 4 * i + 2 * ext.c + ext.reset
-        i, record = cells[k] or fill(k, tick)
-        records.append(_retick(record, tick))
+        i, record = cells[k] or fill(k)
+        records.append(record)
     return _trace(spec, cfg, records)
 
 
@@ -214,7 +212,7 @@ def simulate_open(spec: FsmSpec, valuations: Iterable[Mapping[str, Bit]]) -> Tra
                 f"tick {tick}: valuation keys {sorted(valuation)} do not match "
                 f"spec inputs {sorted(expected)}")
         next_state, pulses = step_spec(spec, state, valuation)
-        records.append(TickRecord(tick, state, dict(valuation), moore_output(spec, state), pulses))
+        records.append(TickRecord(state, dict(valuation), moore_output(spec, state), pulses))
         state = next_state
     if not records:
         raise SimError("open-loop simulation needs at least one tick")
@@ -232,7 +230,7 @@ def explore_reachable(spec: FsmSpec, cfg: TimerConfig) -> frozenset[tuple[str, i
     long_ticks."""
     loop = _ClosedLoop(spec, cfg)
     for k, _ in enumerate(loop.cells):  # also visits the cells each fill appends
-        loop.fill(k, 0)
+        loop.fill(k)
     return frozenset(loop.configs)
 
 
@@ -288,25 +286,24 @@ def write_vcd(trace: Trace) -> str:
         vals.update(record.moore)
         return vals
 
-    prev: dict[str, int] = {}
-    prev_state: str | None = None
-    for record in trace.records:
-        vals = values(record)
-        changes = [
-            f"{vals[name]}{ids[name]}"
-            for name in signals
-            if prev.get(name) != vals[name]
-        ]
-        if record.state != prev_state:
-            changes.append(f"b{state_index[record.state]:0{width}b} {state_id}")
-        if record.tick == 0:
-            out.append("#0")
-            out.append("$dumpvars")
-            out.extend(changes)
-            out.append("$end")
-        elif changes:
-            out.append(f"#{record.tick}")
-            out.extend(changes)
-        prev = vals
-        prev_state = record.state
+    def changes(prev: TickRecord | None, record: TickRecord) -> str:
+        old, new = values(prev) if prev else {}, values(record)
+        lines = [f"{new[name]}{ids[name]}" for name in signals if old.get(name) != new[name]]
+        if prev is None or record.state != prev.state:
+            lines.append(f"b{state_index[record.state]:0{width}b} {state_id}")
+        return "\n".join(lines)
+
+    records = trace.records
+    out += ["#0", "$dumpvars", changes(None, records[0]), "$end"]
+    # Records of one table cell are one object, so (previous, current) pairs
+    # repeat.  Every keyed record lives in `records` until we return, so its
+    # id cannot be reused for another record.
+    cache: dict[tuple[int, int], str] = {}
+    for tick, (prev, record) in enumerate(zip(records, records[1:]), 1):
+        key = (id(prev), id(record))
+        block = cache.get(key)
+        if block is None:
+            block = cache[key] = changes(prev, record)
+        if block:
+            out.append(f"#{tick}\n{block}")
     return "\n".join(out) + "\n"

@@ -75,10 +75,10 @@ def test_scenario_ordering():
         "S0": {"mg": 1, "sr": 1}, "S1": {"my": 1, "sr": 1},
         "S2": {"mr": 1, "sg": 1}, "S3": {"mr": 1, "sy": 1},
     }
-    for r in trace.records:
+    for tick, r in enumerate(trace.records):
         want = expected_lights[r.state]
         for name in ("mg", "my", "mr", "sg", "sy", "sr"):
-            assert r.moore[name] == want.get(name, 0), (r.tick, name)
+            assert r.moore[name] == want.get(name, 0), (tick, name)
     _report("side-road scenario ordering with exact light patterns "
             "(absolute testbench timestamps out of scope)")
 

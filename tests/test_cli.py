@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -238,6 +241,39 @@ class TestGuardNesting:
         assert captured.out == ""
         assert captured.err == (
             f"{fsm}:5:19: syntax: guard nests deeper than {MAX_GUARD_DEPTH} levels\n")
+
+
+NOT_UTF8 = b"\xff\xfe not text\n"
+
+
+def io_error_case(case, tmp_path):
+    """Arguments for one of the CLI's read or write paths, made to fail."""
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(NOT_UTF8)
+    nowhere = str(tmp_path / "missing-dir" / "out")
+    return {
+        "fsm-not-utf8": ["check", str(bad)],
+        "stim-not-utf8": ["simulate", ITLC, str(bad)],
+        "pins-not-utf8": ["emit", ITLC, "--format", "ucf", "--pins", str(bad)],
+        "vcd-unwritable": ["simulate", ITLC, STIM, "--vcd", nowhere],
+        "log-unwritable": ["simulate", ITLC, STIM, "--log", nowhere],
+        "output-unwritable": ["emit", ITLC, "-o", nowhere],
+    }[case]
+
+
+class TestInputOutputErrors:
+    @pytest.mark.parametrize("case", [
+        "fsm-not-utf8", "stim-not-utf8", "pins-not-utf8",
+        "vcd-unwritable", "log-unwritable", "output-unwritable",
+    ])
+    def test_exit_2_with_one_line_and_no_traceback(self, tmp_path, case):
+        # A real process, so that an uncaught exception shows as a traceback.
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        result = subprocess.run([sys.executable, "-m", "fsmkit.cli", *io_error_case(case, tmp_path)],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("cannot ")
 
 
 class TestUsage:

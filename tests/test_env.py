@@ -32,7 +32,7 @@ def reference_run_env(spec, cfg, model):
                 slots[approach] = tick
                 arrivals += 1
         c = 0 if slots == [None, None] else 1
-        record, next_state, timer = closed_loop_tick(spec, cfg, tick, state, timer, c, 0)
+        record, next_state, timer = closed_loop_tick(spec, cfg, state, timer, c, 0)
         records.append(record)
         if record.moore.get("mg"):
             green_main += 1
@@ -132,11 +132,11 @@ class TestRunEnv:
         # Arrivals only fill slots, so the sensor can fall from 1 to 0 only
         # through a departure, and departures happen only on side-green ticks.
         recs = r.trace.records
-        falls = [(a, b) for a, b in zip(recs, recs[1:])
+        falls = [(tick, a) for tick, (a, b) in enumerate(zip(recs, recs[1:]))
                  if a.inputs["c"] == 1 and b.inputs["c"] == 0]
         assert falls  # the witness is not vacuous
-        for a, _ in falls:
-            assert a.moore["sg"] == 1, a.tick
+        for tick, a in falls:
+            assert a.moore["sg"] == 1, tick
 
     def test_sensor_honesty(self, itlc_spec, default_cfg):
         # Independent witness: replay slot occupancy from the seed's own
@@ -147,12 +147,12 @@ class TestRunEnv:
         rng = SplitMix64(model.seed)
         slots = [None, None]
         seen = set()
-        for rec in r.trace.records:
+        for tick, rec in enumerate(r.trace.records):
             for i in (0, 1):
                 if rng.bernoulli(model.arrival_prob) and slots[i] is None:
-                    slots[i] = rec.tick
+                    slots[i] = tick
             occupied = slots != [None, None]
-            assert rec.inputs["c"] == (1 if occupied else 0), rec.tick
+            assert rec.inputs["c"] == (1 if occupied else 0), tick
             seen.add(occupied)
             waiting = [i for i in (0, 1) if slots[i] is not None]
             if rec.moore["sg"] and waiting:

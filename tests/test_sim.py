@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import closed_loop_machines, timer_configs
 from fsmkit import dsl, sim
+from fsmkit.cli import main
 from fsmkit.env import TrafficModel, run_env, run_env_detailed
 from fsmkit.itlc import bundled_spec, bundled_stimulus_source
 from fsmkit.model import (
@@ -33,11 +35,25 @@ def stim_of(bits):
 def reference_simulate(spec, cfg, stim):
     """The untabulated closed loop: one kernel call per tick."""
     state, timer, records = spec.initial_state, TimerState(0), []
-    for tick, ext in enumerate(stim.ticks):
-        record, state, timer = closed_loop_tick(spec, cfg, tick, state, timer, ext.c, ext.reset)
+    for ext in stim.ticks:
+        record, state, timer = closed_loop_tick(spec, cfg, state, timer, ext.c, ext.reset)
         records.append(record)
     return Trace(spec.name, cfg, tuple(records),
                  pulse_names=spec.pulse_outputs, state_names=spec.state_names())
+
+
+def with_distinct_records(trace):
+    """The same trace with every record a distinct object."""
+    return dataclasses.replace(
+        trace, records=tuple(dataclasses.replace(r) for r in trace.records))
+
+
+def per_tick_log(trace):
+    """`fsmkit simulate`'s log, formatted afresh on every tick."""
+    return "".join(
+        f"{tick} {r.state} c={r.inputs['c']} ts={r.inputs['ts']} tl={r.inputs['tl']} "
+        f"st={r.st} " + "".join(str(r.moore.get(n, 0)) for n in ("mg", "my", "mr", "sg", "sy", "sr"))
+        + "\n" for tick, r in enumerate(trace.records))
 
 
 # c at random, reset high on about one tick in ten.
@@ -127,7 +143,7 @@ class TestSimulate:
         runs = [(k, len(list(g)))
                 for k, g in itertools.groupby(r.state for r in trace.records)]
         assert runs == [("S0", 17), ("S1", 5), ("S2", 17), ("S3", 5)]
-        assert [r.tick for r in trace.records if r.st] == [16, 21, 38, 43]
+        assert [t for t, r in enumerate(trace.records) if r.st] == [16, 21, 38, 43]
 
     def test_reset_forces_initial_state_next_tick(self, itlc_spec, default_cfg):
         ticks = [ExternalInputs(c=1) for _ in range(30)]
@@ -183,6 +199,36 @@ class TestClosedLoopTable:
             filled = sum(cell is not None for cell in tables[-1].cells)
             assert kernel_calls[0] == filled <= 4 * 44
 
+    def test_no_record_is_built_per_tick(self, itlc_spec, default_cfg, tables):
+        traces = [
+            simulate(itlc_spec, default_cfg, stim_of(("0011101" * 286)[:2000])),
+            run_env_detailed(itlc_spec, default_cfg,
+                             TrafficModel(0.3, seed=5, horizon=2000)).trace,
+        ]
+        for trace, table in zip(traces, tables):
+            filled = sum(cell is not None for cell in table.cells)
+            assert len(trace.records) == 2000
+            assert len({id(r) for r in trace.records}) <= filled
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
+           cfg=timer_configs(), stim=stimuli, seed=st.integers(0, 2**64 - 1),
+           p=st.floats(0.0, 1.0))
+    def test_shared_records_render_like_distinct_ones(self, spec, cfg, stim, seed, p,
+                                                      tmp_path_factory):
+        trace = simulate(spec, cfg, stim)
+        assert write_vcd(trace) == write_vcd(with_distinct_records(trace))
+        env_trace = run_env_detailed(spec, cfg, TrafficModel(p, seed=seed, horizon=stim.horizon)).trace
+        assert write_vcd(env_trace) == write_vcd(with_distinct_records(env_trace))
+        # The CLI log against a per-tick formatter over the untabulated run.
+        d = tmp_path_factory.mktemp("log")
+        (d / "m.fsm").write_text(dsl.serialize(spec))
+        (d / "m.stim").write_text(f"horizon {stim.horizon}\n" + "".join(
+            f"{t} c={e.c} reset={e.reset}\n" for t, e in enumerate(stim.ticks)))
+        assert main(["simulate", str(d / "m.fsm"), str(d / "m.stim"), "--log", str(d / "m.log"),
+                     "--short", str(cfg.short_ticks), "--long", str(cfg.long_ticks)]) == 0
+        assert (d / "m.log").read_text() == per_tick_log(reference_simulate(spec, cfg, stim))
+
     def test_exploration_fills_every_cell(self, itlc_spec, default_cfg, tables, kernel_calls):
         reached = explore_reachable(itlc_spec, default_cfg)
         assert None not in tables[0].cells
@@ -216,7 +262,7 @@ class TestClosedLoopTable:
     def test_a_failed_kernel_caches_nothing(self, default_cfg):
         table = sim._ClosedLoop(dsl.parse(GAP_SPEC), default_cfg)
         with pytest.raises(ContractViolation):
-            table.fill(2, 0)  # c=1, reset=0 on the initial configuration
+            table.fill(2)  # c=1, reset=0 on the initial configuration
         assert table.cells == [None] * 4
         assert table.configs == [("S0", 0)]
 
