@@ -19,21 +19,20 @@ from .sim import (
 )
 from .env import Metrics, TrafficModel, run_env, run_env_detailed
 from .emit import (
-    EmitError, EmitOptions, PinEntry, PinMap, emit_ucf, emit_verilog,
-    parse_pin_file,
+    EmitError, PinEntry, PinMap, emit_ucf, emit_verilog, parse_pin_file,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "Const", "ContractViolation", "EmitError", "EmitOptions",
-    "ExternalInputs", "Finding", "FsmError", "FsmSpec", "GuardExpr",
-    "Metrics", "Not", "Or", "ParseError", "ParseFailure", "PinEntry",
-    "PinMap", "SimError", "SourceSpan", "StateDef", "Stimulus",
-    "StimulusError", "StructuralError", "TickRecord", "TimerConfig",
-    "TimerState", "Trace", "TrafficModel", "Transition", "ValidationReport",
-    "Var", "emit_ucf", "emit_verilog", "eval_guard", "explore_reachable",
-    "moore_output", "parse", "parse_pin_file", "parse_stimulus", "run_env",
-    "run_env_detailed", "serialize", "simulate", "simulate_open", "step_spec",
-    "timer_commit", "timer_outputs", "validate", "write_vcd",
+    "And", "Const", "ContractViolation", "EmitError", "ExternalInputs",
+    "Finding", "FsmError", "FsmSpec", "GuardExpr", "Metrics", "Not", "Or",
+    "ParseError", "ParseFailure", "PinEntry", "PinMap", "SimError",
+    "SourceSpan", "StateDef", "Stimulus", "StimulusError", "StructuralError",
+    "TickRecord", "TimerConfig", "TimerState", "Trace", "TrafficModel",
+    "Transition", "ValidationReport", "Var", "emit_ucf", "emit_verilog",
+    "eval_guard", "explore_reachable", "moore_output", "parse",
+    "parse_pin_file", "parse_stimulus", "run_env", "run_env_detailed",
+    "serialize", "simulate", "simulate_open", "step_spec", "timer_commit",
+    "timer_outputs", "validate", "write_vcd",
 ]

@@ -101,8 +101,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     spec = _load_spec(args.fsm)
     try:
         if args.format == "verilog":
-            opts = emit_mod.EmitOptions(module_name=spec.name, state_encoding=args.encoding)
-            text = emit_mod.emit_verilog(spec, opts)  # validates the spec
+            text = emit_mod.emit_verilog(spec, args.encoding)  # validates the spec first
         else:
             _require_valid(validate(spec))
             if args.pins:
@@ -112,9 +111,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
                     emit_mod.PinEntry(*row) for row in itlc.DEFAULT_PIN_ROWS))
             pins.check_against(spec)
             text = emit_mod.emit_ucf(pins)
+    except emit_mod.InvalidSpecError as exc:
+        raise _CliError(1, _findings_text(exc.report).rstrip("\n")) from exc
     except emit_mod.EmitError as exc:
-        # Findings outrank every other emit error, a bad module name included.
-        _require_valid(exc.report if isinstance(exc, emit_mod.InvalidSpecError) else validate(spec))
         raise _CliError(2, str(exc)) from exc
     if args.output:
         _write_text(args.output, text, "output")

@@ -71,18 +71,6 @@ class PinMap:
                 + ", ".join(missing))
 
 
-@dataclass(frozen=True)
-class EmitOptions:
-    module_name: str
-    state_encoding: str = BINARY
-
-    def __post_init__(self) -> None:
-        if self.state_encoding not in (BINARY, ONE_HOT):
-            raise EmitError(f"unknown state encoding '{self.state_encoding}'")
-        if not _IDENT_RE.fullmatch(self.module_name) or self.module_name in _VERILOG_KEYWORDS:
-            raise EmitError(f"'{self.module_name}' is not a valid HDL module name")
-
-
 def parse_pin_file(text: str) -> PinMap:
     """Pin file: one `<signal> <pin> <input|output>` per line, # comments."""
     entries: list[PinEntry] = []
@@ -106,25 +94,29 @@ def emit_ucf(pins: PinMap) -> str:
 # Verilog
 # ---------------------------------------------------------------------------
 
-def _check_identifiers(spec: FsmSpec, opts: EmitOptions) -> None:
+def _usable(name: str) -> bool:
+    return bool(_IDENT_RE.fullmatch(name)) and name not in _VERILOG_KEYWORDS
+
+
+def _check_identifiers(spec: FsmSpec, encoding: str) -> None:
+    if encoding not in (BINARY, ONE_HOT):
+        raise EmitError(f"unknown state encoding '{encoding}'")
+    if not _usable(spec.name):
+        raise EmitError(f"'{spec.name}' is not a valid HDL module name")
     reserved = {"clk", "state", "state_next"}
     reserved.update(f"{p}_next" for p in spec.pulse_outputs)
-    offenders: list[str] = []
     names = list(spec.inputs) + list(spec.moore_outputs) + list(spec.pulse_outputs)
-    for name in names:
-        if not _IDENT_RE.fullmatch(name) or name in _VERILOG_KEYWORDS or name in reserved:
-            offenders.append(name)
-    for s in spec.states:
-        if (not _IDENT_RE.fullmatch(s.name) or s.name in _VERILOG_KEYWORDS
-                or s.name in reserved or s.name in names):
-            offenders.append(s.name)
+    offenders = [name for name in names if not _usable(name) or name in reserved]
+    reserved.update(names)
+    offenders += [s.name for s in spec.states if not _usable(s.name) or s.name in reserved]
     if offenders:
         raise EmitError(
             "names unusable as HDL identifiers: " + ", ".join(sorted(set(offenders))))
 
 
-def emit_verilog(spec: FsmSpec, opts: EmitOptions) -> str:
-    """Render the machine as a synthesizable Verilog-2001 module.
+def emit_verilog(spec: FsmSpec, encoding: str = BINARY) -> str:
+    """Render the machine as a synthesizable Verilog-2001 module named
+    `spec.name`; findings raise `InvalidSpecError` before any name check.
 
     Port order: clk, inputs, Moore outputs, pulse outputs.  The state
     register updates on the rising clock edge; reset (when the spec declares
@@ -135,10 +127,10 @@ def emit_verilog(spec: FsmSpec, opts: EmitOptions) -> str:
         raise InvalidSpecError(
             f"spec '{spec.name}' has {len(report.findings)} validation findings; "
             "emit requires a clean spec", report)
-    _check_identifiers(spec, opts)
+    _check_identifiers(spec, encoding)
 
     n = len(spec.states)
-    if opts.state_encoding == BINARY:
+    if encoding == BINARY:
         width = max(1, (n - 1).bit_length())
         encode = lambda i: f"{width}'d{i}"
     else:
@@ -150,7 +142,7 @@ def emit_verilog(spec: FsmSpec, opts: EmitOptions) -> str:
     lines: list[str] = []
     w = lines.append
     w(f"// Machine '{spec.name}' rendered as synthesizable Verilog. Generated file; do not edit.")
-    w(f"module {opts.module_name} (")
+    w(f"module {spec.name} (")
     ports = (
         [("input", "clk")]
         + [("input", name) for name in spec.inputs]

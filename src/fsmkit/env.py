@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import FsmSpec
-from .sim import TickRecord, Trace, _ClosedLoop, _trace
+from .sim import TickRecord, Trace, _ClosedLoop
 from .timer import TimerConfig
 
 _MASK64 = (1 << 64) - 1
@@ -160,5 +160,5 @@ def _run(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
         side_vehicles_served=len(waits),
         cycles_completed=cycles,
     )
-    return EnvResult(metrics, _trace(spec, cfg, records or []), arrivals, tuple(waits),
+    return EnvResult(metrics, Trace(spec, tuple(records or ())), arrivals, tuple(waits),
                      sum(1 for a in slots if a is not None))

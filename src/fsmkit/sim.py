@@ -78,19 +78,15 @@ class TickRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    spec_name: str
-    timer_config: TimerConfig | None
+    """A run's records; its spec names the module, the pulses and the states."""
+    spec: FsmSpec
     records: tuple[TickRecord, ...]
-    # Signal universe, so waveform output is independent of which states a
-    # particular run happens to visit.
-    pulse_names: tuple[str, ...] = ()
-    state_names: tuple[str, ...] = ()
 
 
 def parse_stimulus(text: str) -> Stimulus:
     """Parse `.stim` text: a `horizon <n>` header, then `<tick> c=<bit>
-    [reset=<bit>]` lines with strictly increasing ticks.  Unlisted ticks hold
-    the previous values; everything starts at 0."""
+    [reset=<bit>]` lines with strictly increasing ticks, each signal at most
+    once per line.  Unlisted ticks hold the previous values, starting at 0."""
     horizon: int | None = None
     events: dict[int, dict[str, Bit]] = {}
     last_tick = -1
@@ -123,6 +119,8 @@ def parse_stimulus(text: str) -> Stimulus:
             key, eq, val = field.partition("=")
             if eq != "=" or key not in ("c", "reset"):
                 raise StimulusError(f"line {lineno}: expected c=<bit> or reset=<bit>, got '{field}'")
+            if key in values:
+                raise StimulusError(f"line {lineno}: duplicate assignment to '{key}'")
             if val not in ("0", "1"):
                 raise StimulusError(f"line {lineno}: bit value must be 0 or 1, got '{val}'")
             values[key] = int(val)
@@ -139,11 +137,6 @@ def parse_stimulus(text: str) -> Stimulus:
             current = replace(current, **events[tick])
         ticks.append(current)
     return Stimulus(tuple(ticks))
-
-
-def _trace(spec: FsmSpec, cfg: TimerConfig | None, records: list[TickRecord]) -> Trace:
-    return Trace(spec.name, cfg, tuple(records),
-                 pulse_names=spec.pulse_outputs, state_names=spec.state_names())
 
 
 def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, state: str, timer: TimerState,
@@ -197,7 +190,7 @@ def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
         k = 4 * i + 2 * ext.c + ext.reset
         i, record = cells[k] or fill(k)
         records.append(record)
-    return _trace(spec, cfg, records)
+    return Trace(spec, tuple(records))
 
 
 def simulate_open(spec: FsmSpec, valuations: Iterable[Mapping[str, Bit]]) -> Trace:
@@ -216,7 +209,7 @@ def simulate_open(spec: FsmSpec, valuations: Iterable[Mapping[str, Bit]]) -> Tra
         state = next_state
     if not records:
         raise SimError("open-loop simulation needs at least one tick")
-    return _trace(spec, None, records)
+    return Trace(spec, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +250,19 @@ def write_vcd(trace: Trace) -> str:
     """
     if not trace.records:
         raise SimError("cannot write VCD for an empty trace")
-    first = trace.records[0]
+    spec, first = trace.spec, trace.records[0]
     # Declaration order: inputs in spec order, then pulses, then Moore
     # outputs, then the state vector.  Identifier codes follow that order.
-    pulse_names = list(trace.pulse_names)
-    signals = list(first.inputs) + pulse_names + list(first.moore)
+    signals = [*first.inputs, *spec.pulse_outputs, *first.moore]
     ids = {name: _vcd_id(i) for i, name in enumerate(signals)}
     state_id = _vcd_id(len(signals))
 
-    state_names = list(trace.state_names) or sorted({r.state for r in trace.records})
-    state_index = {name: i for i, name in enumerate(state_names)}
-    width = max(1, (len(state_names) - 1).bit_length())
+    state_index = {name: i for i, name in enumerate(spec.state_names())}
+    width = max(1, (len(spec.states) - 1).bit_length())
 
     out = [
         "$timescale 1 ns $end",
-        f"$scope module {trace.spec_name} $end",
+        f"$scope module {spec.name} $end",
     ]
     for name in signals:
         out.append(f"$var wire 1 {ids[name]} {name} $end")
@@ -281,7 +272,7 @@ def write_vcd(trace: Trace) -> str:
 
     def values(record: TickRecord) -> dict[str, int]:
         vals = dict(record.inputs)
-        for p in pulse_names:
+        for p in spec.pulse_outputs:
             vals[p] = 1 if p in record.pulses else 0
         vals.update(record.moore)
         return vals

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 
 from fsmkit import dsl
-from fsmkit.emit import EmitOptions, PinEntry, PinMap, emit_ucf, emit_verilog
+from fsmkit.emit import PinEntry, PinMap, emit_ucf, emit_verilog
 from fsmkit.env import TrafficModel, run_env, run_env_detailed
 from fsmkit.itlc import (
     ControllerState, DEFAULT_PIN_ROWS, ItlcInputs, bundled_spec,
@@ -116,9 +116,8 @@ def test_determinism_and_golden_files():
     assert write_vcd(trace) == vcd
     assert vcd.encode() == (REPO / "golden" / "itlc_scenario.vcd").read_bytes()
 
-    opts = EmitOptions(module_name="itlc")
-    verilog = emit_verilog(spec, opts)
-    assert emit_verilog(spec, opts) == verilog
+    verilog = emit_verilog(spec)
+    assert emit_verilog(spec) == verilog
     assert verilog.encode() == (REPO / "golden" / "itlc.v").read_bytes()
 
     pins = PinMap(tuple(PinEntry(*row) for row in DEFAULT_PIN_ROWS))

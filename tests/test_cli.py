@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fsmkit import cli, emit, model
 from fsmkit.cli import main
 from fsmkit.dsl import MAX_GUARD_DEPTH
 
@@ -118,10 +119,14 @@ class TestSimulate:
         assert "short" in capsys.readouterr().err
 
     def test_bad_stimulus(self, tmp_path, capsys):
-        stim = tmp_path / "bad.stim"
-        stim.write_text("horizon 2\n1 c=1\n0 c=0\n")
-        assert main(["simulate", ITLC, str(stim)]) == 2
-        assert "non-monotonic" in capsys.readouterr().err
+        for text, message in [("horizon 2\n1 c=1\n0 c=0\n", "non-monotonic"),
+                              ("horizon 2\n0 c=1 c=0\n", "line 2: duplicate assignment to 'c'\n")]:
+            stim = tmp_path / "bad.stim"
+            stim.write_text(text)
+            assert main(["simulate", ITLC, str(stim)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert message in captured.err
 
 
 class TestEmit:
@@ -151,6 +156,36 @@ class TestEmit:
                       .replace("when a", "when 1"))
         assert main(["emit", clean]) == 2
         assert "module name" in capsys.readouterr().err
+        keyword = write(tmp_path, "keyword.fsm", GAP_SPEC.replace("fsm gappy", "fsm module")
+                        .replace("inputs a", "inputs wire").replace("when a", "when wire"))
+        findings = check_findings(keyword, capsys)
+        assert main(["emit", keyword]) == 1
+        assert capsys.readouterr().err == findings
+
+    @pytest.mark.parametrize("case, code", [
+        ("verilog", 0), ("ucf", 0), ("ucf-bad-pins", 2), ("keyword-input", 2)])
+    def test_validates_once_per_invocation(self, tmp_path, monkeypatch, capsys, case, code):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec.name)
+            return model.validate(spec)
+
+        monkeypatch.setattr(cli, "validate", counting)
+        monkeypatch.setattr(emit, "validate", counting)
+        pins = write(tmp_path, "pins.txt", "c N17 input\nbogus\n")
+        keyword = write(tmp_path, "keyword.fsm", GAP_SPEC.replace("inputs a", "inputs wire")
+                        .replace("when a", "when 1"))
+        argv = {
+            "verilog": ["emit", ITLC],
+            "ucf": ["emit", ITLC, "--format", "ucf"],
+            "ucf-bad-pins": ["emit", ITLC, "--format", "ucf", "--pins", pins],
+            "keyword-input": ["emit", keyword],
+        }[case]
+        assert main(argv) == code
+        assert len(calls) == 1
+        if code:
+            assert capsys.readouterr().err.count("\n") == 1
 
     def test_custom_pin_file(self, tmp_path, capsys):
         pins = tmp_path / "pins.txt"

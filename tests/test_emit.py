@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 
 from fsmkit import dsl
 from fsmkit.emit import (
-    BINARY, EmitError, EmitOptions, ONE_HOT, PinEntry, PinMap, emit_ucf,
+    BINARY, EmitError, InvalidSpecError, ONE_HOT, PinEntry, PinMap, emit_ucf,
     emit_verilog, parse_pin_file,
 )
 from fsmkit.itlc import DEFAULT_PIN_ROWS
@@ -66,22 +67,26 @@ class TestEmitUcf:
 
 class TestEmitVerilog:
     def test_golden_file(self, itlc_spec):
-        text = emit_verilog(itlc_spec, EmitOptions(module_name="itlc"))
+        text = emit_verilog(itlc_spec)
         assert text.encode() == (GOLDEN / "itlc.v").read_bytes()
 
+    def test_one_hot_bytes_pinned(self, itlc_spec):
+        text = emit_verilog(itlc_spec, ONE_HOT)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3814a0f4b9d940c353f16a4e557ac79dea9c5fa9f9ac571b48032f5ecc3534de")
+
     def test_determinism(self, itlc_spec):
-        opts = EmitOptions(module_name="itlc")
-        assert emit_verilog(itlc_spec, opts) == emit_verilog(itlc_spec, opts)
+        assert emit_verilog(itlc_spec) == emit_verilog(itlc_spec)
 
     def test_port_list_order(self, itlc_spec):
-        text = emit_verilog(itlc_spec, EmitOptions(module_name="itlc"))
+        text = emit_verilog(itlc_spec)
         ports = re.findall(r"(?:input|output)\s+wire (\w+)", text)
         assert ports == ["clk", "reset", "c", "ts", "tl",
                          "mg", "my", "mr", "sg", "sy", "sr", "st"]
 
     def test_one_hot_same_ports_wider_register(self, itlc_spec):
-        binary = emit_verilog(itlc_spec, EmitOptions("itlc", BINARY))
-        onehot = emit_verilog(itlc_spec, EmitOptions("itlc", ONE_HOT))
+        binary = emit_verilog(itlc_spec, BINARY)
+        onehot = emit_verilog(itlc_spec, ONE_HOT)
         port = re.compile(r"(?:input|output)\s+wire \w+")
         assert port.findall(binary) == port.findall(onehot)
         assert "reg [1:0] state" in binary
@@ -90,7 +95,7 @@ class TestEmitVerilog:
 
     def test_state_constant_count_matches_state_count(self, itlc_spec):
         for encoding in (BINARY, ONE_HOT):
-            text = emit_verilog(itlc_spec, EmitOptions("itlc", encoding))
+            text = emit_verilog(itlc_spec, encoding)
             assert len(re.findall(r"localparam .*?=", text)) == len(itlc_spec.states)
 
     def test_single_state_constant_machine(self):
@@ -98,7 +103,7 @@ class TestEmitVerilog:
             name="blinkless", inputs=(), moore_outputs=("on",), pulse_outputs=(),
             states=(StateDef("Only", {"on": 1}, (Transition(Const(1), "Only"),)),),
             initial_state="Only")
-        text = emit_verilog(spec, EmitOptions(module_name="blinkless"))
+        text = emit_verilog(spec)
         assert "state_next = Only;" in text
         assert "assign on = (state == Only);" in text
         assert "reg state" in text  # width collapses to a single bit
@@ -109,7 +114,7 @@ class TestEmitVerilog:
             states=(StateDef("A", {}, (Transition(Var("a"), "A"),)),),
             initial_state="A")
         with pytest.raises(EmitError, match="findings"):
-            emit_verilog(spec, EmitOptions(module_name="m"))
+            emit_verilog(spec)
 
     def test_keyword_collision_listed(self):
         spec = FsmSpec(
@@ -117,7 +122,7 @@ class TestEmitVerilog:
             states=(StateDef("A", {}, (Transition(Const(1), "A"),)),),
             initial_state="A")
         with pytest.raises(EmitError, match="wire"):
-            emit_verilog(spec, EmitOptions(module_name="m"))
+            emit_verilog(spec)
 
     def test_reserved_generated_name_collision(self):
         spec = FsmSpec(
@@ -125,16 +130,33 @@ class TestEmitVerilog:
             states=(StateDef("A", {}, (Transition(Const(1), "A"),)),),
             initial_state="A")
         with pytest.raises(EmitError, match="state"):
-            emit_verilog(spec, EmitOptions(module_name="m"))
+            emit_verilog(spec)
 
     def test_bad_module_name(self):
+        spec = FsmSpec(
+            name="1bad", inputs=(), moore_outputs=(), pulse_outputs=(),
+            states=(StateDef("A", {}, (Transition(Const(1), "A"),)),),
+            initial_state="A")
         with pytest.raises(EmitError, match="module"):
-            EmitOptions(module_name="1bad")
+            emit_verilog(spec)
+
+    def test_findings_outrank_bad_module_name(self):
+        spec = FsmSpec(
+            name="1bad", inputs=("a",), moore_outputs=(), pulse_outputs=(),
+            states=(StateDef("A", {}, (Transition(Var("a"), "A"),)),),
+            initial_state="A")
+        with pytest.raises(InvalidSpecError) as exc:
+            emit_verilog(spec)
+        assert [f.kind for f in exc.value.report.findings] == ["gap"]
+
+    def test_unknown_encoding(self, itlc_spec):
+        with pytest.raises(EmitError, match="unknown state encoding 'gray'"):
+            emit_verilog(itlc_spec, "gray")
 
     @settings(max_examples=30, deadline=None)
     @given(valid_machines(max_states=4, max_inputs=3))
     def test_port_completeness_on_generated_machines(self, spec):
-        text = emit_verilog(spec, EmitOptions(module_name="dut"))
+        text = emit_verilog(spec)
         ports = re.findall(r"(?:input|output)\s+wire (\w+)", text)
         expected = (["clk"] + list(spec.inputs) + list(spec.moore_outputs)
                     + list(spec.pulse_outputs))
@@ -145,5 +167,4 @@ class TestEmitVerilog:
 def test_serialized_machines_emit_identically(itlc_spec):
     # Emitting from a reparsed canonical description is byte-stable.
     reparsed = dsl.parse(dsl.serialize(itlc_spec))
-    opts = EmitOptions(module_name="itlc")
-    assert emit_verilog(reparsed, opts) == emit_verilog(itlc_spec, opts)
+    assert emit_verilog(reparsed) == emit_verilog(itlc_spec)

@@ -53,9 +53,7 @@ def reference_run_env(spec, cfg, model):
         main_green_share=green_main / model.horizon,
         side_vehicles_served=len(waits),
         cycles_completed=cycles)
-    trace = Trace(spec.name, cfg, tuple(records),
-                  pulse_names=spec.pulse_outputs, state_names=spec.state_names())
-    return EnvResult(metrics, trace, arrivals, tuple(waits), 2 - slots.count(None))
+    return EnvResult(metrics, Trace(spec, tuple(records)), arrivals, tuple(waits), 2 - slots.count(None))
 
 
 class TestTabulatedRun:

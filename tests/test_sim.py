@@ -38,8 +38,7 @@ def reference_simulate(spec, cfg, stim):
     for ext in stim.ticks:
         record, state, timer = closed_loop_tick(spec, cfg, state, timer, ext.c, ext.reset)
         records.append(record)
-    return Trace(spec.name, cfg, tuple(records),
-                 pulse_names=spec.pulse_outputs, state_names=spec.state_names())
+    return Trace(spec, tuple(records))
 
 
 def with_distinct_records(trace):
@@ -120,6 +119,11 @@ class TestParseStimulus:
     def test_malformed_bit_rejected(self):
         with pytest.raises(StimulusError, match="0 or 1"):
             parse_stimulus("horizon 2\n0 c=x\n")
+
+    def test_repeated_signal_on_one_line_rejected(self):
+        with pytest.raises(StimulusError) as exc:
+            parse_stimulus("horizon 2\n0 c=1 c=0\n")
+        assert str(exc.value) == "line 2: duplicate assignment to 'c'"
 
     def test_missing_header_rejected(self):
         with pytest.raises(StimulusError, match="horizon"):
