@@ -15,7 +15,7 @@ from .dsl import ParseError, ParseFailure, SourceSpan, parse, serialize
 from .timer import TimerConfig, TimerState, timer_commit, timer_outputs
 from .sim import (
     ExternalInputs, SimError, Stimulus, StimulusError, TickRecord, Trace,
-    explore_reachable, parse_stimulus, simulate, simulate_open, write_vcd,
+    explore_reachable, parse_stimulus, simulate, write_vcd,
 )
 from .env import Metrics, TrafficModel, run_env, run_env_detailed
 from .emit import (
@@ -33,6 +33,6 @@ __all__ = [
     "Transition", "ValidationReport", "Var", "emit_ucf", "emit_verilog",
     "eval_guard", "explore_reachable", "moore_output", "parse",
     "parse_pin_file", "parse_stimulus", "run_env", "run_env_detailed",
-    "serialize", "simulate", "simulate_open", "step_spec", "timer_commit",
-    "timer_outputs", "validate", "write_vcd",
+    "serialize", "simulate", "step_spec", "timer_commit", "timer_outputs",
+    "validate", "write_vcd",
 ]

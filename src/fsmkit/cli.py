@@ -7,6 +7,7 @@ writes only to the paths named in its flags (or stdout).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +32,11 @@ def _read_text(path: str, what: str) -> str:
         raise _CliError(2, f"cannot read {what} '{path}': {exc}") from exc
 
 
-def _write_text(path: str, text: str, what: str) -> None:
+def _write_text(path: str | None, text: str, what: str) -> None:
+    """Write `text` to `path`, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         Path(path).write_text(text, "utf-8")
     except OSError as exc:
@@ -87,11 +92,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             bodies[id(r)] = (f"{r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
                              f"tl={r.inputs['tl']} st={r.st} {lights}")
         log_lines.append(f"{tick} {bodies[id(r)]}")
-    log_text = "\n".join(log_lines) + "\n"
-    if args.log:
-        _write_text(args.log, log_text, "log")
-    else:
-        sys.stdout.write(log_text)
+    _write_text(args.log, "\n".join(log_lines) + "\n", "log")
     if args.vcd:
         _write_text(args.vcd, sim.write_vcd(trace), "VCD")
     return 0
@@ -115,10 +116,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         raise _CliError(1, _findings_text(exc.report).rstrip("\n")) from exc
     except emit_mod.EmitError as exc:
         raise _CliError(2, str(exc)) from exc
-    if args.output:
-        _write_text(args.output, text, "output")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, text, "output")
     return 0
 
 
@@ -196,10 +194,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush at
+        # interpreter shutdown cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("cannot write output: standard output was closed", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -69,10 +69,6 @@ class Metrics:
     side_vehicles_served: int
     cycles_completed: int
 
-    def as_block(self) -> str:
-        """Flat key=value block, one field per line."""
-        return "".join(f"{k}={self._fmt(k)}\n" for k in METRICS_FIELDS)
-
     def as_record(self, prefix: str = "") -> str:
         """Single-line record: space-separated key=value in field order."""
         body = " ".join(f"{k}={self._fmt(k)}" for k in METRICS_FIELDS)

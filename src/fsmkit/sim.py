@@ -1,9 +1,8 @@
 """Deterministic cycle-accurate simulation kernel.
 
-Closed-loop mode couples a machine whose inputs are exactly
-{reset, c, ts, tl} to the interval timer: ts/tl come from the counter, and a
-pulse named `st` restarts it.  Open-loop mode drives every input externally,
-which is how the hardware demo exercised the bare controller from switches.
+Every run is closed-loop: it couples a machine whose inputs are exactly
+{reset, c, ts, tl} to the interval timer.  c and reset come from outside,
+ts/tl come from the counter, and a pulse named `st` restarts it.
 
 Per-tick order, fixed and relied on by every downstream consumer:
   1. read the external inputs for this tick;
@@ -22,7 +21,7 @@ after its guard fires.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .model import Bit, FsmSpec, moore_output, step_spec
 from .timer import TimerConfig, TimerState, timer_commit, timer_outputs
@@ -69,7 +68,7 @@ class TickRecord:
     inputs: Mapping[str, Bit]
     moore: Mapping[str, Bit]
     pulses: frozenset[str]
-    timer_count: int | None = None  # None in open-loop mode
+    timer_count: int
 
     @property
     def st(self) -> Bit:
@@ -190,25 +189,6 @@ def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
         k = 4 * i + 2 * ext.c + ext.reset
         i, record = cells[k] or fill(k)
         records.append(record)
-    return Trace(spec, tuple(records))
-
-
-def simulate_open(spec: FsmSpec, valuations: Iterable[Mapping[str, Bit]]) -> Trace:
-    """Open-loop run: every input, timer expiries included, comes from the
-    caller.  Useful for exercising a machine without the timer."""
-    state = spec.initial_state
-    records: list[TickRecord] = []
-    expected = set(spec.inputs)
-    for tick, valuation in enumerate(valuations):
-        if set(valuation) != expected:
-            raise SimError(
-                f"tick {tick}: valuation keys {sorted(valuation)} do not match "
-                f"spec inputs {sorted(expected)}")
-        next_state, pulses = step_spec(spec, state, valuation)
-        records.append(TickRecord(state, dict(valuation), moore_output(spec, state), pulses))
-        state = next_state
-    if not records:
-        raise SimError("open-loop simulation needs at least one tick")
     return Trace(spec, tuple(records))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -101,6 +102,13 @@ class TestSimulate:
         assert len(lines) == 20
         assert all(line.endswith(" 100001") for line in lines)
         assert lines[0] == "0 S0 c=0 ts=0 tl=0 st=0 100001"
+
+    def test_log_bytes_are_pinned(self, capsys):
+        assert main(["simulate", ITLC, STIM]) == 0
+        log = capsys.readouterr().out
+        assert log.count("\n") == 40
+        assert hashlib.sha256(log.encode()).hexdigest() == (
+            "7b47fd9b13e9b02f6508caca52c9d7c04d3bdc42924c8dbdc2a1af2a98290e7e")
 
     def test_writes_vcd_and_log_deterministically(self, tmp_path):
         args = ["simulate", ITLC, STIM,
@@ -309,6 +317,25 @@ class TestInputOutputErrors:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("cannot ")
+
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    def test_stdout_closed_early_exits_2_with_one_line(self, tmp_path, command):
+        if command == "bench":
+            argv = ["bench", ITLC, "--arrival", "0.1", "--seeds", "3000", "--horizon", "1"]
+        else:
+            argv = ["simulate", ITLC, write(tmp_path, "long.stim", "horizon 20000\n0 c=1\n")]
+        # Block-buffered stdout, as from a shell.  Unbuffered, io.TextIOWrapper
+        # drops a short write to a closed pipe without raising.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(REPO / "src")
+        proc = subprocess.Popen([sys.executable, "-m", "fsmkit.cli", *argv], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()  # far more output is still to come than a pipe holds
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert stderr == "cannot write output: standard output was closed\n"
 
 
 class TestUsage:

@@ -177,14 +177,6 @@ class TestMetricsSerialization:
         mean_side_wait=12.5, max_side_wait=27, main_green_share=0.6,
         side_vehicles_served=42, cycles_completed=7)
 
-    def test_block_format(self):
-        assert self.METRICS.as_block() == (
-            "mean_side_wait=12.500\n"
-            "max_side_wait=27\n"
-            "main_green_share=0.600\n"
-            "side_vehicles_served=42\n"
-            "cycles_completed=7\n")
-
     def test_record_format(self):
         assert self.METRICS.as_record(prefix="seed=0 ") == (
             "seed=0 mean_side_wait=12.500 max_side_wait=27 "
