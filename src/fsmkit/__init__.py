@@ -8,31 +8,28 @@ sensor-driven traffic light controller shipped in `designs/itlc.fsm`.
 """
 from .model import (
     And, Const, ContractViolation, Finding, FsmError, FsmSpec, GuardExpr, Not,
-    Or, StateDef, StructuralError, Transition, ValidationReport, Var,
+    Or, StateDef, StructuralError, Transition, Var,
     eval_guard, moore_output, step_spec, validate,
 )
 from .dsl import ParseError, ParseFailure, SourceSpan, parse, serialize
-from .timer import TimerConfig, TimerState, timer_commit, timer_outputs
+from .timer import TimerConfig, timer_commit, timer_outputs
 from .sim import (
     ExternalInputs, SimError, Stimulus, StimulusError, TickRecord, Trace,
     explore_reachable, parse_stimulus, simulate, write_vcd,
 )
 from .env import Metrics, TrafficModel, run_env, run_env_detailed
-from .emit import (
-    EmitError, PinEntry, PinMap, emit_ucf, emit_verilog, parse_pin_file,
-)
+from .emit import EmitError, emit_ucf, emit_verilog, parse_pin_file
 
 __version__ = "0.1.0"
 
 __all__ = [
     "And", "Const", "ContractViolation", "EmitError", "ExternalInputs",
     "Finding", "FsmError", "FsmSpec", "GuardExpr", "Metrics", "Not", "Or",
-    "ParseError", "ParseFailure", "PinEntry", "PinMap", "SimError",
-    "SourceSpan", "StateDef", "Stimulus", "StimulusError", "StructuralError",
-    "TickRecord", "TimerConfig", "TimerState", "Trace", "TrafficModel",
-    "Transition", "ValidationReport", "Var", "emit_ucf", "emit_verilog",
-    "eval_guard", "explore_reachable", "moore_output", "parse",
-    "parse_pin_file", "parse_stimulus", "run_env", "run_env_detailed",
-    "serialize", "simulate", "step_spec", "timer_commit", "timer_outputs",
-    "validate", "write_vcd",
+    "ParseError", "ParseFailure", "SimError", "SourceSpan", "StateDef",
+    "Stimulus", "StimulusError", "StructuralError", "TickRecord",
+    "TimerConfig", "Trace", "TrafficModel", "Transition", "Var", "emit_ucf",
+    "emit_verilog", "eval_guard", "explore_reachable", "moore_output",
+    "parse", "parse_pin_file", "parse_stimulus", "run_env",
+    "run_env_detailed", "serialize", "simulate", "step_spec", "timer_commit",
+    "timer_outputs", "validate", "write_vcd",
 ]

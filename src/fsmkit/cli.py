@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import dsl, emit as emit_mod, env as env_mod, itlc, sim
-from .model import FsmSpec, ValidationReport, validate
+from .model import Finding, FsmSpec, validate
 from .timer import DEFAULT_LONG_TICKS, DEFAULT_SHORT_TICKS, TimerConfig
 
 LIGHT_ORDER = ("mg", "my", "mr", "sg", "sy", "sr")
@@ -35,7 +35,16 @@ def _read_text(path: str, what: str) -> str:
 def _write_text(path: str | None, text: str, what: str) -> None:
     """Write `text` to `path`, or to stdout when no path is given."""
     if not path:
-        sys.stdout.write(text)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # an in-memory stdout, which has no byte layer
+            sys.stdout.write(text)
+            return
+        # Unbuffered, the byte layer may take part of a write and the text layer
+        # would drop the rest unraised: loop, so a closed pipe raises on the next.
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[out.write(data):]
         return
     try:
         Path(path).write_text(text, "utf-8")
@@ -59,20 +68,20 @@ def _timer_config(args: argparse.Namespace) -> TimerConfig:
         raise _CliError(2, str(exc)) from exc
 
 
-def _findings_text(report: ValidationReport) -> str:
-    return "".join(f"{f.kind} {f.state or '-'} {f.message}\n" for f in report.findings)
+def _findings_text(findings: tuple[Finding, ...]) -> str:
+    return "".join(f"{f.kind} {f.state or '-'} {f.message}\n" for f in findings)
 
 
-def _require_valid(report: ValidationReport) -> None:
+def _require_valid(findings: tuple[Finding, ...]) -> None:
     """Exit 1 with every finding on stderr, in `check`'s format."""
-    if not report.ok:
-        raise _CliError(1, _findings_text(report).rstrip("\n"))
+    if findings:
+        raise _CliError(1, _findings_text(findings).rstrip("\n"))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    report = validate(_load_spec(args.fsm))
-    sys.stdout.write(_findings_text(report))
-    return 0 if report.ok else 1
+    findings = validate(_load_spec(args.fsm))
+    _write_text(None, _findings_text(findings), "findings")
+    return 1 if findings else 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -105,15 +114,11 @@ def cmd_emit(args: argparse.Namespace) -> int:
             text = emit_mod.emit_verilog(spec, args.encoding)  # validates the spec first
         else:
             _require_valid(validate(spec))
-            if args.pins:
-                pins = emit_mod.parse_pin_file(_read_text(args.pins, "pin file"))
-            else:
-                pins = emit_mod.PinMap(tuple(
-                    emit_mod.PinEntry(*row) for row in itlc.DEFAULT_PIN_ROWS))
-            pins.check_against(spec)
-            text = emit_mod.emit_ucf(pins)
+            pins = (emit_mod.parse_pin_file(_read_text(args.pins, "pin file"))
+                    if args.pins else itlc.DEFAULT_PIN_ROWS)
+            text = emit_mod.emit_ucf(spec, pins)
     except emit_mod.InvalidSpecError as exc:
-        raise _CliError(1, _findings_text(exc.report).rstrip("\n")) from exc
+        raise _CliError(1, _findings_text(exc.findings).rstrip("\n")) from exc
     except emit_mod.EmitError as exc:
         raise _CliError(2, str(exc)) from exc
     _write_text(args.output, text, "output")

@@ -2,19 +2,20 @@
 and UCF pin-constraint text for board bring-up.
 
 Both emitters are pure text functions; tests pin their output byte-for-byte
-against golden files.  Generated HDL uses a synchronous dominant reset and
-registered state, matching the simulation kernel, with combinational pulse
-outputs asserted during the cycle a transition fires.  The generated text is
-meant to be fed to a vendor toolchain by hand; no synthesis is attempted
-here.
+against golden files.  A pin map is a sequence of (signal, location, kind)
+rows, which `emit_ucf` checks against the spec before rendering.  Generated
+HDL uses a synchronous dominant reset and registered state, matching the
+simulation kernel, with combinational pulse outputs asserted during the
+cycle a transition fires.  The generated text is meant to be fed to a vendor
+toolchain by hand; no synthesis is attempted here.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Sequence
 
 from .dsl import format_guard
-from .model import FsmSpec, ValidationReport, validate
+from .model import Finding, FsmSpec, validate
 
 BINARY = "binary"
 ONE_HOT = "onehot"
@@ -35,45 +36,17 @@ class EmitError(Exception):
 
 
 class InvalidSpecError(EmitError):
-    """The spec has validation findings; `report` holds them."""
+    """The spec has validation findings; `findings` holds them."""
 
-    def __init__(self, message: str, report: ValidationReport):
+    def __init__(self, message: str, findings: tuple[Finding, ...]):
         super().__init__(message)
-        self.report = report
+        self.findings = findings
 
 
-@dataclass(frozen=True)
-class PinEntry:
-    signal: str
-    location: str
-    kind: str  # input | output
-
-
-@dataclass(frozen=True)
-class PinMap:
-    entries: tuple[PinEntry, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for e in self.entries:
-            if e.kind not in ("input", "output"):
-                raise EmitError(f"pin '{e.signal}': kind must be input or output, got '{e.kind}'")
-            if e.signal in seen:
-                raise EmitError(f"duplicate pin mapping for signal '{e.signal}'")
-            seen.add(e.signal)
-
-    def check_against(self, spec: FsmSpec) -> None:
-        known = set(spec.inputs) | set(spec.moore_outputs) | set(spec.pulse_outputs)
-        missing = [e.signal for e in self.entries if e.signal not in known]
-        if missing:
-            raise EmitError(
-                f"pin map names signals absent from spec '{spec.name}': "
-                + ", ".join(missing))
-
-
-def parse_pin_file(text: str) -> PinMap:
-    """Pin file: one `<signal> <pin> <input|output>` per line, # comments."""
-    entries: list[PinEntry] = []
+def parse_pin_file(text: str) -> tuple[tuple[str, str, str], ...]:
+    """Pin file: one `<signal> <pin> <input|output>` per line, # comments.
+    Returns (signal, location, kind) rows in file order, unchecked."""
+    rows: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,13 +54,27 @@ def parse_pin_file(text: str) -> PinMap:
         fields = line.split()
         if len(fields) != 3:
             raise EmitError(f"pin file line {lineno}: expected '<signal> <pin> <input|output>'")
-        entries.append(PinEntry(fields[0], fields[1], fields[2]))
-    return PinMap(tuple(entries))
+        rows.append((fields[0], fields[1], fields[2]))
+    return tuple(rows)
 
 
-def emit_ucf(pins: PinMap) -> str:
-    """UCF constraint text, one NET/LOC line per pin in map order."""
-    return "".join(f'NET "{e.signal}" LOC = "{e.location}";\n' for e in pins.entries)
+def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
+    """UCF constraint text, one NET/LOC line per pin in map order.  First
+    checks each row's kind and that its signal is new, row by row, then that
+    `spec` declares every signal; `EmitError` names the offenders."""
+    seen: set[str] = set()
+    for signal, _, kind in pins:
+        if kind not in ("input", "output"):
+            raise EmitError(f"pin '{signal}': kind must be input or output, got '{kind}'")
+        if signal in seen:
+            raise EmitError(f"duplicate pin mapping for signal '{signal}'")
+        seen.add(signal)
+    known = {*spec.inputs, *spec.moore_outputs, *spec.pulse_outputs}
+    missing = [signal for signal, _, _ in pins if signal not in known]
+    if missing:
+        raise EmitError(
+            f"pin map names signals absent from spec '{spec.name}': " + ", ".join(missing))
+    return "".join(f'NET "{signal}" LOC = "{location}";\n' for signal, location, _ in pins)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +109,11 @@ def emit_verilog(spec: FsmSpec, encoding: str = BINARY) -> str:
     register updates on the rising clock edge; reset (when the spec declares
     one) synchronously forces the initial state and suppresses pulses.
     """
-    report = validate(spec)
-    if not report.ok:
+    findings = validate(spec)
+    if findings:
         raise InvalidSpecError(
-            f"spec '{spec.name}' has {len(report.findings)} validation findings; "
-            "emit requires a clean spec", report)
+            f"spec '{spec.name}' has {len(findings)} validation findings; "
+            "emit requires a clean spec", findings)
     _check_identifiers(spec, encoding)
 
     n = len(spec.states)

@@ -12,7 +12,7 @@ in plain integer arithmetic so runs reproduce bit-for-bit on any platform.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import FsmSpec
 from .sim import TickRecord, Trace, _ClosedLoop
@@ -55,12 +55,6 @@ class TrafficModel:
             raise ValueError(f"service_rate must be >= 1, got {self.service_rate}")
 
 
-METRICS_FIELDS = (
-    "mean_side_wait", "max_side_wait", "main_green_share",
-    "side_vehicles_served", "cycles_completed",
-)
-
-
 @dataclass(frozen=True)
 class Metrics:
     mean_side_wait: float
@@ -71,7 +65,7 @@ class Metrics:
 
     def as_record(self, prefix: str = "") -> str:
         """Single-line record: space-separated key=value in field order."""
-        body = " ".join(f"{k}={self._fmt(k)}" for k in METRICS_FIELDS)
+        body = " ".join(f"{f.name}={self._fmt(f.name)}" for f in fields(self))
         return f"{prefix}{body}"
 
     def _fmt(self, key: str) -> str:

@@ -100,9 +100,9 @@ def bundled_stimulus_source() -> str:
 def bundled_spec() -> FsmSpec:
     """Parsed and validated controller spec from the packaged asset."""
     spec = dsl.parse(bundled_source())
-    report = validate(spec)
-    if not report.ok:
-        raise AssertionError(f"bundled controller spec is invalid: {report.findings}")
+    findings = validate(spec)
+    if findings:
+        raise AssertionError(f"bundled controller spec is invalid: {findings}")
     return spec
 
 

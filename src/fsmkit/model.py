@@ -152,17 +152,9 @@ class Finding:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def validate(spec: FsmSpec) -> ValidationReport:
-    """Check structure plus guard determinism and exhaustiveness.
+def validate(spec: FsmSpec) -> tuple[Finding, ...]:
+    """Check structure plus guard determinism and exhaustiveness; returns the
+    findings, and an empty tuple means the spec is clean.
 
     Guard coverage is checked by enumerating every valuation of the declared
     inputs.  Valuations with the reset input high are skipped: reset
@@ -229,7 +221,7 @@ def validate(spec: FsmSpec) -> ValidationReport:
                     GAP, s.name, v,
                     f"state '{s.name}': no guard true at {_fmt_valuation(v)}"))
 
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 def _fmt_valuation(v: Mapping[str, Bit]) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .model import Bit, FsmSpec, moore_output, step_spec
-from .timer import TimerConfig, TimerState, timer_commit, timer_outputs
+from .timer import TimerConfig, timer_commit, timer_outputs
 
 CLOSED_LOOP_INPUTS = frozenset({"reset", "c", "ts", "tl"})
 START_PULSE = "st"
@@ -138,15 +138,15 @@ def parse_stimulus(text: str) -> Stimulus:
     return Stimulus(tuple(ticks))
 
 
-def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, state: str, timer: TimerState,
-                     c: Bit, reset: Bit) -> tuple[TickRecord, str, TimerState]:
+def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, state: str, count: int,
+                     c: Bit, reset: Bit) -> tuple[TickRecord, str, int]:
     """One closed-loop clock, steps 2-5 above.  Returns the tick's record, the
-    next state and the next timer state."""
-    ts, tl = timer_outputs(cfg, timer)
+    next state and the next timer count."""
+    ts, tl = timer_outputs(cfg, count)
     valuation = {"reset": reset, "c": c, "ts": ts, "tl": tl}
     next_state, pulses = step_spec(spec, state, valuation)
-    record = TickRecord(state, valuation, moore_output(spec, state), pulses, timer.count)
-    return record, next_state, timer_commit(cfg, timer, record.st)
+    record = TickRecord(state, valuation, moore_output(spec, state), pulses, count)
+    return record, next_state, timer_commit(cfg, count, record.st)
 
 
 class _ClosedLoop:
@@ -166,10 +166,9 @@ class _ClosedLoop:
         self.cells: list[tuple[int, TickRecord] | None] = [None] * 4
 
     def fill(self, k: int) -> tuple[int, TickRecord]:
-        state, count = self.configs[k >> 2]
-        record, nxt, timer = closed_loop_tick(
-            self.spec, self.cfg, state, TimerState(count), k >> 1 & 1, k & 1)
-        config = (nxt, timer.count)
+        record, nxt, count = closed_loop_tick(
+            self.spec, self.cfg, *self.configs[k >> 2], k >> 1 & 1, k & 1)
+        config = (nxt, count)
         if config not in self.ids:
             self.ids[config] = len(self.configs)
             self.configs.append(config)

@@ -5,7 +5,8 @@ against two thresholds.  Both outputs are levels, not pulses: once a
 threshold is reached the signal stays high until the next restart, which is
 what lets the controller test "has the interval expired" across many dwell
 cycles.  The counter saturates at the long threshold; both comparisons are
-already satisfied there, so saturation is invisible in the outputs.
+already satisfied there, so saturation is invisible in the outputs.  The
+timer's whole state is that count, a plain int in [0, long_ticks].
 """
 from __future__ import annotations
 
@@ -27,24 +28,13 @@ class TimerConfig:
                 f"(got short={self.short_ticks}, long={self.long_ticks})")
 
 
-@dataclass(frozen=True)
-class TimerState:
-    count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"count must be nonnegative (got {self.count})")
-
-
-def timer_outputs(cfg: TimerConfig, t: TimerState) -> tuple[int, int]:
+def timer_outputs(cfg: TimerConfig, count: int) -> tuple[int, int]:
     """Level outputs (ts, tl) for the current count; tl=1 implies ts=1."""
-    ts = 1 if t.count >= cfg.short_ticks else 0
-    tl = 1 if t.count >= cfg.long_ticks else 0
+    ts = 1 if count >= cfg.short_ticks else 0
+    tl = 1 if count >= cfg.long_ticks else 0
     return ts, tl
 
 
-def timer_commit(cfg: TimerConfig, t: TimerState, st: int) -> TimerState:
-    """Advance one clock: restart on st, otherwise count up, saturating."""
-    if st:
-        return TimerState(0)
-    return TimerState(min(t.count + 1, cfg.long_ticks))
+def timer_commit(cfg: TimerConfig, count: int, st: int) -> int:
+    """The count after one clock: restart on st, otherwise count up, saturating."""
+    return 0 if st else min(count + 1, cfg.long_ticks)

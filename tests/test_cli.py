@@ -318,15 +318,23 @@ class TestInputOutputErrors:
         assert "Traceback" not in result.stderr
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("cannot ")
 
-    @pytest.mark.parametrize("command", ["bench", "simulate"])
-    def test_stdout_closed_early_exits_2_with_one_line(self, tmp_path, command):
+    @pytest.mark.parametrize("command, unbuffered", [
+        ("bench", False), ("simulate", False), ("simulate", True), ("check", True),
+    ], ids=["bench", "simulate", "simulate-unbuffered", "check-unbuffered"])
+    def test_stdout_closed_early_exits_2_with_one_line(self, tmp_path, command, unbuffered):
         if command == "bench":
             argv = ["bench", ITLC, "--arrival", "0.1", "--seeds", "3000", "--horizon", "1"]
-        else:
+        elif command == "simulate":
             argv = ["simulate", ITLC, write(tmp_path, "long.stim", "horizon 20000\n0 c=1\n")]
-        # Block-buffered stdout, as from a shell.  Unbuffered, io.TextIOWrapper
-        # drops a short write to a closed pipe without raising.
+        else:  # no guard ever holds: 4,096 gap lines
+            inputs = " ".join(f"i{k}" for k in range(12))
+            argv = ["check", write(tmp_path, "gaps.fsm", GAP_SPEC.replace("inputs a", f"inputs {inputs}")
+                                   .replace("when a", "when i0 & !i0"))]
+        # Block-buffered stdout, as from a shell, or unbuffered, where one large
+        # write reaches the pipe as a raw write that may come up short.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = str(REPO / "src")
         proc = subprocess.Popen([sys.executable, "-m", "fsmkit.cli", *argv], env=env, text=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from fsmkit import dsl
 from fsmkit.emit import (
-    BINARY, EmitError, InvalidSpecError, ONE_HOT, PinEntry, PinMap, emit_ucf,
-    emit_verilog, parse_pin_file,
+    BINARY, EmitError, InvalidSpecError, ONE_HOT, emit_ucf, emit_verilog,
+    parse_pin_file,
 )
 from fsmkit.itlc import DEFAULT_PIN_ROWS
 from fsmkit.model import Const, FsmSpec, StateDef, Transition, Var
@@ -18,13 +18,9 @@ from conftest import valid_machines
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
-def default_pins():
-    return PinMap(tuple(PinEntry(*row) for row in DEFAULT_PIN_ROWS))
-
-
 class TestEmitUcf:
-    def test_default_board_map(self):
-        assert emit_ucf(default_pins()) == (
+    def test_default_board_map(self, itlc_spec):
+        assert emit_ucf(itlc_spec, DEFAULT_PIN_ROWS) == (
             'NET "c" LOC = "N17";\n'
             'NET "ts" LOC = "H18";\n'
             'NET "tl" LOC = "L14";\n'
@@ -35,30 +31,38 @@ class TestEmitUcf:
             'NET "sy" LOC = "E11";\n'
             'NET "sg" LOC = "E12";\n')
 
-    def test_empty_map(self):
-        assert emit_ucf(PinMap(())) == ""
+    def test_empty_map(self, itlc_spec):
+        assert emit_ucf(itlc_spec, ()) == ""
 
-    def test_single_entry(self):
-        pins = PinMap((PinEntry("c", "N17", "input"),))
-        assert emit_ucf(pins) == 'NET "c" LOC = "N17";\n'
+    def test_single_entry(self, itlc_spec):
+        assert emit_ucf(itlc_spec, (("c", "N17", "input"),)) == 'NET "c" LOC = "N17";\n'
 
-    def test_golden_file(self):
-        assert emit_ucf(default_pins()).encode() == (GOLDEN / "itlc.ucf").read_bytes()
+    def test_golden_file(self, itlc_spec):
+        ucf = emit_ucf(itlc_spec, DEFAULT_PIN_ROWS)
+        assert ucf.encode() == (GOLDEN / "itlc.ucf").read_bytes()
 
-    def test_duplicate_signal_rejected(self):
-        with pytest.raises(EmitError, match="duplicate"):
-            PinMap((PinEntry("c", "N17", "input"), PinEntry("c", "H18", "input")))
+    def test_bad_kind_rejected_before_duplicate(self, itlc_spec):
+        pins = (("c", "N17", "input"), ("c", "H18", "sideways"))
+        with pytest.raises(EmitError, match="^pin 'c': kind must be input or output, got 'sideways'$"):
+            emit_ucf(itlc_spec, pins)
+
+    def test_duplicate_signal_rejected(self, itlc_spec):
+        # Both rows also name a signal absent from the spec; the duplicate wins.
+        pins = (("nope", "A1", "input"), ("nope", "A2", "input"))
+        with pytest.raises(EmitError, match="^duplicate pin mapping for signal 'nope'$"):
+            emit_ucf(itlc_spec, pins)
 
     def test_unknown_signal_rejected_against_spec(self, itlc_spec):
-        pins = PinMap((PinEntry("nope", "A1", "input"),))
-        with pytest.raises(EmitError, match="nope"):
-            pins.check_against(itlc_spec)
+        pins = (("zz", "A1", "input"), ("c", "N17", "input"), ("aa", "A2", "output"))
+        with pytest.raises(EmitError) as exc:
+            emit_ucf(itlc_spec, pins)
+        assert str(exc.value) == "pin map names signals absent from spec 'itlc': zz, aa"
 
     def test_pin_file_round_trip(self):
         text = "# board map\nc N17 input\nmg D11 output\n"
-        pins = parse_pin_file(text)
-        assert pins.entries == (
-            PinEntry("c", "N17", "input"), PinEntry("mg", "D11", "output"))
+        assert parse_pin_file(text) == (("c", "N17", "input"), ("mg", "D11", "output"))
+        bundled = "".join(" ".join(row) + "\n" for row in DEFAULT_PIN_ROWS)
+        assert parse_pin_file(bundled) == DEFAULT_PIN_ROWS
 
     def test_pin_file_bad_line(self):
         with pytest.raises(EmitError, match="line 2"):
@@ -147,7 +151,7 @@ class TestEmitVerilog:
             initial_state="A")
         with pytest.raises(InvalidSpecError) as exc:
             emit_verilog(spec)
-        assert [f.kind for f in exc.value.report.findings] == ["gap"]
+        assert [f.kind for f in exc.value.findings] == ["gap"]
 
     def test_unknown_encoding(self, itlc_spec):
         with pytest.raises(EmitError, match="unknown state encoding 'gray'"):

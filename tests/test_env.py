@@ -7,7 +7,7 @@ from fsmkit.env import (
 )
 from fsmkit.itlc import bundled_spec
 from fsmkit.sim import Trace, closed_loop_tick
-from fsmkit.timer import TimerConfig, TimerState
+from fsmkit.timer import TimerConfig
 
 # Frozen analytic worst-case wait for cfg {short, long}: a vehicle can at
 # worst sit through the tail of one side-road green it just missed, the
@@ -22,7 +22,7 @@ def reference_run_env(spec, cfg, model):
     """The untabulated traffic run: one kernel call per tick, arrivals drawn
     north before south, departures oldest first with north winning ties."""
     rng = SplitMix64(model.seed)
-    state, timer = spec.initial_state, TimerState(0)
+    state, count = spec.initial_state, 0
     slots = [None, None]
     records, waits = [], []
     arrivals = green_main = cycles = 0
@@ -32,7 +32,7 @@ def reference_run_env(spec, cfg, model):
                 slots[approach] = tick
                 arrivals += 1
         c = 0 if slots == [None, None] else 1
-        record, next_state, timer = closed_loop_tick(spec, cfg, state, timer, c, 0)
+        record, next_state, count = closed_loop_tick(spec, cfg, state, count, c, 0)
         records.append(record)
         if record.moore.get("mg"):
             green_main += 1

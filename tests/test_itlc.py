@@ -61,7 +61,7 @@ class TestBundledSpec:
         assert all(len(s.transitions) == 2 for s in spec.states)
 
     def test_validates_clean(self):
-        assert validate(bundled_spec()).findings == ()
+        assert validate(bundled_spec()) == ()
 
     def test_equivalent_to_reference_on_all_64_combinations(self):
         spec = bundled_spec()

@@ -18,7 +18,7 @@ from fsmkit.sim import (
     ExternalInputs, SimError, Stimulus, StimulusError, Trace, closed_loop_tick,
     parse_stimulus, simulate, write_vcd, explore_reachable,
 )
-from fsmkit.timer import TimerConfig, TimerState, timer_outputs
+from fsmkit.timer import TimerConfig, timer_outputs
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -34,9 +34,9 @@ def stim_of(bits):
 
 def reference_simulate(spec, cfg, stim):
     """The untabulated closed loop: one kernel call per tick."""
-    state, timer, records = spec.initial_state, TimerState(0), []
+    state, count, records = spec.initial_state, 0, []
     for ext in stim.ticks:
-        record, state, timer = closed_loop_tick(spec, cfg, state, timer, ext.c, ext.reset)
+        record, state, count = closed_loop_tick(spec, cfg, state, count, ext.c, ext.reset)
         records.append(record)
     return Trace(spec, tuple(records))
 
@@ -168,7 +168,7 @@ class TestSimulate:
         trace = simulate(itlc_spec, default_cfg, constant_stim(44, c=1))
         for r in trace.records:
             assert dict(r.moore) == moore_output(itlc_spec, r.state)
-            ts, tl = timer_outputs(default_cfg, TimerState(r.timer_count))
+            ts, tl = timer_outputs(default_cfg, r.timer_count)
             assert (r.inputs["ts"], r.inputs["tl"]) == (ts, tl)
 
     def test_closed_loop_pulse_law(self, itlc_spec, default_cfg):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fsmkit.timer import TimerConfig, TimerState, timer_commit, timer_outputs
+from fsmkit.timer import TimerConfig, timer_commit, timer_outputs
 
 CFG = TimerConfig(short_ticks=4, long_ticks=16)
 
@@ -19,48 +19,48 @@ class TestConfig:
 
 class TestOutputs:
     def test_fresh_timer(self):
-        assert timer_outputs(CFG, TimerState(0)) == (0, 0)
+        assert timer_outputs(CFG, 0) == (0, 0)
 
     def test_short_boundary(self):
-        assert timer_outputs(CFG, TimerState(3)) == (0, 0)
-        assert timer_outputs(CFG, TimerState(4)) == (1, 0)
+        assert timer_outputs(CFG, 3) == (0, 0)
+        assert timer_outputs(CFG, 4) == (1, 0)
 
     def test_long_boundary(self):
-        assert timer_outputs(CFG, TimerState(15)) == (1, 0)
-        assert timer_outputs(CFG, TimerState(16)) == (1, 1)
+        assert timer_outputs(CFG, 15) == (1, 0)
+        assert timer_outputs(CFG, 16) == (1, 1)
 
 
 class TestCommit:
     def test_restart(self):
-        assert timer_commit(CFG, TimerState(7), st=1) == TimerState(0)
+        assert timer_commit(CFG, 7, st=1) == 0
 
     def test_saturation(self):
-        assert timer_commit(CFG, TimerState(16), st=0) == TimerState(16)
+        assert timer_commit(CFG, 16, st=0) == 16
 
     def test_two_step_trace_reaches_short_expiry(self):
-        t = timer_commit(CFG, TimerState(3), st=0)
-        assert t == TimerState(4)
+        t = timer_commit(CFG, 3, st=0)
+        assert t == 4
         assert timer_outputs(CFG, t) == (1, 0)
 
 
 @given(st.integers(0, 16), st.integers(1, 40))
 def test_monotone_while_running(start, steps):
-    t = TimerState(start)
-    prev = timer_outputs(CFG, t)
+    count = start
+    prev = timer_outputs(CFG, count)
     for _ in range(steps):
-        t = timer_commit(CFG, t, st=0)
-        cur = timer_outputs(CFG, t)
+        count = timer_commit(CFG, count, st=0)
+        cur = timer_outputs(CFG, count)
         assert cur[0] >= prev[0] and cur[1] >= prev[1]
         prev = cur
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=100))
 def test_ordering_restart_and_bound(st_sequence):
-    t = TimerState(0)
+    count = 0
     for pulse in st_sequence:
-        t = timer_commit(CFG, t, pulse)
-        ts, tl = timer_outputs(CFG, t)
+        count = timer_commit(CFG, count, pulse)
+        ts, tl = timer_outputs(CFG, count)
         assert not (tl and not ts)  # long expiry implies short expiry
-        assert 0 <= t.count <= CFG.long_ticks
+        assert 0 <= count <= CFG.long_ticks
         if pulse:
-            assert (t.count, ts, tl) == (0, 0, 0)
+            assert (count, ts, tl) == (0, 0, 0)
