@@ -14,8 +14,8 @@ from .model import (
 from .dsl import ParseError, ParseFailure, SourceSpan, parse, serialize
 from .timer import TimerConfig, timer_commit, timer_outputs
 from .sim import (
-    ExternalInputs, SimError, Stimulus, StimulusError, TickRecord, Trace,
-    explore_reachable, parse_stimulus, simulate, write_vcd,
+    SimError, Stimulus, StimulusError, TickRecord, Trace, explore_reachable,
+    parse_stimulus, simulate, write_vcd,
 )
 from .env import Metrics, TrafficModel, run_env, run_env_detailed
 from .emit import EmitError, emit_ucf, emit_verilog, parse_pin_file
@@ -23,8 +23,8 @@ from .emit import EmitError, emit_ucf, emit_verilog, parse_pin_file
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "Const", "ContractViolation", "EmitError", "ExternalInputs",
-    "Finding", "FsmError", "FsmSpec", "GuardExpr", "Metrics", "Not", "Or",
+    "And", "Const", "ContractViolation", "EmitError", "Finding",
+    "FsmError", "FsmSpec", "GuardExpr", "Metrics", "Not", "Or",
     "ParseError", "ParseFailure", "SimError", "SourceSpan", "StateDef",
     "Stimulus", "StimulusError", "StructuralError", "TickRecord",
     "TimerConfig", "Trace", "TrafficModel", "Transition", "Var", "emit_ucf",

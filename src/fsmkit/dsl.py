@@ -13,7 +13,7 @@ Line-oriented grammar, `#` comments, one directive per line:
 
 Guard expressions use `!` (highest), `&`, `|` (lowest), parentheses, and the
 literals `0`/`1`.  Names match ``[A-Za-z_][A-Za-z0-9_]*`` and are
-case-sensitive; directive keywords are reserved.  `parse` recovers per line
+case-sensitive; `when` and `emit` are reserved.  `parse` recovers per line
 so one pass reports as many errors as possible, and `serialize` emits a
 canonical form that `parse` maps back to a structurally equal spec.
 """
@@ -33,13 +33,9 @@ UNKNOWN_SIGNAL = "unknown-signal"
 DUPLICATE_NAME = "duplicate-name"
 BAD_BIT = "bad-bit"
 
-KEYWORDS = frozenset({
-    "fsm", "inputs", "outputs", "pulses", "initial", "reset",
-    "state", "trans", "when", "emit",
-})
-# Directives are recognized positionally at line start, so most keywords are
-# fine as signal/state names (the bundled controller has an input named
-# `reset`).  Only the in-line markers are truly ambiguous.
+# Directives are recognized positionally at line start, so most directive
+# keywords are fine as signal/state names (the bundled controller has an input
+# named `reset`).  Only the in-line markers are truly ambiguous.
 NAME_RESERVED = frozenset({"when", "emit"})
 
 # Cap on guard nesting, applied to parentheses and to the operators on any

@@ -61,7 +61,8 @@ def parse_pin_file(text: str) -> tuple[tuple[str, str, str], ...]:
 def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
     """UCF constraint text, one NET/LOC line per pin in map order.  First
     checks each row's kind and that its signal is new, row by row, then that
-    `spec` declares every signal; `EmitError` names the offenders."""
+    `spec` declares every signal, then that each kind matches its signal's
+    direction in `spec`; `EmitError` names the offenders."""
     seen: set[str] = set()
     for signal, _, kind in pins:
         if kind not in ("input", "output"):
@@ -74,6 +75,9 @@ def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
     if missing:
         raise EmitError(
             f"pin map names signals absent from spec '{spec.name}': " + ", ".join(missing))
+    wrong = [signal for signal, _, kind in pins if (kind == "input") != (signal in spec.inputs)]
+    if wrong:
+        raise EmitError(f"pin kind disagrees with spec '{spec.name}' for signals: " + ", ".join(wrong))
     return "".join(f'NET "{signal}" LOC = "{location}";\n' for signal, location, _ in pins)
 
 

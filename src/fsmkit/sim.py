@@ -13,6 +13,8 @@ Per-tick order, fixed and relied on by every downstream consumer:
 `closed_loop_tick` is the one implementation of steps 2-5, evaluated once per
 reached (configuration, input) cell of a `_ClosedLoop` table; `simulate`,
 `explore_reachable` and `env.run_env[_detailed]` supply step 1 and read it.
+A `Stimulus` holds step 1 as (c, reset, n) runs, one per `.stim` line, so it
+grows with the text, not the horizon; `simulate` walks each run n times.
 A record's tick is its index in `Trace.records`: every tick that hits a cell
 appends the cell's one read-only record, so output renders once per cell.
 Moore outputs are registered, so a transition's new lights appear one tick
@@ -20,7 +22,7 @@ after its guard fires.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .model import Bit, FsmSpec, moore_output, step_spec
@@ -39,26 +41,22 @@ class StimulusError(SimError):
 
 
 @dataclass(frozen=True)
-class ExternalInputs:
-    c: Bit = 0
-    reset: Bit = 0
-
-    def __post_init__(self) -> None:
-        if self.c not in (0, 1) or self.reset not in (0, 1):
-            raise SimError(f"c and reset must be 0 or 1, got c={self.c!r} reset={self.reset!r}")
-
-
-@dataclass(frozen=True)
 class Stimulus:
-    ticks: tuple[ExternalInputs, ...]
+    """External inputs as runs: each (c, reset, n) holds for n ticks."""
+    runs: tuple[tuple[Bit, Bit, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.ticks:
+        if not self.runs:
             raise SimError("stimulus must cover at least one tick")
+        for c, reset, n in self.runs:
+            if c not in (0, 1) or reset not in (0, 1):
+                raise SimError(f"c and reset must be 0 or 1, got c={c!r} reset={reset!r}")
+            if not isinstance(n, int) or n < 1:
+                raise SimError(f"a run must last an int number of ticks >= 1, got {n!r}")
 
     @property
     def horizon(self) -> int:
-        return len(self.ticks)
+        return sum(n for _, _, n in self.runs)
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,8 @@ def parse_stimulus(text: str) -> Stimulus:
     [reset=<bit>]` lines with strictly increasing ticks, each signal at most
     once per line.  Unlisted ticks hold the previous values, starting at 0."""
     horizon: int | None = None
-    events: dict[int, dict[str, Bit]] = {}
+    runs: list[tuple[Bit, Bit, int]] = []
+    c = reset = start = 0  # (c, reset) holds from tick `start` on
     last_tick = -1
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -112,7 +111,6 @@ def parse_stimulus(text: str) -> Stimulus:
             raise StimulusError(f"line {lineno}: non-monotonic tick {tick}")
         if tick >= horizon:
             raise StimulusError(f"line {lineno}: tick {tick} is outside horizon {horizon}")
-        last_tick = tick
         values: dict[str, Bit] = {}
         for field in fields[1:]:
             key, eq, val = field.partition("=")
@@ -125,17 +123,13 @@ def parse_stimulus(text: str) -> Stimulus:
             values[key] = int(val)
         if not values:
             raise StimulusError(f"line {lineno}: tick line assigns nothing")
-        events[tick] = values
+        if tick:
+            runs.append((c, reset, tick - start))
+        c, reset = values.get("c", c), values.get("reset", reset)
+        last_tick = start = tick
     if horizon is None:
         raise StimulusError("line 1: expected 'horizon <n>' header")
-
-    ticks: list[ExternalInputs] = []
-    current = ExternalInputs()
-    for tick in range(horizon):
-        if tick in events:
-            current = replace(current, **events[tick])
-        ticks.append(current)
-    return Stimulus(tuple(ticks))
+    return Stimulus((*runs, (c, reset, horizon - start)))
 
 
 def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, state: str, count: int,
@@ -184,10 +178,12 @@ def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
     cells, fill = loop.cells, loop.fill
     i = 0
     records: list[TickRecord] = []
-    for ext in stim.ticks:
-        k = 4 * i + 2 * ext.c + ext.reset
-        i, record = cells[k] or fill(k)
-        records.append(record)
+    for c, reset, n in stim.runs:
+        x = 2 * c + reset
+        for _ in range(n):
+            k = 4 * i + x
+            i, record = cells[k] or fill(k)
+            records.append(record)
     return Trace(spec, tuple(records))
 
 

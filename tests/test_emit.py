@@ -58,6 +58,20 @@ class TestEmitUcf:
             emit_ucf(itlc_spec, pins)
         assert str(exc.value) == "pin map names signals absent from spec 'itlc': zz, aa"
 
+    def test_kind_must_match_the_spec_direction(self, itlc_spec):
+        # A light wired as an input and the sensor as an output; st is a pulse output.
+        pins = (("mg", "D11", "input"), ("c", "N17", "output"), ("st", "A1", "output"),
+                ("ts", "H18", "input"))
+        with pytest.raises(EmitError) as exc:
+            emit_ucf(itlc_spec, pins)
+        assert str(exc.value) == "pin kind disagrees with spec 'itlc' for signals: mg, c"
+
+    def test_absent_signal_reported_before_wrong_kind(self, itlc_spec):
+        pins = (("mg", "D11", "input"), ("zz", "A1", "input"))
+        with pytest.raises(EmitError) as exc:
+            emit_ucf(itlc_spec, pins)
+        assert str(exc.value) == "pin map names signals absent from spec 'itlc': zz"
+
     def test_pin_file_round_trip(self):
         text = "# board map\nc N17 input\nmg D11 output\n"
         assert parse_pin_file(text) == (("c", "N17", "input"), ("mg", "D11", "output"))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from fsmkit.model import (
     moore_output,
 )
 from fsmkit.sim import (
-    ExternalInputs, SimError, Stimulus, StimulusError, Trace, closed_loop_tick,
+    SimError, Stimulus, StimulusError, Trace, closed_loop_tick,
     parse_stimulus, simulate, write_vcd, explore_reachable,
 )
 from fsmkit.timer import TimerConfig, timer_outputs
@@ -24,21 +25,38 @@ GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 def constant_stim(n, c=0, reset=0):
-    return Stimulus(tuple(ExternalInputs(c=c, reset=reset) for _ in range(n)))
+    return Stimulus(((c, reset, n),))
 
 
 def stim_of(bits):
     """Stimulus from a string of c bits, one character per tick."""
-    return Stimulus(tuple(ExternalInputs(c=int(b)) for b in bits))
+    return Stimulus(tuple((int(b), 0, 1) for b in bits))
+
+
+def per_tick(runs):
+    """(c, reset) of every tick, in order."""
+    return [(c, reset) for c, reset, n in runs for _ in range(n)]
 
 
 def reference_simulate(spec, cfg, stim):
     """The untabulated closed loop: one kernel call per tick."""
     state, count, records = spec.initial_state, 0, []
-    for ext in stim.ticks:
-        record, state, count = closed_loop_tick(spec, cfg, state, count, ext.c, ext.reset)
+    for c, reset in per_tick(stim.runs):
+        record, state, count = closed_loop_tick(spec, cfg, state, count, c, reset)
         records.append(record)
     return Trace(spec, tuple(records))
+
+
+def read_stim_per_tick(text):
+    """(c, reset) of every tick of `.stim` text, held from line to line."""
+    lines = [l.split("#", 1)[0].split() for l in text.splitlines()]
+    lines = [fields for fields in lines if fields]
+    events = {int(fields[0]): dict(f.split("=") for f in fields[1:]) for fields in lines[1:]}
+    values, ticks = {"c": "0", "reset": "0"}, []
+    for tick in range(int(lines[0][1])):
+        values.update(events.get(tick, {}))
+        ticks.append((int(values["c"]), int(values["reset"])))
+    return ticks
 
 
 def with_distinct_records(trace):
@@ -55,9 +73,24 @@ def per_tick_log(trace):
         + "\n" for tick, r in enumerate(trace.records))
 
 
-# c at random, reset high on about one tick in ten.
-stimuli = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9)), min_size=1, max_size=300).map(
-    lambda ticks: Stimulus(tuple(ExternalInputs(c, int(r == 0)) for c, r in ticks)))
+# Runs of 1-6 ticks: c at random, reset high on about one run in ten.
+stimuli = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9), st.integers(1, 6)),
+                   min_size=1, max_size=100).map(
+    lambda runs: Stimulus(tuple((c, int(r == 0), n) for c, r, n in runs)))
+
+
+@st.composite
+def stim_texts(draw):
+    """`.stim` text with comments, blank lines and lines setting c, reset or both."""
+    horizon = draw(st.integers(1, 40))
+    ticks = sorted(draw(st.sets(st.integers(0, horizon - 1), max_size=12)))
+    lines = [f"horizon {horizon}  # header"]
+    for tick in ticks:
+        assigned = draw(st.lists(st.sampled_from(["c", "reset"]), min_size=1, max_size=2,
+                                 unique=True))
+        lines.append(f"{tick} " + " ".join(f"{key}={draw(st.integers(0, 1))}" for key in assigned))
+        lines += draw(st.sampled_from([[], [""], ["# note"]]))
+    return "\n".join(lines) + "\n"
 
 CLOSED_HEADER = "fsm m\ninputs reset c ts tl\noutputs mg\npulses st\ninitial S0\nreset reset\n"
 GAP_SPEC = CLOSED_HEADER + "state S0 { mg=1 }\ntrans S0 -> S0 when !c\n"
@@ -100,13 +133,31 @@ def kernel_calls(monkeypatch):
 class TestParseStimulus:
     def test_hold_semantics(self):
         stim = parse_stimulus("horizon 3\n0 c=1\n")
-        assert stim.ticks == (ExternalInputs(1, 0),) * 3
+        assert stim.runs == ((1, 0, 3),)
 
     def test_initial_values_are_zero(self):
         stim = parse_stimulus("horizon 4\n2 c=1 reset=1\n")
-        assert stim.ticks == (
-            ExternalInputs(0, 0), ExternalInputs(0, 0),
-            ExternalInputs(1, 1), ExternalInputs(1, 1))
+        assert stim.runs == ((0, 0, 2), (1, 1, 2))
+        assert stim.horizon == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=stim_texts())
+    def test_runs_expand_to_the_per_tick_reading(self, text):
+        stim = parse_stimulus(text)
+        assert per_tick(stim.runs) == read_stim_per_tick(text)
+        # One run per tick line, plus a leading (0, 0, t) run when the first is after tick 0.
+        ticks = [int(l.split()[0]) for l in text.splitlines()[1:] if l and l[0].isdigit()]
+        assert len(stim.runs) == len(ticks) + (not ticks or ticks[0] > 0)
+
+    def test_parsing_does_not_grow_with_the_horizon(self):
+        tracemalloc.start()
+        try:
+            stim = parse_stimulus("horizon 1000000\n0 c=1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stim.horizon == 1_000_000
+        assert peak < 64 * 1024
 
     def test_non_monotonic_ticks_rejected(self):
         with pytest.raises(StimulusError, match="non-monotonic"):
@@ -131,7 +182,7 @@ class TestParseStimulus:
 
     def test_comments_and_blanks_ignored(self):
         stim = parse_stimulus("# hi\nhorizon 2\n\n0 c=1  # arrival\n")
-        assert stim.ticks == (ExternalInputs(1, 0),) * 2
+        assert stim.runs == ((1, 0, 2),)
 
 
 class TestSimulate:
@@ -150,9 +201,7 @@ class TestSimulate:
         assert [t for t, r in enumerate(trace.records) if r.st] == [16, 21, 38, 43]
 
     def test_reset_forces_initial_state_next_tick(self, itlc_spec, default_cfg):
-        ticks = [ExternalInputs(c=1) for _ in range(30)]
-        ticks[20] = ExternalInputs(c=1, reset=1)
-        trace = simulate(itlc_spec, default_cfg, Stimulus(tuple(ticks)))
+        trace = simulate(itlc_spec, default_cfg, Stimulus(((1, 0, 20), (1, 1, 1), (1, 0, 9))))
         assert trace.records[20].state != "S0"  # mid-cycle when reset hits
         assert trace.records[21].state == "S0"
         assert trace.records[20].st == 0  # reset does not pulse the timer
@@ -227,8 +276,9 @@ class TestClosedLoopTable:
         # The CLI log against a per-tick formatter over the untabulated run.
         d = tmp_path_factory.mktemp("log")
         (d / "m.fsm").write_text(dsl.serialize(spec))
+        starts = itertools.accumulate((n for _, _, n in stim.runs), initial=0)
         (d / "m.stim").write_text(f"horizon {stim.horizon}\n" + "".join(
-            f"{t} c={e.c} reset={e.reset}\n" for t, e in enumerate(stim.ticks)))
+            f"{t} c={c} reset={reset}\n" for t, (c, reset, _) in zip(starts, stim.runs)))
         assert main(["simulate", str(d / "m.fsm"), str(d / "m.stim"), "--log", str(d / "m.log"),
                      "--short", str(cfg.short_ticks), "--long", str(cfg.long_ticks)]) == 0
         assert (d / "m.log").read_text() == per_tick_log(reference_simulate(spec, cfg, stim))
@@ -285,9 +335,21 @@ class TestClosedLoopTable:
     @pytest.mark.parametrize("c, reset", [(2, 0), (0, 2), (-1, 0), (1, 3)])
     def test_non_bit_inputs_are_refused(self, c, reset):
         # A non-bit would address a neighbouring cell of the table, so it
-        # cannot reach a run: the inputs refuse it when built.
+        # cannot reach a run: the stimulus refuses it when built.
         with pytest.raises(SimError, match="must be 0 or 1"):
-            ExternalInputs(c=c, reset=reset)
+            Stimulus(((c, reset, 1),))
+
+    @pytest.mark.parametrize("runs, message", [
+        ((), "stimulus must cover at least one tick"),
+        (((0, 0, 3), (1, 0, 0)), "a run must last an int number of ticks >= 1, got 0"),
+        (((0, 0, -2),), "a run must last an int number of ticks >= 1, got -2"),
+        (((1, 0, 2.0),), "a run must last an int number of ticks >= 1, got 2.0"),
+        (((1, 0, "2"),), "a run must last an int number of ticks >= 1, got '2'"),
+    ])
+    def test_empty_or_bad_length_runs_are_refused(self, runs, message):
+        with pytest.raises(SimError) as exc:
+            Stimulus(runs)
+        assert str(exc.value) == message
 
 
 class TestReachability:
