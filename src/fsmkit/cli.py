@@ -211,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("cannot write output: standard output was closed", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("out of memory: the input asks for more than this process can hold", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Container
 
 from .model import (
-    And, Const, FsmSpec, GuardExpr, Not, Or, StateDef, Transition, Var,
+    MAX_INPUTS, And, Const, FsmSpec, GuardExpr, Not, Or, StateDef, Transition, Var,
 )
 
 SYNTAX = "syntax"
@@ -42,6 +42,7 @@ NAME_RESERVED = frozenset({"when", "emit"})
 # root-to-leaf path.  Parsing recurses 4 frames per parenthesis, evaluation,
 # printing and emission 1 per operator: all stay under the default limit 1000.
 MAX_GUARD_DEPTH = 100
+# `parse` also refuses more inputs than `model.MAX_INPUTS`, which validation caps.
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[0-9]+|[!&|(){}=]|\S")
@@ -262,6 +263,8 @@ def parse(text: str) -> FsmSpec:
                     tok = p.expect_name("signal name")
                     target.append(tok.text)
                     signal_toks.append(tok)
+                if target is inputs and len(inputs) > MAX_INPUTS:
+                    p.fail(f"{len(inputs)} inputs declared; at most {MAX_INPUTS} are supported", head)
             elif head.text == "initial":
                 p.next()
                 if initial is not None:

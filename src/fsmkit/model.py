@@ -8,9 +8,8 @@ never mutate the spec.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 Bit = int
 
@@ -62,21 +61,22 @@ class Const:
 GuardExpr = Var | Not | And | Or | Const
 
 
-def eval_guard(expr: GuardExpr, valuation: Mapping[str, Bit]) -> Bit:
-    """Evaluate a guard under an input valuation, returning 0 or 1."""
+def eval_guard(expr: GuardExpr, valuation: Mapping[str, int], full: int = 1) -> int:
+    """Evaluate a guard under an input valuation, returning 0 or 1; or, with each
+    input mapped to its mask over N valuations and `full` = 2^N - 1, its truth table."""
     if isinstance(expr, Var):
         try:
-            return 1 if valuation[expr.name] else 0
+            return valuation[expr.name]
         except KeyError:
             raise StructuralError(f"guard references unknown input '{expr.name}'") from None
     if isinstance(expr, Not):
-        return 1 - eval_guard(expr.operand, valuation)
+        return full ^ eval_guard(expr.operand, valuation, full)
     if isinstance(expr, And):
-        return eval_guard(expr.left, valuation) & eval_guard(expr.right, valuation)
+        return eval_guard(expr.left, valuation, full) & eval_guard(expr.right, valuation, full)
     if isinstance(expr, Or):
-        return eval_guard(expr.left, valuation) | eval_guard(expr.right, valuation)
+        return eval_guard(expr.left, valuation, full) | eval_guard(expr.right, valuation, full)
     if isinstance(expr, Const):
-        return 1 if expr.value else 0
+        return full if expr.value else 0
     raise TypeError(f"not a guard expression: {expr!r}")
 
 
@@ -129,12 +129,6 @@ class FsmSpec:
         return tuple(s.name for s in self.states)
 
 
-def all_valuations(names: tuple[str, ...]) -> Iterator[dict[str, Bit]]:
-    """All 2^n valuations of the given inputs, in binary counting order."""
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        yield dict(zip(names, bits))
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -142,6 +136,9 @@ def all_valuations(names: tuple[str, ...]) -> Iterator[dict[str, Bit]]:
 OVERLAP = "overlap"
 GAP = "gap"
 STRUCTURAL = "structural"
+
+# Validation holds a 2^n-bit truth table per guard and up to 2^(n-1) findings per state.
+MAX_INPUTS = 16
 
 
 @dataclass(frozen=True)
@@ -156,10 +153,9 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
     """Check structure plus guard determinism and exhaustiveness; returns the
     findings, and an empty tuple means the spec is clean.
 
-    Guard coverage is checked by enumerating every valuation of the declared
-    inputs.  Valuations with the reset input high are skipped: reset
-    overrides guard matching entirely, so specs need not make their guards
-    exclusive with respect to it.
+    Guard coverage is checked on truth tables over every input valuation but
+    those with reset high: reset overrides guard matching entirely, so specs
+    need not make their guards exclusive with respect to it.
     """
     findings: list[Finding] = []
 
@@ -203,23 +199,36 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
                 broken_guard_states.add(s.name)
                 for name in sorted(unknown):
                     structural(f"guard references unknown input '{name}'", s.name)
+    n = len(spec.inputs)
+    if n > MAX_INPUTS:
+        structural(f"{n} inputs declared; at most {MAX_INPUTS} are supported")
+        return tuple(findings)
 
-    # Coverage enumeration only makes sense once guards evaluate cleanly.
+    # Bit v of a table is valuation v in binary, the first input most significant,
+    # so input k's mask repeats runs of size >> k+1 zeros then as many ones.
+    size = 1 << n
+    full = (1 << size) - 1
+    masks = {name: full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+             for name, run in zip(spec.inputs, (size >> k + 1 for k in range(n)))}
+    care = full ^ masks.get(spec.reset_input, 0)
+    # Coverage only makes sense once guards evaluate cleanly.
     for s in spec.states:
         if s.name in broken_guard_states or s.name not in declared:
             continue
-        for v in all_valuations(spec.inputs):
-            if spec.reset_input is not None and v[spec.reset_input]:
-                continue
-            hits = sum(eval_guard(t.guard, v) for t in s.transitions)
-            if hits > 1:
-                findings.append(Finding(
-                    OVERLAP, s.name, v,
-                    f"state '{s.name}': {hits} guards true at {_fmt_valuation(v)}"))
-            elif hits == 0:
-                findings.append(Finding(
-                    GAP, s.name, v,
-                    f"state '{s.name}': no guard true at {_fmt_valuation(v)}"))
+        tables = [eval_guard(t.guard, masks, full) for t in s.transitions]
+        one = two = 0  # valuations where at least one, and at least two, guards hold
+        for g in tables:
+            two |= one & g
+            one |= g
+        bad = format((two | full ^ one) & care, f"0{size}b")[::-1]
+        v = bad.find("1")
+        while v >= 0:
+            valuation = dict(zip(spec.inputs, map(int, format(v, f"0{n}b"))))
+            hits = sum(g >> v & 1 for g in tables)
+            kind, what = (OVERLAP, f"{hits} guards") if hits > 1 else (GAP, "no guard")
+            findings.append(Finding(kind, s.name, valuation,
+                                    f"state '{s.name}': {what} true at {_fmt_valuation(valuation)}"))
+            v = bad.find("1", v + 1)
 
     return tuple(findings)
 

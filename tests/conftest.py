@@ -1,6 +1,7 @@
 """Shared fixtures and hypothesis strategies for the suite."""
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 
 import pytest
@@ -8,9 +9,16 @@ from hypothesis import strategies as st
 
 from fsmkit.itlc import bundled_spec
 from fsmkit.model import (
-    And, Const, FsmSpec, Not, Or, StateDef, Transition, Var, all_valuations,
+    And, Const, FsmSpec, Not, Or, StateDef, Transition, Var,
 )
 from fsmkit.timer import TimerConfig
+
+
+def all_valuations(names):
+    """All 2^n valuations of the given inputs, in binary counting order (the
+    first input most significant): the enumeration `validate` must agree with."""
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        yield dict(zip(names, bits))
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +49,7 @@ def guard_from_minterms(minterms, input_names, total):
 @st.composite
 def guard_exprs(draw, input_names=("a", "b", "c"), depth=4):
     if depth == 0 or draw(st.integers(0, 3)) == 0:
-        if draw(st.booleans()):
+        if input_names and draw(st.booleans()):
             return Var(draw(st.sampled_from(input_names)))
         return Const(draw(st.integers(0, 1)))
     kind = draw(st.sampled_from(["not", "and", "or"]))

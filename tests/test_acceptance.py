@@ -15,11 +15,11 @@ from fsmkit.itlc import (
     ControllerState, DEFAULT_PIN_ROWS, ItlcInputs, bundled_spec,
     bundled_stimulus_source, reference_next, reference_output,
 )
-from fsmkit.model import all_valuations, moore_output, step_spec, validate
+from fsmkit.model import moore_output, step_spec, validate
 from fsmkit.sim import explore_reachable, parse_stimulus, simulate, write_vcd
 from fsmkit.timer import TimerConfig
 
-from conftest import valid_machines
+from conftest import all_valuations, valid_machines
 
 REPO = Path(__file__).resolve().parent.parent
 CFG = TimerConfig(short_ticks=4, long_ticks=16)

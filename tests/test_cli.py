@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +10,12 @@ import pytest
 
 from fsmkit import cli, emit, model
 from fsmkit.cli import main
-from fsmkit.dsl import MAX_GUARD_DEPTH
+from fsmkit.dsl import MAX_GUARD_DEPTH, MAX_INPUTS
 
 REPO = Path(__file__).resolve().parent.parent
 ITLC = str(REPO / "designs" / "itlc.fsm")
 STIM = str(REPO / "designs" / "paper_fig7_10.stim")
+PERFBENCH_INPUTS = REPO / "perfbench" / "inputs.py"
 
 GAP_SPEC = """fsm gappy
 inputs a
@@ -44,6 +47,19 @@ def gap_fsm(tmp_path):
     path = tmp_path / "gappy.fsm"
     path.write_text(GAP_SPEC)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def perfbench_inputs():
+    """The benchmark's input generator, loaded by path (it is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 def write(tmp_path, name, text):
@@ -81,6 +97,17 @@ class TestCheck:
         bad.write_text("not an fsm\n")
         assert main(["check", str(bad)]) == 2
         assert "missing fsm header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, index, inject", [
+        (0, 0, False), (0, 1, True), (1, 0, False), (1, 1, True), (2, 0, True)])
+    def test_prints_the_findings_of_a_generated_design(self, tmp_path, capsys, perfbench_inputs,
+                                                       seed, index, inject):
+        # The benchmark's generator computes each design's findings from its own
+        # description of the guards, independently of fsmkit.
+        design = perfbench_inputs.make_design(seed, index, n_inputs=6, n_states=5, leaves=4,
+                                              inject=inject)
+        assert main(["check", write(tmp_path, "g.fsm", design.fsm_text())]) == (1 if inject else 0)
+        assert capsys.readouterr().out == design.findings()
 
 
 class TestSimulate:
@@ -258,32 +285,42 @@ class TestBench:
         assert main(["bench", ITLC, "--arrival", "0.5", "--seeds", "0"]) == 2
 
 
-def nested_guard(form, depth):
-    # At the cap (an even depth) both forms are true, so the spec is valid.
-    if form == "parens":
-        return "(" * depth + "1" + ")" * depth
-    return "!" * depth + "1"
+def capped_spec(form, above):
+    """GAP_SPEC at a cap, which is valid, or one above it: guard nesting by
+    parentheses or by nots, or the number of declared inputs."""
+    if form == "inputs":
+        names = " ".join(f"i{k}" for k in range(MAX_INPUTS + above - 1))
+        return GAP_SPEC.replace("inputs a", f"inputs a {names}").replace("when a", "when a | !a")
+    # At the cap (an even depth) both nested forms are true.
+    depth = MAX_GUARD_DEPTH + above
+    guard = "(" * depth + "1" + ")" * depth if form == "parens" else "!" * depth + "1"
+    return GAP_SPEC.replace("when a", f"when {guard}")
+
+
+CAP_ERRORS = {
+    "parens": f"5:19: syntax: guard nests deeper than {MAX_GUARD_DEPTH} levels",
+    "nots": f"5:19: syntax: guard nests deeper than {MAX_GUARD_DEPTH} levels",
+    "inputs": f"2:1: syntax: {MAX_INPUTS + 1} inputs declared; at most {MAX_INPUTS} are supported",
+}
+COMMAND_ARGS = {"check": [], "emit": [], "simulate": [STIM], "bench": ["--arrival", "0.1", "--horizon", "1"]}
 
 
 class TestGuardNesting:
-    @pytest.mark.parametrize("form", ["parens", "nots"])
+    @pytest.mark.parametrize("form", ["parens", "nots", "inputs"])
     def test_at_the_cap_checks_and_emits(self, tmp_path, capsys, form):
-        guard = nested_guard(form, MAX_GUARD_DEPTH)
-        fsm = write(tmp_path, "deep.fsm", GAP_SPEC.replace("when a", f"when {guard}"))
+        fsm = write(tmp_path, "deep.fsm", capped_spec(form, 0))
         assert main(["check", fsm]) == 0
         assert main(["emit", fsm]) == 0
         assert "always @*" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("form", ["parens", "nots"])
-    @pytest.mark.parametrize("command", ["check", "emit"])
+    @pytest.mark.parametrize("form", ["parens", "nots", "inputs"])
+    @pytest.mark.parametrize("command", ["check", "emit", "simulate", "bench"])
     def test_one_level_above_the_cap_is_a_parse_error(self, tmp_path, capsys, form, command):
-        guard = nested_guard(form, MAX_GUARD_DEPTH + 1)
-        fsm = write(tmp_path, "deep.fsm", GAP_SPEC.replace("when a", f"when {guard}"))
-        assert main([command, fsm]) == 2
+        fsm = write(tmp_path, "deep.fsm", capped_spec(form, 1))
+        assert main([command, fsm, *COMMAND_ARGS[command]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"{fsm}:5:19: syntax: guard nests deeper than {MAX_GUARD_DEPTH} levels\n")
+        assert captured.err == f"{fsm}:{CAP_ERRORS[form]}\n"
 
 
 NOT_UTF8 = b"\xff\xfe not text\n"
@@ -344,6 +381,19 @@ class TestInputOutputErrors:
         assert proc.returncode == 2
         assert "Traceback" not in stderr and "Exception ignored" not in stderr
         assert stderr == "cannot write output: standard output was closed\n"
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
+        # A trace of 10^11 ticks cannot be held; a 256 MB address-space limit on
+        # the child alone makes it fail within seconds rather than swap.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+        stim = write(tmp_path, "huge.stim", "horizon 100000000000\n")
+        result = subprocess.run([sys.executable, "-m", "fsmkit.cli", "simulate", ITLC, stim],
+                                capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+                                env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "out of memory: the input asks for more than this process can hold\n"
 
 
 class TestUsage:

@@ -4,7 +4,9 @@ from fsmkit.itlc import (
     ControllerState, ItlcInputs, LightOutputs, bundled_source, bundled_spec,
     reference_next, reference_output,
 )
-from fsmkit.model import all_valuations, moore_output, step_spec, validate
+from fsmkit.model import moore_output, step_spec, validate
+
+from conftest import all_valuations
 
 S0, S1, S2, S3 = ControllerState
 

@@ -2,15 +2,15 @@ import inspect
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fsmkit.model import (
-    And, Const, ContractViolation, FsmSpec, GAP, Not, Or, OVERLAP, StateDef,
-    STRUCTURAL, StructuralError, Transition, Var, all_valuations, eval_guard,
+    And, Const, ContractViolation, Finding, FsmSpec, GAP, MAX_INPUTS, Not, Or,
+    OVERLAP, StateDef, STRUCTURAL, StructuralError, Transition, Var, eval_guard,
     moore_output, step_spec, validate,
 )
 
-from conftest import guard_exprs, valid_machines
+from conftest import all_valuations, guard_exprs, valid_machines
 
 
 class TestEvalGuard:
@@ -40,6 +40,52 @@ class TestEvalGuard:
         lhs2 = Not(Or(expr, Var("b")))
         rhs2 = And(Not(expr), Not(Var("b")))
         assert eval_guard(lhs2, v) == eval_guard(rhs2, v)
+
+    @given(guard_exprs())
+    def test_truth_table_agrees_with_each_valuation(self, expr):
+        valuations = list(all_valuations(("a", "b", "c")))
+        masks = {name: sum(v[name] << i for i, v in enumerate(valuations)) for name in "abc"}
+        table = eval_guard(expr, masks, (1 << len(valuations)) - 1)
+        assert [table >> i & 1 for i in range(len(valuations))] == [
+            eval_guard(expr, v) for v in valuations]
+
+    def test_truth_table_names_an_unknown_variable(self):
+        with pytest.raises(StructuralError, match="ghost"):
+            eval_guard(And(Var("a"), Var("ghost")), {"a": 0b1010}, 0b1111)
+
+
+def coverage_oracle(spec):
+    """Guard coverage findings by evaluating every guard at every valuation
+    one at a time, as `validate` did before it worked on truth tables."""
+    def fmt(v):
+        return "{" + ", ".join(f"{k}={b}" for k, b in v.items()) + "}"
+    findings = []
+    for s in spec.states:
+        for v in all_valuations(spec.inputs):
+            if spec.reset_input is not None and v[spec.reset_input]:
+                continue
+            hits = sum(eval_guard(t.guard, v) for t in s.transitions)
+            if hits > 1:
+                findings.append(Finding(OVERLAP, s.name, v, f"state '{s.name}': {hits} guards true at {fmt(v)}"))
+            elif hits == 0:
+                findings.append(Finding(GAP, s.name, v, f"state '{s.name}': no guard true at {fmt(v)}"))
+    return findings
+
+
+@st.composite
+def guarded_machines(draw):
+    """Structurally valid machines with arbitrary guards, so that states have
+    gaps and overlaps; 0 to 4 inputs, a reset or none, states with no
+    transitions."""
+    names = tuple(f"in{i}" for i in range(draw(st.integers(0, 4))))
+    n_states = draw(st.integers(1, 3))
+    states = tuple(
+        StateDef(f"Q{i}", {}, tuple(
+            Transition(draw(guard_exprs(input_names=names, depth=3)),
+                       f"Q{draw(st.integers(0, n_states - 1))}")
+            for _ in range(draw(st.integers(0, 4)))))
+        for i in range(n_states))
+    return FsmSpec("m", names, (), (), states, "Q0", draw(st.sampled_from((None, *names))))
 
 
 def _single_state_spec(transitions):
@@ -98,6 +144,38 @@ class TestValidate:
                 Transition(Var("c"), "A"), Transition(Not(Var("c")), "A"))),),
             initial_state="A", reset_input="rst")
         assert validate(spec) == ()
+
+    @settings(max_examples=300)
+    @given(guarded_machines())
+    def test_agrees_with_the_per_valuation_oracle(self, spec):
+        def rows(findings):
+            return [(f.kind, f.state, list(f.valuation.items()), f.message) for f in findings]
+        assert rows(validate(spec)) == rows(coverage_oracle(spec))
+
+    def test_one_structural_finding_above_the_input_cap(self):
+        names = tuple(f"i{k}" for k in range(MAX_INPUTS + 1))
+        # A state with no transitions would have a gap at every valuation.
+        spec = FsmSpec("m", names, (), (), (StateDef("A"),), "A")
+        assert validate(spec) == (Finding(
+            STRUCTURAL, None, None, f"{MAX_INPUTS + 1} inputs declared; at most {MAX_INPUTS} are supported"),)
+
+    def test_at_the_input_cap_coverage_is_checked(self):
+        names = tuple(f"i{k}" for k in range(MAX_INPUTS))
+        clean = FsmSpec("m", names, (), (), (StateDef("A", {}, (Transition(Const(1), "A"),)),), "A")
+        assert validate(clean) == ()
+        guards = (Var("i0"), And(Var("i0"), Var(names[-1])), Not(Var("i0")))
+        overlap = FsmSpec("m", names, (), (), (StateDef("A", {}, tuple(Transition(g, "A") for g in guards)),),
+                          "A", reset_input="i1")
+        findings = validate(overlap)
+        assert len(findings) == 2 ** (MAX_INPUTS - 3)
+        assert findings[0].message == "state 'A': 2 guards true at {" + ", ".join(
+            f"{n}={int(n in ('i0', names[-1]))}" for n in names) + "}"
+
+    def test_undeclared_reset_is_structural_only(self):
+        spec = FsmSpec("m", ("c",), (), (), (StateDef("A", {}, (Transition(Const(1), "A"),)),),
+                       "A", reset_input="ghost")
+        assert [f.message for f in validate(spec)] == [
+            "reset input 'ghost' is not a declared input"]
 
     @given(valid_machines())
     def test_generated_machines_are_clean(self, spec):
