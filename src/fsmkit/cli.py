@@ -133,18 +133,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise _CliError(2, f"--arrival must be in [0, 1], got {args.arrival}")
     if args.seeds < 1:
         raise _CliError(2, f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        results = []
+    def runs():  # one seed at a time, so memory stays flat in --seeds
         for seed in range(args.seeds):
             model = env_mod.TrafficModel(
                 arrival_prob=args.arrival, seed=seed, horizon=args.horizon,
                 service_rate=args.service_rate)
             metrics = env_mod.run_env(spec, cfg, model)
-            results.append(metrics)
             print(metrics.as_record(prefix=f"seed={seed} "))
+            yield metrics
+
+    try:
+        aggregate = env_mod.Metrics.aggregate(runs())
     except (ValueError, sim.SimError) as exc:
         raise _CliError(2, str(exc)) from exc
-    print(env_mod.Metrics.aggregate(results).as_record(prefix="aggregate "))
+    print(aggregate.as_record(prefix="aggregate "))
     return 0
 
 

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import importlib.util
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -283,6 +285,21 @@ class TestBench:
 
     def test_seeds_must_be_positive(self, capsys):
         assert main(["bench", ITLC, "--arrival", "0.5", "--seeds", "0"]) == 2
+
+    def test_memory_does_not_grow_with_the_seed_count(self):
+        def peak(seeds):
+            args = ["bench", ITLC, "--arrival", "0.1", "--seeds", str(seeds), "--horizon", "1"]
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                tracemalloc.start()
+                try:
+                    assert main(args) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(2000)  # first-use allocations: the draws' lane constants, interpreter caches
+        # Keeping every seed's Metrics to the end grew the peak by about 260 KB.
+        assert peak(2000) < peak(200) + 50_000
 
 
 def capped_spec(form, above):

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import closed_loop_machines, timer_configs
 from fsmkit.env import (
-    EnvResult, Metrics, SplitMix64, TrafficModel, run_env, run_env_detailed,
+    BLOCK_TICKS, EnvResult, Metrics, SplitMix64, TrafficModel, arrival_blocks, run_env,
+    run_env_detailed,
 )
 from fsmkit.itlc import bundled_spec
-from fsmkit.sim import Trace, closed_loop_tick
+from fsmkit.sim import Trace, _ClosedLoop, closed_loop_tick
 from fsmkit.timer import TimerConfig
 
 # Frozen analytic worst-case wait for cfg {short, long}: a vehicle can at
@@ -69,6 +72,86 @@ class TestTabulatedRun:
         detailed = run_env_detailed(spec, cfg, model)
         assert detailed == reference_run_env(spec, cfg, model)
         assert run_env(spec, cfg, model) == detailed.metrics
+
+
+class TestBlockEdges:
+    """Runs whose horizons end just before, on and after a block of draws."""
+
+    @pytest.mark.parametrize("horizon", [BLOCK_TICKS - 1, BLOCK_TICKS, BLOCK_TICKS + 1,
+                                         2 * BLOCK_TICKS + 3])
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0 ** -53, 0.1, 1 - 2.0 ** -53, 1.0])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("service_rate", [1, 2, 3])
+    def test_matches_the_untabulated_kernel(self, itlc_spec, default_cfg, horizon, p, seed,
+                                            service_rate):
+        model = TrafficModel(p, seed=seed, horizon=horizon, service_rate=service_rate)
+        detailed = run_env_detailed(itlc_spec, default_cfg, model)
+        assert detailed == reference_run_env(itlc_spec, default_cfg, model)
+        assert run_env(itlc_spec, default_cfg, model) == detailed.metrics
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0 ** -53, 0.1, 0.5, 1 - 2.0 ** -53, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+    def test_blocks_are_the_sequential_draws(self, p, seed):
+        blocks = list(arrival_blocks(seed, p, 3 * BLOCK_TICKS))
+        assert [len(b) for b in blocks] == [BLOCK_TICKS] * 3
+        rng = SplitMix64(seed)  # north is drawn before south
+        assert b"".join(blocks) == bytes(
+            2 * rng.bernoulli(p) + rng.bernoulli(p) for _ in range(3 * BLOCK_TICKS))
+
+    @pytest.mark.parametrize("horizon, sizes", [(3, [3]), (BLOCK_TICKS + 1, [BLOCK_TICKS, 1])])
+    def test_blocks_are_sized_to_the_horizon(self, horizon, sizes):
+        blocks = list(arrival_blocks(5, 0.5, horizon))
+        assert [len(b) for b in blocks] == sizes
+        rng = SplitMix64(5)
+        assert b"".join(blocks) == bytes(
+            2 * rng.bernoulli(0.5) + rng.bernoulli(0.5) for _ in range(horizon))
+
+    def test_memory_does_not_grow_with_the_horizon(self, itlc_spec, default_cfg):
+        # Drawing a 200,000-tick horizon at once would take 6.4 MB of lanes.
+        tracemalloc.start()
+        try:
+            run_env(itlc_spec, default_cfg, TrafficModel(0.1, seed=0, horizon=200_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestExactWaitBound:
+    """The worst side-road wait over every arrival sequence, not a sample."""
+
+    @pytest.mark.parametrize("short, long, exact", [(4, 16, 28), (2, 8, 16), (3, 5, 15),
+                                                    (1, 2, 8)])
+    def test_worst_wait_is_long_plus_two_short_plus_four(self, itlc_spec, short, long, exact):
+        # A state is (closed-loop configuration, north age, south age), an age
+        # being None for a free slot; every state is expanded under all four
+        # arrival symbols, with one departure per side-green tick.  No waiting
+        # vehicle may outgrow the shipped bound, which also keeps the search finite.
+        cfg = TimerConfig(short_ticks=short, long_ticks=long)
+        shipped = worst_case_wait_bound(cfg)
+        loop = _ClosedLoop(itlc_spec, cfg)
+        seen = {(0, None, None)}
+        todo = list(seen)
+        worst = 0
+        while todo:
+            j, north, south = todo.pop()
+            for symbol in range(4):
+                n = 0 if symbol & 2 and north is None else north
+                s = 0 if symbol & 1 and south is None else south
+                k = 4 * j + (0 if n is None and s is None else 2)
+                nxt, record = loop.cells[k] or loop.fill(k)
+                if record.moore["sg"]:  # the oldest departs; north wins ties
+                    if n is not None and (s is None or n >= s):
+                        worst, n = max(worst, n), None
+                    elif s is not None:
+                        worst, s = max(worst, s), None
+                ages = tuple(None if a is None else a + 1 for a in (n, s))
+                assert all(a is None or a <= shipped for a in ages), ages
+                if (nxt, *ages) not in seen:
+                    seen.add((nxt, *ages))
+                    todo.append((nxt, *ages))
+        assert worst == exact == long + 2 * short + 4
+        assert len(seen) < 10_000
 
 
 class TestTrafficModel:
