@@ -5,31 +5,38 @@ validate guard determinism exhaustively, simulate them cycle-accurately
 against the bundled interval timer, render VCD waveforms, and emit
 synthesizable Verilog plus UCF pin constraints.  The flagship design is a
 sensor-driven traffic light controller shipped in `designs/itlc.fsm`.
+
+The names below load their module on first use, so a command imports only
+the modules it runs.
 """
-from .model import (
-    And, Const, ContractViolation, Finding, FsmError, FsmSpec, GuardExpr, Not,
-    Or, StateDef, StructuralError, Transition, Var,
-    eval_guard, moore_output, step_spec, validate,
-)
-from .dsl import ParseError, ParseFailure, SourceSpan, parse, serialize
-from .timer import TimerConfig, timer_commit, timer_outputs
-from .sim import (
-    SimError, Stimulus, StimulusError, TickRecord, Trace, explore_reachable,
-    parse_stimulus, simulate, write_vcd,
-)
-from .env import Metrics, TrafficModel, run_env, run_env_detailed
-from .emit import EmitError, emit_ucf, emit_verilog, parse_pin_file
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And", "Const", "ContractViolation", "EmitError", "Finding",
-    "FsmError", "FsmSpec", "GuardExpr", "Metrics", "Not", "Or",
-    "ParseError", "ParseFailure", "SimError", "SourceSpan", "StateDef",
-    "Stimulus", "StimulusError", "StructuralError", "TickRecord",
-    "TimerConfig", "Trace", "TrafficModel", "Transition", "Var", "emit_ucf",
-    "emit_verilog", "eval_guard", "explore_reachable", "moore_output",
-    "parse", "parse_pin_file", "parse_stimulus", "run_env",
-    "run_env_detailed", "serialize", "simulate", "step_spec", "timer_commit",
-    "timer_outputs", "validate", "write_vcd",
-]
+_EXPORTS = {
+    "model": ("And", "Const", "ContractViolation", "Finding", "FsmError", "FsmSpec",
+              "GuardExpr", "Not", "Or", "StateDef", "StructuralError", "Transition", "Var",
+              "eval_guard", "moore_output", "step_spec", "validate"),
+    "dsl": ("ParseError", "ParseFailure", "SourceSpan", "parse", "serialize"),
+    "timer": ("TimerConfig", "timer_commit", "timer_outputs"),
+    "sim": ("SimError", "Stimulus", "StimulusError", "TickRecord", "Trace",
+            "explore_reachable", "parse_stimulus", "simulate", "write_vcd"),
+    "env": ("Metrics", "TrafficModel", "run_env", "run_env_detailed"),
+    "emit": ("EmitError", "emit_ucf", "emit_verilog", "parse_pin_file"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups find it without calling this
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

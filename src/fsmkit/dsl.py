@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Container
+from typing import Container, NamedTuple
 
 from .model import (
     MAX_INPUTS, And, Const, FsmSpec, GuardExpr, Not, Or, StateDef, Transition, Var,
+    value_type,
 )
 
 SYNTAX = "syntax"
@@ -48,15 +48,15 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[0-9]+|[!&|(){}=]|\S")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+@value_type
+class SourceSpan(NamedTuple):
     line: int    # 1-based
     column: int  # 1-based
     length: int
 
 
-@dataclass(frozen=True)
-class ParseError:
+@value_type
+class ParseError(NamedTuple):
     span: SourceSpan
     kind: str
     message: str
@@ -73,8 +73,7 @@ class ParseFailure(Exception):
         super().__init__("; ".join(str(e) for e in errors))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     column: int
@@ -210,8 +209,7 @@ def _parse_atom(p: _LineParser) -> tuple[GuardExpr, int]:
     p.fail("expected guard expression", tok)
 
 
-@dataclass
-class _PendingTrans:
+class _PendingTrans(NamedTuple):
     source: str
     source_tok: _Token
     destination: str

@@ -158,9 +158,11 @@ class EnvResult:
     queue_remaining: int
 
 
-def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> Metrics:
-    """Metrics of one run against the traffic model; builds no trace."""
-    return _run(spec, cfg, model, None).metrics
+def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
+            table: TrafficTable | None = None) -> Metrics:
+    """Metrics of one run against the traffic model; builds no trace.  Runs
+    given one `TrafficTable(spec, cfg)` fill each of its cells once."""
+    return _run(spec, cfg, model, None, table).metrics
 
 
 def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> EnvResult:
@@ -174,17 +176,19 @@ _SERVE = 4  # side green with a vehicle waiting; the next busy bits are left 0
 _CYCLE = 8  # a non-trivial return to the initial state (itlc: S3 -> S0)
 
 
-class _Traffic:
+class TrafficTable:
     """Memo table over `_ClosedLoop` plus the sensor slots.  Product state
     4*j + 2*north busy + south busy pairs configuration j with the slots;
     cell 4*P + symbol holds (4 * next P, event code, kernel record) and
-    `hits` counts its ticks.  At most 16 cells per configuration."""
+    `hits` counts its ticks in the current run.  At most 16 cells per
+    configuration.  Cells depend only on (spec, cfg), so runs of one spec
+    and cfg may share a table whatever their seeds."""
 
     def __init__(self, spec: FsmSpec, cfg: TimerConfig):
         self.loop = _ClosedLoop(spec, cfg)
         self.initial = spec.initial_state
         self.cells: list[tuple[int, int, TickRecord] | None] = [None] * 16
-        self.hits = [0] * 16
+        self.hits: list[int] = []  # per run: `_run` sets it
 
     def fill(self, k: int) -> tuple[int, int, TickRecord]:
         loop = self.loop
@@ -204,12 +208,16 @@ class _Traffic:
 
 
 def _run(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
-         records: list[TickRecord] | None) -> EnvResult:
+         records: list[TickRecord] | None, table: TrafficTable | None = None) -> EnvResult:
     """Per tick: arrivals (north drawn before south), sensor read, the kernel
     tick, then side-green service, which cannot change c.  Deterministic for
     fixed (seed, model, cfg); each tick's record goes to `records` if given."""
-    table = _Traffic(spec, cfg)
-    cells, hits, fill = table.cells, table.hits, table.fill
+    if table is None:
+        table = TrafficTable(spec, cfg)
+    elif table.loop.spec is not spec or table.loop.cfg != cfg:
+        raise ValueError("the traffic table was built for another spec or timer config")
+    cells, fill = table.cells, table.fill
+    hits = table.hits = [0] * len(cells)  # this run's ticks only; `fill` extends it
     keep = records is not None
     horizon, rate = model.horizon, model.service_rate
     at = 0  # 4 * product state

@@ -4,12 +4,14 @@ A machine is a set of states, each carrying fixed output levels (Moore
 outputs) and an ordered list of guarded transitions.  Transitions may emit
 one-cycle pulses while they fire, which is how timer restarts are expressed.
 Everything here is immutable and purely functional; validation and stepping
-never mutate the spec.
+never mutate the spec.  The value types are NamedTuples marked `value_type`:
+equal only to values of their own type, and copied with a changed field by
+`_replace`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 Bit = int
 
@@ -27,34 +29,50 @@ class ContractViolation(FsmError):
     e.g. stepping an unvalidated machine whose guards overlap."""
 
 
+def _same_type_eq(self, other: object) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other: object) -> bool:
+    return not _same_type_eq(self, other)
+
+
+def value_type(cls):
+    """Class decorator for a NamedTuple: equal only to a value of the same type,
+    since a plain tuple compares by its items alone (`And(a, b) == Or(a, b)`
+    would hold), and hashed as its tuple, so equal values hash equal."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Guard expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+@value_type
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "GuardExpr"
+@value_type
+class Not(NamedTuple):
+    operand: GuardExpr
 
 
-@dataclass(frozen=True)
-class And:
-    left: "GuardExpr"
-    right: "GuardExpr"
+@value_type
+class And(NamedTuple):
+    left: GuardExpr
+    right: GuardExpr
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "GuardExpr"
-    right: "GuardExpr"
+@value_type
+class Or(NamedTuple):
+    left: GuardExpr
+    right: GuardExpr
 
 
-@dataclass(frozen=True)
-class Const:
+@value_type
+class Const(NamedTuple):
     value: Bit
 
 
@@ -95,22 +113,22 @@ def guard_variables(expr: GuardExpr) -> set[str]:
 # Machine structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Transition:
+@value_type
+class Transition(NamedTuple):
     guard: GuardExpr
     destination: str
     pulses: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class StateDef:
+@value_type
+class StateDef(NamedTuple):
     name: str
-    moore_assignments: Mapping[str, Bit] = field(default_factory=dict)
+    moore_assignments: Mapping[str, Bit] = MappingProxyType({})  # read-only, so sharing it is safe
     transitions: tuple[Transition, ...] = ()
 
 
-@dataclass(frozen=True)
-class FsmSpec:
+@value_type
+class FsmSpec(NamedTuple):
     name: str
     inputs: tuple[str, ...]
     moore_outputs: tuple[str, ...]
@@ -141,8 +159,8 @@ STRUCTURAL = "structural"
 MAX_INPUTS = 16
 
 
-@dataclass(frozen=True)
-class Finding:
+@value_type
+class Finding(NamedTuple):
     kind: str  # overlap | gap | structural
     state: str | None
     valuation: Mapping[str, Bit] | None

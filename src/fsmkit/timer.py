@@ -10,22 +10,34 @@ timer's whole state is that count, a plain int in [0, long_ticks].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .model import value_type
 
 DEFAULT_SHORT_TICKS = 4
 DEFAULT_LONG_TICKS = 16
 
 
-@dataclass(frozen=True)
-class TimerConfig:
-    short_ticks: int = DEFAULT_SHORT_TICKS
-    long_ticks: int = DEFAULT_LONG_TICKS
+class _Ticks(NamedTuple):
+    short_ticks: int
+    long_ticks: int
 
-    def __post_init__(self) -> None:
-        if not 0 < self.short_ticks < self.long_ticks:
+
+@value_type
+class TimerConfig(_Ticks):
+    __slots__ = ()
+
+    def __new__(cls, short_ticks: int = DEFAULT_SHORT_TICKS,
+                long_ticks: int = DEFAULT_LONG_TICKS) -> TimerConfig:
+        if not 0 < short_ticks < long_ticks:
             raise ValueError(
                 f"short_ticks must be positive and < long_ticks "
-                f"(got short={self.short_ticks}, long={self.long_ticks})")
+                f"(got short={short_ticks}, long={long_ticks})")
+        return super().__new__(cls, short_ticks, long_ticks)
+
+    @classmethod
+    def _make(cls, iterable) -> TimerConfig:  # `_replace` builds through here
+        return cls(*iterable)
 
 
 def timer_outputs(cfg: TimerConfig, count: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -418,3 +419,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_encoding_choices_are_the_emitters(self):
+        # The parser spells the encodings out, so that it need not load emit.
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        encoding = next(a for a in sub.choices["emit"]._actions if a.dest == "encoding")
+        assert encoding.choices == (emit.BINARY, emit.ONE_HOT)
+        assert encoding.default == emit.BINARY

@@ -66,6 +66,15 @@ class TestParse:
         line = text.split("\n")[5]
         assert line[err.span.column - 1:err.span.column - 1 + err.span.length] == guard
 
+    def test_errors_are_type_sensitive_values(self):
+        span = dsl.SourceSpan(2, 5, 1)
+        error = dsl.ParseError(span, dsl.SYNTAX, "expected '{'")
+        assert str(error) == "2:5: syntax: expected '{'"
+        assert span != (2, 5, 1) and error != (span, dsl.SYNTAX, "expected '{'")
+        assert error == dsl.ParseError(dsl.SourceSpan(2, 5, 1), dsl.SYNTAX, "expected '{'")
+        with pytest.raises(AttributeError):
+            span.line = 3
+
     def test_bad_bit_value(self):
         src = "fsm m\noutputs y\ninitial A\nstate A { y=2 }\ntrans A -> A when 1\n"
         with pytest.raises(dsl.ParseFailure) as exc:

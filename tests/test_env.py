@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import closed_loop_machines, timer_configs
 from fsmkit.env import (
-    BLOCK_TICKS, EnvResult, Metrics, SplitMix64, TrafficModel, arrival_blocks, run_env,
-    run_env_detailed,
+    BLOCK_TICKS, EnvResult, Metrics, SplitMix64, TrafficModel, TrafficTable, arrival_blocks,
+    run_env, run_env_detailed,
 )
 from fsmkit.itlc import bundled_spec
 from fsmkit.sim import Trace, _ClosedLoop, closed_loop_tick
@@ -72,6 +72,37 @@ class TestTabulatedRun:
         detailed = run_env_detailed(spec, cfg, model)
         assert detailed == reference_run_env(spec, cfg, model)
         assert run_env(spec, cfg, model) == detailed.metrics
+
+
+class TestSharedTable:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
+           cfg=timer_configs(),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=4),
+           p=st.floats(0.0, 1.0),
+           horizon=st.integers(1, 300))
+    def test_runs_sharing_a_table_match_fresh_runs(self, spec, cfg, seeds, p, horizon):
+        # Each run's main-green share counts that run's ticks only.
+        table = TrafficTable(spec, cfg)
+        for seed in seeds:
+            model = TrafficModel(p, seed=seed, horizon=horizon)
+            assert run_env(spec, cfg, model, table) == run_env(spec, cfg, model)
+
+    def test_a_filled_table_is_not_refilled(self, itlc_spec, default_cfg):
+        table = TrafficTable(itlc_spec, default_cfg)
+        model = TrafficModel(0.3, seed=5, horizon=2000)
+        run_env(itlc_spec, default_cfg, model, table)
+        filled = sum(cell is not None for cell in table.cells)
+        run_env(itlc_spec, default_cfg, model, table)
+        assert sum(cell is not None for cell in table.cells) == filled
+
+    def test_a_table_of_another_spec_or_config_is_refused(self, itlc_spec, default_cfg):
+        table = TrafficTable(itlc_spec, default_cfg)
+        model = TrafficModel(0.3, horizon=10)
+        with pytest.raises(ValueError, match="another spec or timer config"):
+            run_env(itlc_spec, TimerConfig(4, 20), model, table)
+        with pytest.raises(ValueError, match="another spec or timer config"):
+            run_env(itlc_spec._replace(name="twin"), default_cfg, model, table)
 
 
 class TestBlockEdges:

@@ -1,12 +1,12 @@
 from pathlib import Path
 
-from fsmkit.itlc import (
-    ControllerState, ItlcInputs, LightOutputs, bundled_source, bundled_spec,
-    reference_next, reference_output,
-)
+from fsmkit.itlc import bundled_source, bundled_spec
 from fsmkit.model import moore_output, step_spec, validate
 
 from conftest import all_valuations
+from itlc_reference import (
+    ControllerState, ItlcInputs, LightOutputs, reference_next, reference_output,
+)
 
 S0, S1, S2, S3 = ControllerState
 

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import random
 
@@ -259,3 +260,75 @@ class TestMooreOutput:
         # state alone, so the operation cannot even accept inputs.
         params = list(inspect.signature(moore_output).parameters)
         assert params == ["spec", "state"]
+
+
+def _swap_first_binary(expr):
+    """The guard with its first And or Or, in pre-order, made the other one."""
+    if isinstance(expr, (And, Or)):
+        return (Or if isinstance(expr, And) else And)(expr.left, expr.right)
+    if isinstance(expr, Not):
+        inner = _swap_first_binary(expr.operand)
+        return None if inner is None else Not(inner)
+    return None
+
+
+class TestValueTypes:
+    A, B = Var("a"), Var("b")
+
+    def test_equality_is_type_sensitive(self):
+        assert And(self.A, self.B) != Or(self.A, self.B)
+        assert not And(self.A, self.B) == Or(self.A, self.B)
+        assert Var("x") != ("x",) and ("x",) != Var("x")
+        assert not Var("x") == ("x",)
+        assert Const(1) != Var(1)
+        assert Not(And(self.A, self.B)) != Not(Or(self.A, self.B))
+        assert Transition(Const(1), "A") != (Const(1), "A", frozenset())
+        assert Finding(GAP, "A", None, "m") != (GAP, "A", None, "m")
+
+    @given(guard_exprs())
+    def test_equal_values_hash_equal(self, expr):
+        twin = copy.deepcopy(expr)
+        assert twin == expr and twin is not expr
+        assert hash(twin) == hash(expr)
+        assert not twin != expr
+        swapped = _swap_first_binary(expr)
+        if swapped is not None:
+            assert swapped != expr
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_machines())
+    def test_spec_round_trip_is_equal_and_sees_an_operator_swap(self, spec):
+        from fsmkit import dsl
+
+        assert dsl.parse(dsl.serialize(spec)) == spec
+        s = spec.states[0]
+        guard = _swap_first_binary(s.transitions[0].guard)
+        if guard is not None:
+            changed = s._replace(transitions=(
+                s.transitions[0]._replace(guard=guard), *s.transitions[1:]))
+            assert spec._replace(states=(changed, *spec.states[1:])) != spec
+
+    @pytest.mark.parametrize("value, field", [
+        (Var("x"), "name"), (Not(Var("x")), "operand"), (And(A, B), "left"),
+        (Or(A, B), "right"), (Const(1), "value"), (Transition(Const(1), "A"), "destination"),
+        (StateDef("A"), "transitions"), (Finding(GAP, "A", None, "m"), "message"),
+    ])
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+    def test_spec_fields_cannot_be_assigned(self, itlc_spec):
+        with pytest.raises(AttributeError):
+            itlc_spec.name = "other"
+
+    def test_replace_copies_with_a_changed_field(self, itlc_spec):
+        renamed = itlc_spec._replace(name="other")
+        assert renamed.name == "other" and itlc_spec.name == "itlc"
+        assert renamed != itlc_spec and renamed._replace(name="itlc") == itlc_spec
+
+    def test_default_assignments_are_read_only_and_equal_an_empty_dict(self):
+        first, second = StateDef("A"), StateDef("B")
+        with pytest.raises(TypeError):
+            first.moore_assignments["y"] = 1
+        assert dict(second.moore_assignments) == {}
+        assert StateDef("A") == StateDef("A", {})

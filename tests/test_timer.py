@@ -16,6 +16,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             TimerConfig(short_ticks=short, long_ticks=long)
 
+    def test_rejection_message(self):
+        message = r"^short_ticks must be positive and < long_ticks \(got short=5, long=5\)$"
+        with pytest.raises(ValueError, match=message):
+            TimerConfig(5, 5)
+        with pytest.raises(ValueError, match=message):
+            CFG._replace(short_ticks=5, long_ticks=5)
+
+    def test_is_an_immutable_value(self):
+        assert CFG._replace(long_ticks=20) == TimerConfig(4, 20)
+        assert CFG == TimerConfig() and hash(CFG) == hash(TimerConfig())
+        assert CFG != (4, 16) and (4, 16) != CFG
+        with pytest.raises(AttributeError):
+            CFG.short_ticks = 5
+
 
 class TestOutputs:
     def test_fresh_timer(self):
