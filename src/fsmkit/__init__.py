@@ -21,7 +21,7 @@ _EXPORTS = {
     "timer": ("TimerConfig", "timer_commit", "timer_outputs"),
     "sim": ("SimError", "Stimulus", "StimulusError", "TickRecord", "Trace",
             "explore_reachable", "parse_stimulus", "simulate", "write_vcd"),
-    "env": ("Metrics", "TrafficModel", "run_env", "run_env_detailed"),
+    "env": ("Metrics", "TrafficModel", "run_env"),
     "emit": ("EmitError", "emit_ucf", "emit_verilog", "parse_pin_file"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,6 +1,7 @@
 """Command-line front end: check, simulate, emit, bench.
 
-Exit codes: 0 success, 1 validation/check failure, 2 usage or parse error.
+Exit codes: 0 success, 1 validation/check failure, 2 usage or parse error
+(or a stdout that cannot be written).
 Every subcommand is deterministic given its arguments and input files, and
 writes only to the paths named in its flags (or stdout).  Each one imports
 the modules it runs when it runs, so `check` never loads `sim`, `env` or
@@ -219,11 +220,13 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except BrokenPipeError:
-        # The reader went away.  Point stdout at devnull so that the flush at
-        # interpreter shutdown cannot fail a second time.
+    except OSError as exc:
+        # Writing stdout failed (a closed reader, a full device); every other
+        # OSError is already a _CliError.  Point stdout at devnull so that the
+        # flush at interpreter shutdown cannot fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("cannot write output: standard output was closed", file=sys.stderr)
+        why = "standard output was closed" if isinstance(exc, BrokenPipeError) else exc.strerror
+        print(f"cannot write output: {why}", file=sys.stderr)
         return 2
     except MemoryError:
         print("out of memory: the input asks for more than this process can hold", file=sys.stderr)

@@ -210,10 +210,8 @@ def _parse_atom(p: _LineParser) -> tuple[GuardExpr, int]:
 
 
 class _PendingTrans(NamedTuple):
-    source: str
-    source_tok: _Token
-    destination: str
-    dest_tok: _Token
+    source: _Token
+    destination: _Token
     guard: GuardExpr
     guard_vars: list[_Token]
     pulses: list[_Token]
@@ -229,9 +227,9 @@ def parse(text: str) -> FsmSpec:
     pulses: list[str] = []
     initial: _Token | None = None
     reset: _Token | None = None
-    # state name -> (token, {output name -> bit}), in declaration order
-    states: dict[str, tuple[_Token, dict[str, int]]] = {}
-    state_assign_toks: list[tuple[str, _Token]] = []
+    # state name -> {output name -> bit}, in declaration order
+    states: dict[str, dict[str, int]] = {}
+    output_toks: list[_Token] = []  # the output of every state assignment
     transitions: list[_PendingTrans] = []
     signal_toks: list[_Token] = []
 
@@ -295,10 +293,10 @@ def parse(text: str) -> FsmSpec:
                         p.fail(f"duplicate assignment to '{out_tok.text}'",
                                out_tok, DUPLICATE_NAME)
                     assigns[out_tok.text] = int(bit_tok.text)
-                    state_assign_toks.append((tok.text, out_tok))
+                    output_toks.append(out_tok)
                 p.expect("}")
                 p.expect_end()
-                states[tok.text] = (tok, assigns)
+                states[tok.text] = assigns
             elif head.text == "trans":
                 p.next()
                 src = p.expect_name("source state")
@@ -320,8 +318,7 @@ def parse(text: str) -> FsmSpec:
                         emit_pulses.append(p.expect_name("pulse name"))
                     if not emit_pulses:
                         p.fail("expected pulse name after 'emit'")
-                transitions.append(_PendingTrans(
-                    src.text, src, dst.text, dst, guard, guard_vars, emit_pulses))
+                transitions.append(_PendingTrans(src, dst, guard, guard_vars, emit_pulses))
             else:
                 p.fail(f"unknown directive '{head.text}'", head)
         except _LineAbort:
@@ -343,9 +340,9 @@ def parse(text: str) -> FsmSpec:
                       for tok in toks if tok.text not in known)
 
     known_inputs = set(inputs)
-    undeclared([tok for _state, tok in state_assign_toks], "output", outputs)
+    undeclared(output_toks, "output", outputs)
     for t in transitions:
-        undeclared([t.source_tok, t.dest_tok], "state", states)
+        undeclared([t.source, t.destination], "state", states)
         undeclared(t.guard_vars, "input", known_inputs)
         undeclared(t.pulses, "pulse", pulses)
     if name is not None:
@@ -367,11 +364,11 @@ def parse(text: str) -> FsmSpec:
 
     by_source: dict[str, list[Transition]] = {s: [] for s in states}
     for t in transitions:
-        by_source[t.source].append(Transition(
-            t.guard, t.destination, frozenset(tok.text for tok in t.pulses)))
+        by_source[t.source.text].append(Transition(
+            t.guard, t.destination.text, frozenset(tok.text for tok in t.pulses)))
     state_defs = tuple(
         StateDef(sname, assigns, tuple(by_source[sname]))
-        for sname, (_tok, assigns) in states.items()
+        for sname, assigns in states.items()
     )
     return FsmSpec(
         name=name,

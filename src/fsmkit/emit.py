@@ -22,12 +22,19 @@ ONE_HOT = "onehot"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Enough of the Verilog-2001 reserved words to catch realistic collisions.
+# The 123 reserved words of Verilog-2001 (IEEE 1364-2001, Annex B).
 _VERILOG_KEYWORDS = frozenset("""
-always and assign begin case casex casez default else end endcase endfunction
-endmodule endtask for forever function if initial inout input integer
-localparam module nand negedge nor not or output parameter posedge reg
-repeat task tri wand while wire wor xnor xor
+always and assign automatic begin buf bufif0 bufif1 case casex casez cell cmos config
+deassign default defparam design disable edge else end endcase endconfig endfunction
+endgenerate endmodule endprimitive endspecify endtable endtask event for force forever
+fork function generate genvar highz0 highz1 if ifnone incdir include initial inout input
+instance integer join large liblist library localparam macromodule medium module nand
+negedge nmos nor noshowcancelled not notif0 notif1 or output parameter pmos posedge
+primitive pull0 pull1 pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos real
+realtime reg release repeat rnmos rpmos rtran rtranif0 rtranif1 scalared showcancelled
+signed small specify specparam strong0 strong1 supply0 supply1 table task time tran
+tranif0 tranif1 tri tri0 tri1 triand trior trireg unsigned use vectored wait wand weak0
+weak1 while wire wor xnor xor
 """.split())
 
 

@@ -29,7 +29,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .model import FsmSpec
-from .sim import TickRecord, Trace, _ClosedLoop
+from .sim import TickRecord, _ClosedLoop
 from .timer import TimerConfig
 
 _MASK64 = (1 << 64) - 1
@@ -148,28 +148,6 @@ class Metrics:
         )
 
 
-@dataclass(frozen=True)
-class EnvResult:
-    """run_env_detailed output: metrics, trace and the bookkeeping tests lean on."""
-    metrics: Metrics
-    trace: Trace
-    arrivals: int
-    served_waits: tuple[int, ...]
-    queue_remaining: int
-
-
-def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
-            table: TrafficTable | None = None) -> Metrics:
-    """Metrics of one run against the traffic model; builds no trace.  Runs
-    given one `TrafficTable(spec, cfg)` fill each of its cells once."""
-    return _run(spec, cfg, model, None, table).metrics
-
-
-def run_env_detailed(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel) -> EnvResult:
-    """The same run as `run_env`, with its trace and bookkeeping."""
-    return _run(spec, cfg, model, [])
-
-
 # Event codes of a product-table cell.  The arrival bits equal the symbol's.
 _NORTH, _SOUTH = 2, 1  # a vehicle arrives in that approach's free slot
 _SERVE = 4  # side green with a vehicle waiting; the next busy bits are left 0
@@ -188,7 +166,7 @@ class TrafficTable:
         self.loop = _ClosedLoop(spec, cfg)
         self.initial = spec.initial_state
         self.cells: list[tuple[int, int, TickRecord] | None] = [None] * 16
-        self.hits: list[int] = []  # per run: `_run` sets it
+        self.hits: list[int] = []  # per run: `run_env` sets it
 
     def fill(self, k: int) -> tuple[int, int, TickRecord]:
         loop = self.loop
@@ -207,39 +185,35 @@ class TrafficTable:
         return cell
 
 
-def _run(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
-         records: list[TickRecord] | None, table: TrafficTable | None = None) -> EnvResult:
-    """Per tick: arrivals (north drawn before south), sensor read, the kernel
-    tick, then side-green service, which cannot change c.  Deterministic for
-    fixed (seed, model, cfg); each tick's record goes to `records` if given."""
+def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
+            table: TrafficTable | None = None) -> Metrics:
+    """Metrics of one run against the traffic model; builds no trace.  Per
+    tick: arrivals (north drawn before south), sensor read, the kernel tick,
+    then side-green service, which cannot change c.  Deterministic for fixed
+    (seed, model, cfg).  Runs given one `TrafficTable(spec, cfg)` fill each of
+    its cells once."""
     if table is None:
         table = TrafficTable(spec, cfg)
     elif table.loop.spec is not spec or table.loop.cfg != cfg:
         raise ValueError("the traffic table was built for another spec or timer config")
     cells, fill = table.cells, table.fill
     hits = table.hits = [0] * len(cells)  # this run's ticks only; `fill` extends it
-    keep = records is not None
     horizon, rate = model.horizon, model.service_rate
     at = 0  # 4 * product state
     north: int | None = None  # arrival tick of the vehicle in each slot
     south: int | None = None
-    waits: list[int] = []  # kept only with `records`
-    arrivals = served = total = worst = cycles = 0
+    served = total = worst = cycles = 0
 
     symbols = chain.from_iterable(arrival_blocks(model.seed, model.arrival_prob, horizon))
     for tick, symbol in enumerate(symbols):
         k = at + symbol
-        at, event, record = cells[k] or fill(k)
+        at, event, _ = cells[k] or fill(k)
         hits[k] += 1
-        if keep:
-            records.append(record)
         if event:
             if event & _NORTH:
                 north = tick
-                arrivals += 1
             if event & _SOUTH:
                 south = tick
-                arrivals += 1
             if event & _SERVE:
                 for _ in range(rate):
                     # Oldest arrival first; north wins ties by draw order.
@@ -250,19 +224,15 @@ def _run(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
                     else:
                         break
                     served, total, worst = served + 1, total + wait, max(worst, wait)
-                    if keep:
-                        waits.append(wait)
                 at += (8 if north is not None else 0) + (4 if south is not None else 0)
             if event & _CYCLE:
                 cycles += 1
 
     green_main = sum(n for cell, n in zip(cells, hits) if n and cell[2].moore.get("mg"))
-    metrics = Metrics(
+    return Metrics(
         mean_side_wait=(total / served) if served else 0.0,
         max_side_wait=worst,
         main_green_share=green_main / horizon,
         side_vehicles_served=served,
         cycles_completed=cycles,
     )
-    return EnvResult(metrics, Trace(spec, tuple(records or ())), arrivals, tuple(waits),
-                     (north is not None) + (south is not None))

@@ -12,7 +12,7 @@ Per-tick order, fixed and relied on by every downstream consumer:
   5. commit: state := next, timer advances (restarting on st).
 `closed_loop_tick` is the one implementation of steps 2-5, evaluated once per
 reached (configuration, input) cell of a `_ClosedLoop` table; `simulate`,
-`explore_reachable` and `env.run_env[_detailed]` supply step 1 and read it.
+`explore_reachable` and `env.run_env` supply step 1 and read it.
 A `Stimulus` holds step 1 as (c, reset, n) runs, one per `.stim` line, so it
 grows with the text, not the horizon; `simulate` walks each run n times.
 A record's tick is its index in `Trace.records`: every tick that hits a cell
@@ -225,10 +225,10 @@ def write_vcd(trace: Trace) -> str:
     """
     if not trace.records:
         raise SimError("cannot write VCD for an empty trace")
-    spec, first = trace.spec, trace.records[0]
+    spec = trace.spec
     # Declaration order: inputs in spec order, then pulses, then Moore
     # outputs, then the state vector.  Identifier codes follow that order.
-    signals = [*first.inputs, *spec.pulse_outputs, *first.moore]
+    signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
     ids = {name: _vcd_id(i) for i, name in enumerate(signals)}
     state_id = _vcd_id(len(signals))
 

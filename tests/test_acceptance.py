@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from fsmkit import dsl
 from fsmkit.emit import emit_ucf, emit_verilog
-from fsmkit.env import TrafficModel, run_env, run_env_detailed
+from fsmkit.env import TrafficModel, run_env
 from fsmkit.itlc import DEFAULT_PIN_ROWS, bundled_spec, bundled_stimulus_source
 from fsmkit.model import moore_output, step_spec, validate
 from fsmkit.sim import explore_reachable, parse_stimulus, simulate, write_vcd
@@ -108,7 +108,7 @@ def test_determinism_and_golden_files():
     assert simulate(spec, CFG, stim) == trace
 
     model = TrafficModel(0.2, seed=5, horizon=2000)
-    assert run_env_detailed(spec, CFG, model) == run_env_detailed(spec, CFG, model)
+    assert run_env(spec, CFG, model) == run_env(spec, CFG, model)
 
     vcd = write_vcd(trace)
     assert write_vcd(trace) == vcd

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import os
@@ -225,6 +226,13 @@ class TestEmit:
         if code:
             assert capsys.readouterr().err.count("\n") == 1
 
+    def test_a_state_named_wait_exits_2(self, tmp_path, capsys):
+        fsm = write(tmp_path, "wait.fsm", GAP_SPEC.replace("A", "wait").replace("when a", "when 1"))
+        assert main(["emit", fsm]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "names unusable as HDL identifiers: wait\n"
+
     def test_custom_pin_file(self, tmp_path, capsys):
         pins = tmp_path / "pins.txt"
         pins.write_text("c N17 input\n")
@@ -399,6 +407,20 @@ class TestInputOutputErrors:
         assert proc.returncode == 2
         assert "Traceback" not in stderr and "Exception ignored" not in stderr
         assert stderr == "cannot write output: standard output was closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("command", ["check", "simulate", "emit", "bench"])
+    def test_full_stdout_exits_2_with_one_line(self, gap_fsm, command):
+        argv = {"check": ["check", gap_fsm],  # a spec with findings, so check writes
+                "simulate": ["simulate", ITLC, STIM],
+                "emit": ["emit", ITLC],
+                "bench": ["bench", ITLC, "--arrival", "0.1"]}[command]
+        with open("/dev/full", "w") as full:  # every write fails with ENOSPC
+            result = subprocess.run([sys.executable, "-m", "fsmkit.cli", *argv], stdout=full,
+                                    stderr=subprocess.PIPE, text=True, timeout=60,
+                                    env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert result.returncode == 2
+        assert result.stderr == f"cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
         # A trace of 10^11 ticks cannot be held; a 256 MB address-space limit on

@@ -142,6 +142,16 @@ class TestEmitVerilog:
         with pytest.raises(EmitError, match="wire"):
             emit_verilog(spec)
 
+    @pytest.mark.parametrize("word", [
+        "wait", "event", "time", "real", "fork", "join", "table", "force", "release", "disable",
+        "signed", "generate", "genvar", "buf", "small", "medium", "large", "config", "design",
+        "cell", "use", "edge"])
+    def test_a_verilog_2001_reserved_word_is_no_state_name(self, word):
+        spec = dsl.parse(f"fsm m\ninitial {word}\nstate {word} {{ }}\n"
+                         f"trans {word} -> {word} when 1\n")
+        with pytest.raises(EmitError, match=f"^names unusable as HDL identifiers: {word}$"):
+            emit_verilog(spec)
+
     def test_reserved_generated_name_collision(self):
         spec = FsmSpec(
             name="m", inputs=("state",), moore_outputs=(), pulse_outputs=(),

@@ -1,15 +1,15 @@
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import closed_loop_machines, timer_configs
 from fsmkit.env import (
-    BLOCK_TICKS, EnvResult, Metrics, SplitMix64, TrafficModel, TrafficTable, arrival_blocks,
-    run_env, run_env_detailed,
+    BLOCK_TICKS, Metrics, SplitMix64, TrafficModel, TrafficTable, arrival_blocks, run_env,
 )
 from fsmkit.itlc import bundled_spec
-from fsmkit.sim import Trace, _ClosedLoop, closed_loop_tick
+from fsmkit.sim import _ClosedLoop, closed_loop_tick
 from fsmkit.timer import TimerConfig
 
 # Frozen analytic worst-case wait for cfg {short, long}: a vehicle can at
@@ -19,6 +19,14 @@ from fsmkit.timer import TimerConfig
 # for {4, 16}; the closed form below dominates every observed trace.
 def worst_case_wait_bound(cfg: TimerConfig) -> int:
     return 2 * cfg.long_ticks + 2 * cfg.short_ticks + 4
+
+
+class ReferenceRun(NamedTuple):
+    metrics: Metrics
+    records: tuple  # one kernel record per tick
+    arrivals: int
+    waits: tuple[int, ...]  # in departure order
+    queue_remaining: int
 
 
 def reference_run_env(spec, cfg, model):
@@ -56,7 +64,7 @@ def reference_run_env(spec, cfg, model):
         main_green_share=green_main / model.horizon,
         side_vehicles_served=len(waits),
         cycles_completed=cycles)
-    return EnvResult(metrics, Trace(spec, tuple(records)), arrivals, tuple(waits), 2 - slots.count(None))
+    return ReferenceRun(metrics, tuple(records), arrivals, tuple(waits), 2 - slots.count(None))
 
 
 class TestTabulatedRun:
@@ -69,9 +77,38 @@ class TestTabulatedRun:
            horizon=st.integers(1, 400))
     def test_matches_the_untabulated_kernel(self, spec, cfg, seed, p, service_rate, horizon):
         model = TrafficModel(p, seed=seed, horizon=horizon, service_rate=service_rate)
-        detailed = run_env_detailed(spec, cfg, model)
-        assert detailed == reference_run_env(spec, cfg, model)
-        assert run_env(spec, cfg, model) == detailed.metrics
+        assert run_env(spec, cfg, model) == reference_run_env(spec, cfg, model).metrics
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
+           cfg=timer_configs(),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+           p=st.floats(0.0, 1.0),
+           horizon=st.integers(1, 300))
+    def test_every_filled_cell_is_the_kernel_plus_the_slot_rules(self, spec, cfg, seeds, p,
+                                                                 horizon):
+        table = TrafficTable(spec, cfg)
+        for seed in seeds:
+            run_env(spec, cfg, TrafficModel(p, seed=seed, horizon=horizon), table)
+        configs = table.loop.configs
+        filled = [(k, cell) for k, cell in enumerate(table.cells) if cell is not None]
+        assert filled
+        for k, (nxt, event, record) in filled:
+            (state, count), busy, symbol = configs[k >> 4], k >> 2 & 3, k & 3
+            # A vehicle is registered only in a free slot; c is the OR of the slots.
+            north = not busy & 2 and bool(symbol & 2)
+            south = not busy & 1 and bool(symbol & 1)
+            busy |= symbol
+            kernel, next_state, next_count = closed_loop_tick(
+                spec, cfg, state, count, 1 if busy else 0, 0)
+            assert record == kernel, k
+            # A side-green tick with a vehicle waiting serves: the cell leaves
+            # both busy bits 0 and `run_env` sets those of vehicles still waiting.
+            serve = bool(busy) and bool(kernel.moore.get("sg"))
+            cycle = state != spec.initial_state and next_state == spec.initial_state
+            assert event == 2 * north + south + 4 * serve + 8 * cycle, k
+            j = table.loop.ids[(next_state, next_count)]
+            assert nxt == 16 * j + (0 if serve else 4 * busy), k
 
 
 class TestSharedTable:
@@ -86,7 +123,7 @@ class TestSharedTable:
         table = TrafficTable(spec, cfg)
         for seed in seeds:
             model = TrafficModel(p, seed=seed, horizon=horizon)
-            assert run_env(spec, cfg, model, table) == run_env(spec, cfg, model)
+            assert run_env(spec, cfg, model, table) == reference_run_env(spec, cfg, model).metrics
 
     def test_a_filled_table_is_not_refilled(self, itlc_spec, default_cfg):
         table = TrafficTable(itlc_spec, default_cfg)
@@ -116,9 +153,8 @@ class TestBlockEdges:
     def test_matches_the_untabulated_kernel(self, itlc_spec, default_cfg, horizon, p, seed,
                                             service_rate):
         model = TrafficModel(p, seed=seed, horizon=horizon, service_rate=service_rate)
-        detailed = run_env_detailed(itlc_spec, default_cfg, model)
-        assert detailed == reference_run_env(itlc_spec, default_cfg, model)
-        assert run_env(itlc_spec, default_cfg, model) == detailed.metrics
+        assert run_env(itlc_spec, default_cfg, model) == \
+            reference_run_env(itlc_spec, default_cfg, model).metrics
 
     @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0 ** -53, 0.1, 0.5, 1 - 2.0 ** -53, 1.0])
     @pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
@@ -211,12 +247,14 @@ class TestSplitMix64:
 
 class TestRunEnv:
     def test_no_side_traffic_keeps_main_green(self, itlc_spec, default_cfg):
-        r = run_env_detailed(
-            itlc_spec, default_cfg, TrafficModel(0.0, seed=1, horizon=2000))
-        assert r.metrics.main_green_share == 1.0
-        assert r.metrics.side_vehicles_served == 0
-        assert r.metrics.cycles_completed == 0
-        assert all(rec.state == "S0" for rec in r.trace.records)
+        model = TrafficModel(0.0, seed=1, horizon=2000)
+        metrics = run_env(itlc_spec, default_cfg, model)
+        assert metrics.main_green_share == 1.0
+        assert metrics.side_vehicles_served == 0
+        assert metrics.cycles_completed == 0
+        r = reference_run_env(itlc_spec, default_cfg, model)
+        assert r.metrics == metrics
+        assert all(rec.state == "S0" for rec in r.records)
 
     def test_saturated_arrivals_bounded_wait(self, itlc_spec, default_cfg):
         bound = worst_case_wait_bound(default_cfg)
@@ -229,21 +267,19 @@ class TestRunEnv:
 
     def test_determinism_for_fixed_seed(self, itlc_spec, default_cfg):
         model = TrafficModel(0.3, seed=42, horizon=1500)
-        a = run_env_detailed(itlc_spec, default_cfg, model)
-        b = run_env_detailed(itlc_spec, default_cfg, model)
-        assert a == b
+        assert run_env(itlc_spec, default_cfg, model) == run_env(itlc_spec, default_cfg, model)
 
     def test_conservation(self, itlc_spec, default_cfg):
-        r = run_env_detailed(
+        r = reference_run_env(
             itlc_spec, default_cfg, TrafficModel(0.25, seed=7, horizon=3000))
-        assert r.arrivals == len(r.served_waits) + r.queue_remaining
+        assert r.arrivals == len(r.waits) + r.queue_remaining
 
     def test_no_service_on_red(self, itlc_spec, default_cfg):
-        r = run_env_detailed(
+        r = reference_run_env(
             itlc_spec, default_cfg, TrafficModel(0.4, seed=11, horizon=3000))
         # Arrivals only fill slots, so the sensor can fall from 1 to 0 only
         # through a departure, and departures happen only on side-green ticks.
-        recs = r.trace.records
+        recs = r.records
         falls = [(tick, a) for tick, (a, b) in enumerate(zip(recs, recs[1:]))
                  if a.inputs["c"] == 1 and b.inputs["c"] == 0]
         assert falls  # the witness is not vacuous
@@ -255,11 +291,11 @@ class TestRunEnv:
         # draws (north before south, an arrival only into a free slot) and
         # from departures on side-green ticks (oldest first, north on ties).
         model = TrafficModel(0.4, seed=13, horizon=2000)
-        r = run_env_detailed(itlc_spec, default_cfg, model)
+        r = reference_run_env(itlc_spec, default_cfg, model)
         rng = SplitMix64(model.seed)
         slots = [None, None]
         seen = set()
-        for tick, rec in enumerate(r.trace.records):
+        for tick, rec in enumerate(r.records):
             for i in (0, 1):
                 if rng.bernoulli(model.arrival_prob) and slots[i] is None:
                     slots[i] = tick
@@ -280,10 +316,10 @@ class TestRunEnv:
         assert jammed.main_green_share < idle.main_green_share
 
     def test_waits_are_measured_to_departure(self, itlc_spec, default_cfg):
-        r = run_env_detailed(
+        r = reference_run_env(
             itlc_spec, default_cfg, TrafficModel(1.0, seed=0, horizon=500))
-        assert all(w >= 0 for w in r.served_waits)
-        assert max(r.served_waits) > 0
+        assert all(w >= 0 for w in r.waits)
+        assert max(r.waits) > 0
 
 
 class TestMetricsSerialization:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import closed_loop_machines, timer_configs
 from fsmkit import dsl, sim
 from fsmkit.cli import main
-from fsmkit.env import TrafficModel, run_env, run_env_detailed
+from fsmkit.env import TrafficModel, run_env
 from fsmkit.itlc import bundled_spec, bundled_stimulus_source
 from fsmkit.model import (
     ContractViolation, FsmSpec, Not, StateDef, StructuralError, Transition, Var,
@@ -243,8 +243,7 @@ class TestClosedLoopTable:
         runs = [
             lambda: simulate(itlc_spec, default_cfg, stim_of("0110" * 1000)),
             lambda: run_env(itlc_spec, default_cfg, TrafficModel(0.2, seed=3, horizon=4000)),
-            lambda: run_env_detailed(itlc_spec, default_cfg,
-                                     TrafficModel(0.5, seed=4, horizon=4000)),
+            lambda: run_env(itlc_spec, default_cfg, TrafficModel(0.5, seed=4, horizon=4000)),
         ]
         for run in runs:
             kernel_calls[0] = 0
@@ -253,26 +252,17 @@ class TestClosedLoopTable:
             assert kernel_calls[0] == filled <= 4 * 44
 
     def test_no_record_is_built_per_tick(self, itlc_spec, default_cfg, tables):
-        traces = [
-            simulate(itlc_spec, default_cfg, stim_of(("0011101" * 286)[:2000])),
-            run_env_detailed(itlc_spec, default_cfg,
-                             TrafficModel(0.3, seed=5, horizon=2000)).trace,
-        ]
-        for trace, table in zip(traces, tables):
-            filled = sum(cell is not None for cell in table.cells)
-            assert len(trace.records) == 2000
-            assert len({id(r) for r in trace.records}) <= filled
+        trace = simulate(itlc_spec, default_cfg, stim_of(("0011101" * 286)[:2000]))
+        filled = sum(cell is not None for cell in tables[0].cells)
+        assert len(trace.records) == 2000
+        assert len({id(r) for r in trace.records}) <= filled
 
     @settings(max_examples=100, deadline=None)
     @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
-           cfg=timer_configs(), stim=stimuli, seed=st.integers(0, 2**64 - 1),
-           p=st.floats(0.0, 1.0))
-    def test_shared_records_render_like_distinct_ones(self, spec, cfg, stim, seed, p,
-                                                      tmp_path_factory):
+           cfg=timer_configs(), stim=stimuli)
+    def test_shared_records_render_like_distinct_ones(self, spec, cfg, stim, tmp_path_factory):
         trace = simulate(spec, cfg, stim)
         assert write_vcd(trace) == write_vcd(with_distinct_records(trace))
-        env_trace = run_env_detailed(spec, cfg, TrafficModel(p, seed=seed, horizon=stim.horizon)).trace
-        assert write_vcd(env_trace) == write_vcd(with_distinct_records(env_trace))
         # The CLI log against a per-tick formatter over the untabulated run.
         d = tmp_path_factory.mktemp("log")
         (d / "m.fsm").write_text(dsl.serialize(spec))
@@ -420,6 +410,13 @@ class TestWriteVcd:
         assert "$var wire 2" in vcd and " state $end" in vcd
         assert "$timescale 1 ns $end" in vcd
         assert "$scope module itlc $end" in vcd
+
+    def test_inputs_are_declared_in_spec_order(self, itlc_spec, default_cfg):
+        spec = itlc_spec._replace(inputs=("tl", "ts", "c", "reset"))
+        vcd = write_vcd(simulate(spec, default_cfg, constant_stim(40, c=1)))
+        declared = [l.split()[4] for l in vcd.splitlines() if l.startswith("$var")]
+        assert declared == ["tl", "ts", "c", "reset", "st", "mg", "my", "mr", "sg", "sy", "sr",
+                            "state"]
 
 
 class TestScenarioOrdering:
