@@ -95,21 +95,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _timer_config(args)
     try:
         stim = sim.parse_stimulus(_read_text(args.stim, "stimulus"))
-        trace = sim.simulate(spec, cfg, stim)
+        loop = sim._ClosedLoop(spec, cfg)
+        keys = loop.walk(stim.runs)  # the table cell of every tick
     except sim.SimError as exc:
         raise _CliError(2, str(exc)) from exc
-    bodies: dict[int, str] = {}  # by record id: records of one table cell are one object
-    log_lines = []
-    for tick, r in enumerate(trace.records):
-        if id(r) not in bodies:
-            lights = "".join(str(r.moore.get(name, 0)) for name in LIGHT_ORDER)
-            bodies[id(r)] = (f"{r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
-                             f"tl={r.inputs['tl']} st={r.st} {lights}")
-        log_lines.append(f"{tick} {bodies[id(r)]}")
-    _write_text(args.log, "\n".join(log_lines) + "\n", "log")
+    records = {k: cell[1] for k, cell in enumerate(loop.cells) if cell}
+    _write_text(args.log, _log_text(records, keys), "log")
     if args.vcd:
-        _write_text(args.vcd, sim.write_vcd(trace), "VCD")
+        _write_text(args.vcd, sim.render_vcd(spec, records, keys), "VCD")
     return 0
+
+
+def _log_text(records: dict, keys: list[int]) -> str:
+    """`simulate`'s log: tick t is `records[keys[t]]`, formatted once per key.
+    Its per-tick list is freed on return, before the VCD is rendered."""
+    bodies = {}  # a key's line, less its tick number
+    for k, r in records.items():
+        lights = "".join(str(r.moore.get(name, 0)) for name in LIGHT_ORDER)
+        bodies[k] = (f" {r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
+                     f"tl={r.inputs['tl']} st={r.st} {lights}\n")
+    log = [""] * (2 * len(keys))
+    log[::2] = map(str, range(len(keys)))
+    log[1::2] = map(bodies.__getitem__, keys)
+    return "".join(log)
 
 
 def cmd_emit(args: argparse.Namespace) -> int:

@@ -23,12 +23,11 @@ only on event ticks; every other tick is one lookup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .model import FsmSpec
+from .model import FsmSpec, value_type
 from .sim import TickRecord, _ClosedLoop
 from .timer import TimerConfig
 
@@ -94,24 +93,30 @@ def arrival_blocks(seed: int, p: float, horizon: int) -> Iterator[bytes]:
         yield pairs[6:32 * (horizon - first):32].translate(_SYMBOL)
 
 
-@dataclass(frozen=True)
-class TrafficModel:
+class _TrafficFields(NamedTuple):
     arrival_prob: float
-    seed: int = 0
-    horizon: int = 1000
-    service_rate: int = 1  # vehicles departing per side-road green tick
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.arrival_prob <= 1.0:
-            raise ValueError(f"arrival_prob must be in [0, 1], got {self.arrival_prob}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.service_rate < 1:
-            raise ValueError(f"service_rate must be >= 1, got {self.service_rate}")
+    seed: int
+    horizon: int
+    service_rate: int  # vehicles departing per side-road green tick
 
 
-@dataclass(frozen=True)
-class Metrics:
+@value_type
+class TrafficModel(_TrafficFields):
+    __slots__ = ()
+
+    def __new__(cls, arrival_prob: float, seed: int = 0, horizon: int = 1000,
+                service_rate: int = 1) -> TrafficModel:
+        if not 0.0 <= arrival_prob <= 1.0:
+            raise ValueError(f"arrival_prob must be in [0, 1], got {arrival_prob}")
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if service_rate < 1:
+            raise ValueError(f"service_rate must be >= 1, got {service_rate}")
+        return super().__new__(cls, arrival_prob, seed, horizon, service_rate)
+
+
+@value_type
+class Metrics(NamedTuple):
     mean_side_wait: float
     max_side_wait: int
     main_green_share: float
@@ -120,12 +125,9 @@ class Metrics:
 
     def as_record(self, prefix: str = "") -> str:
         """Single-line record: space-separated key=value in field order."""
-        body = " ".join(f"{f.name}={self._fmt(f.name)}" for f in fields(self))
+        body = " ".join(f"{name}={value:.3f}" if isinstance(value, float) else f"{name}={value}"
+                        for name, value in zip(self._fields, self))
         return f"{prefix}{body}"
-
-    def _fmt(self, key: str) -> str:
-        value = getattr(self, key)
-        return f"{value:.3f}" if isinstance(value, float) else str(value)
 
     @classmethod
     def aggregate(cls, runs: Iterable[Metrics]) -> Metrics:

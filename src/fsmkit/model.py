@@ -40,8 +40,12 @@ def _same_type_ne(self, other: object) -> bool:
 def value_type(cls):
     """Class decorator for a NamedTuple: equal only to a value of the same type,
     since a plain tuple compares by its items alone (`And(a, b) == Or(a, b)`
-    would hold), and hashed as its tuple, so equal values hash equal."""
+    would hold), and hashed as its tuple, so equal values hash equal.  A class
+    that validates in its own `__new__` (over a NamedTuple base) also validates
+    what `_replace` builds, which goes through `_make`."""
     cls.__eq__, cls.__ne__, cls.__hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+    if "__new__" in vars(cls):
+        cls._make = classmethod(lambda cls, iterable: cls(*iterable))
     return cls
 
 

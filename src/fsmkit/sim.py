@@ -14,18 +14,21 @@ Per-tick order, fixed and relied on by every downstream consumer:
 reached (configuration, input) cell of a `_ClosedLoop` table; `simulate`,
 `explore_reachable` and `env.run_env` supply step 1 and read it.
 A `Stimulus` holds step 1 as (c, reset, n) runs, one per `.stim` line, so it
-grows with the text, not the horizon; `simulate` walks each run n times.
-A record's tick is its index in `Trace.records`: every tick that hits a cell
-appends the cell's one read-only record, so output renders once per cell.
+grows with the text, not the horizon; `_ClosedLoop.walk` steps each run n
+times and returns the cell key of every tick.  A record's tick is its index
+in `Trace.records`: every tick that hits a cell gets the cell's one read-only
+record, so output renders once per cell, and the VCD once per change of
+what it shows.
 Moore outputs are registered, so a transition's new lights appear one tick
 after its guard fires.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from itertools import compress, islice
+from operator import ne
+from typing import Hashable, Mapping, NamedTuple
 
-from .model import Bit, FsmSpec, moore_output, step_spec
+from .model import Bit, FsmSpec, moore_output, step_spec, value_type
 from .timer import TimerConfig, timer_commit, timer_outputs
 
 CLOSED_LOOP_INPUTS = frozenset({"reset", "c", "ts", "tl"})
@@ -40,27 +43,32 @@ class StimulusError(SimError):
     """Malformed stimulus text; message carries the line number."""
 
 
-@dataclass(frozen=True)
-class Stimulus:
-    """External inputs as runs: each (c, reset, n) holds for n ticks."""
+class _Runs(NamedTuple):
     runs: tuple[tuple[Bit, Bit, int], ...]
 
-    def __post_init__(self) -> None:
-        if not self.runs:
+
+@value_type
+class Stimulus(_Runs):
+    """External inputs as runs: each (c, reset, n) holds for n ticks."""
+    __slots__ = ()
+
+    def __new__(cls, runs: tuple[tuple[Bit, Bit, int], ...]) -> Stimulus:
+        if not runs:
             raise SimError("stimulus must cover at least one tick")
-        for c, reset, n in self.runs:
+        for c, reset, n in runs:
             if c not in (0, 1) or reset not in (0, 1):
                 raise SimError(f"c and reset must be 0 or 1, got c={c!r} reset={reset!r}")
             if not isinstance(n, int) or n < 1:
                 raise SimError(f"a run must last an int number of ticks >= 1, got {n!r}")
+        return super().__new__(cls, runs)
 
     @property
     def horizon(self) -> int:
         return sum(n for _, _, n in self.runs)
 
 
-@dataclass(frozen=True)
-class TickRecord:
+@value_type
+class TickRecord(NamedTuple):
     """One clock of a run; its tick is its index in `Trace.records`."""
     state: str
     inputs: Mapping[str, Bit]
@@ -73,8 +81,8 @@ class TickRecord:
         return 1 if START_PULSE in self.pulses else 0
 
 
-@dataclass(frozen=True)
-class Trace:
+@value_type
+class Trace(NamedTuple):
     """A run's records; its spec names the module, the pulses and the states."""
     spec: FsmSpec
     records: tuple[TickRecord, ...]
@@ -170,21 +178,28 @@ class _ClosedLoop:
         cell = self.cells[k] = (self.ids[config], record)
         return cell
 
+    def walk(self, runs: tuple[tuple[Bit, Bit, int], ...]) -> list[int]:
+        """The cell key of every tick of the runs, from the initial configuration."""
+        cells, fill = self.cells, self.fill
+        keys: list[int] = []
+        append = keys.append
+        i = 0
+        for c, reset, n in runs:
+            x = 2 * c + reset
+            for _ in range(n):
+                k = 4 * i + x
+                append(k)
+                i = (cells[k] or fill(k))[0]
+        return keys
+
 
 def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
     """Closed-loop run over the stimulus horizon.  Pure: identical arguments
     give identical traces."""
     loop = _ClosedLoop(spec, cfg)
-    cells, fill = loop.cells, loop.fill
-    i = 0
-    records: list[TickRecord] = []
-    for c, reset, n in stim.runs:
-        x = 2 * c + reset
-        for _ in range(n):
-            k = 4 * i + x
-            i, record = cells[k] or fill(k)
-            records.append(record)
-    return Trace(spec, tuple(records))
+    keys = loop.walk(stim.runs)
+    records = [cell and cell[1] for cell in loop.cells]
+    return Trace(spec, tuple(map(records.__getitem__, keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +240,20 @@ def write_vcd(trace: Trace) -> str:
     """
     if not trace.records:
         raise SimError("cannot write VCD for an empty trace")
-    spec = trace.spec
+    # Records of one table cell are one object.  Every keyed record lives in
+    # `trace.records` until we return, so its id cannot be reused for another.
+    keys = list(map(id, trace.records))
+    return render_vcd(trace.spec, dict(zip(keys, trace.records)), keys)
+
+
+def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
+               keys: list[Hashable]) -> str:
+    """`write_vcd` of the run whose tick t has the record `records[keys[t]]`.
+
+    Each record maps to its visible class: its state and the value of every
+    declared signal.  A tick writes a `#t` block exactly when its class
+    differs from the previous tick's, and each (class, class) block is
+    printed once, so the per-tick work runs at C speed."""
     # Declaration order: inputs in spec order, then pulses, then Moore
     # outputs, then the state vector.  Identifier codes follow that order.
     signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
@@ -245,31 +273,28 @@ def write_vcd(trace: Trace) -> str:
     out.append("$upscope $end")
     out.append("$enddefinitions $end")
 
-    def values(record: TickRecord) -> dict[str, int]:
-        vals = dict(record.inputs)
-        for p in spec.pulse_outputs:
-            vals[p] = 1 if p in record.pulses else 0
-        vals.update(record.moore)
-        return vals
+    def visible(r: TickRecord) -> tuple:
+        vals = {**r.inputs, **{p: 1 if p in r.pulses else 0 for p in spec.pulse_outputs},
+                **r.moore}
+        return (r.state, *[vals[name] for name in signals])
 
-    def changes(prev: TickRecord | None, record: TickRecord) -> str:
-        old, new = values(prev) if prev else {}, values(record)
-        lines = [f"{new[name]}{ids[name]}" for name in signals if old.get(name) != new[name]]
-        if prev is None or record.state != prev.state:
-            lines.append(f"b{state_index[record.state]:0{width}b} {state_id}")
+    classes: dict[tuple, int] = {}  # visible class -> code, in first-seen order
+    code_of = {key: classes.setdefault(visible(r), len(classes)) for key, r in records.items()}
+    visible_of = list(classes)
+
+    def changes(old: tuple, new: tuple) -> str:
+        lines = [f"{value}{ids[name]}"
+                 for name, was, value in zip(signals, old[1:], new[1:]) if was != value]
+        if old[0] != new[0]:
+            lines.append(f"b{state_index[new[0]]:0{width}b} {state_id}")
         return "\n".join(lines)
 
-    records = trace.records
-    out += ["#0", "$dumpvars", changes(None, records[0]), "$end"]
-    # Records of one table cell are one object, so (previous, current) pairs
-    # repeat.  Every keyed record lives in `records` until we return, so its
-    # id cannot be reused for another record.
-    cache: dict[tuple[int, int], str] = {}
-    for tick, (prev, record) in enumerate(zip(records, records[1:]), 1):
-        key = (id(prev), id(record))
-        block = cache.get(key)
-        if block is None:
-            block = cache[key] = changes(prev, record)
-        if block:
-            out.append(f"#{tick}\n{block}")
+    codes = list(map(code_of.__getitem__, keys))
+    # Nothing is shown before #0, so it dumps every signal and the state.
+    out += ["#0", "$dumpvars", changes((None,) * (len(signals) + 1), visible_of[codes[0]]), "$end"]
+    ticks = list(compress(range(1, len(codes)), map(ne, islice(codes, 1, None), codes)))
+    new = list(map(codes.__getitem__, ticks))
+    pairs = list(zip([codes[0], *new], new))  # between changes the class holds
+    blocks = {pair: changes(visible_of[pair[0]], visible_of[pair[1]]) for pair in set(pairs)}
+    out += map("#{}\n{}".format, ticks, map(blocks.__getitem__, pairs))
     return "\n".join(out) + "\n"

@@ -35,10 +35,6 @@ class TimerConfig(_Ticks):
                 f"(got short={short_ticks}, long={long_ticks})")
         return super().__new__(cls, short_ticks, long_ticks)
 
-    @classmethod
-    def _make(cls, iterable) -> TimerConfig:  # `_replace` builds through here
-        return cls(*iterable)
-
 
 def timer_outputs(cfg: TimerConfig, count: int) -> tuple[int, int]:
     """Level outputs (ts, tl) for the current count; tl=1 implies ts=1."""

@@ -153,6 +153,18 @@ class TestSimulate:
         assert first == second
         assert first[0] == (REPO / "golden" / "itlc_scenario.vcd").read_bytes()
 
+    def test_a_benchmark_stimulus_renders_like_the_reference(self, tmp_path, perfbench_inputs):
+        # 50,000 ticks with c toggling and resets: the reference model steps
+        # and formats every tick itself.
+        text = perfbench_inputs.make_stimulus(601, 50_000)
+        stim = write(tmp_path, "w.stim", text)
+        assert "reset=1" in text and "reset=0" in text
+        assert main(["simulate", ITLC, stim, "--vcd", str(tmp_path / "w.vcd"),
+                     "--log", str(tmp_path / "w.log")]) == 0
+        log, vcd = perfbench_inputs.itlc_reference(text)
+        assert (tmp_path / "w.log").read_text() == log
+        assert (tmp_path / "w.vcd").read_text() == vcd
+
     def test_bad_timer_config(self, capsys):
         assert main(["simulate", ITLC, STIM, "--short", "16", "--long", "4"]) == 2
         assert "short" in capsys.readouterr().err

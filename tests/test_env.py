@@ -231,6 +231,29 @@ class TestTrafficModel:
         with pytest.raises(ValueError):
             TrafficModel(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"arrival_prob": -0.1}, "arrival_prob must be in [0, 1], got -0.1"),
+        ({"arrival_prob": 1.5}, "arrival_prob must be in [0, 1], got 1.5"),
+        ({"horizon": 0}, "horizon must be >= 1, got 0"),
+        ({"service_rate": -2}, "service_rate must be >= 1, got -2"),
+    ])
+    def test_rejection_messages_also_through_replace(self, kwargs, message):
+        good = TrafficModel(0.5, seed=3, horizon=10)
+        for build in (lambda: TrafficModel(**{**good._asdict(), **kwargs}),
+                      lambda: good._replace(**kwargs)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_is_an_immutable_value(self):
+        model = TrafficModel(0.25, seed=4)
+        assert (model.horizon, model.service_rate) == (1000, 1)
+        assert model._replace(seed=5) == TrafficModel(0.25, seed=5)
+        assert model == TrafficModel(0.25, 4, 1000, 1) and hash(model) == hash((0.25, 4, 1000, 1))
+        assert model != (0.25, 4, 1000, 1) and (0.25, 4, 1000, 1) != model
+        with pytest.raises(AttributeError):
+            model.seed = 5
+
 
 class TestSplitMix64:
     def test_known_sequence(self):
@@ -326,6 +349,14 @@ class TestMetricsSerialization:
     METRICS = Metrics(
         mean_side_wait=12.5, max_side_wait=27, main_green_share=0.6,
         side_vehicles_served=42, cycles_completed=7)
+
+    def test_is_an_immutable_value(self):
+        m = self.METRICS
+        assert m._replace(max_side_wait=30).as_record() == m.as_record().replace("=27", "=30")
+        assert m == Metrics(*m) and hash(m) == hash(tuple(m))
+        assert m != tuple(m) and tuple(m) != m
+        with pytest.raises(AttributeError):
+            m.max_side_wait = 0
 
     def test_record_format(self):
         assert self.METRICS.as_record(prefix="seed=0 ") == (

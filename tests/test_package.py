@@ -92,6 +92,20 @@ print(json.dumps(steps))
     assert imported == {"fsmkit", "fsmkit.cli", "fsmkit.dsl", "fsmkit.model", "fsmkit.timer"}
     assert checked == imported
     assert emitted == imported | {"fsmkit.emit"}
+    # Each in a fresh interpreter, as the console script runs them.
+    stim = REPO / "designs" / "paper_fig7_10.stim"
+    for argv, runs in [(["simulate", ITLC, str(stim), "--vcd", str(tmp_path / "run.vcd")],
+                        {"fsmkit.sim"}),
+                       (["bench", ITLC, "--arrival", "0.1", "--horizon", "50"],
+                        {"fsmkit.sim", "fsmkit.env"})]:
+        ran = fresh_interpreter(f"""
+import contextlib, io
+from fsmkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+print(json.dumps(loaded()))
+""")
+        assert set(ran) == imported | runs, argv[0]
 
 
 def test_traced_run_wraps_the_lazily_imported_layers():

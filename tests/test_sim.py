@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -61,8 +60,9 @@ def read_stim_per_tick(text):
 
 def with_distinct_records(trace):
     """The same trace with every record a distinct object."""
-    return dataclasses.replace(
-        trace, records=tuple(dataclasses.replace(r) for r in trace.records))
+    distinct = trace._replace(records=tuple(r._replace() for r in trace.records))
+    assert len({id(r) for r in distinct.records}) == len(trace.records)
+    return distinct
 
 
 def per_tick_log(trace):
@@ -225,6 +225,20 @@ class TestSimulate:
         for a, b in zip(trace.records, trace.records[1:]):
             assert a.st == (1 if b.state != a.state else 0)
 
+    @pytest.mark.parametrize("cfg", [TimerConfig(4, 16), TimerConfig(8, 64)])
+    def test_pulse_law_at_every_reachable_cell(self, itlc_spec, cfg):
+        # Every transition that changes state pulses st, and no other does;
+        # reset, which returns to S0 without a pulse, is the one exception.
+        loop = sim._ClosedLoop(itlc_spec, cfg)
+        for k, _ in enumerate(loop.cells):  # also visits the cells each fill appends
+            loop.fill(k)
+        checked = 0
+        for k, (nxt, record) in enumerate(loop.cells):
+            if k & 1 == 0:  # reset low
+                assert record.st == (loop.configs[nxt][0] != record.state), (k, record)
+                checked += 1
+        assert checked == 2 * len(explore_reachable(itlc_spec, cfg))
+
     def test_determinism(self, itlc_spec, default_cfg):
         stim = constant_stim(64, c=1)
         assert simulate(itlc_spec, default_cfg, stim) == \
@@ -262,16 +276,20 @@ class TestClosedLoopTable:
            cfg=timer_configs(), stim=stimuli)
     def test_shared_records_render_like_distinct_ones(self, spec, cfg, stim, tmp_path_factory):
         trace = simulate(spec, cfg, stim)
-        assert write_vcd(trace) == write_vcd(with_distinct_records(trace))
-        # The CLI log against a per-tick formatter over the untabulated run.
+        vcd = write_vcd(with_distinct_records(trace))
+        assert write_vcd(trace) == vcd
+        # The CLI, which renders per table cell, against a per-tick formatter
+        # over the untabulated run and against write_vcd over distinct records.
         d = tmp_path_factory.mktemp("log")
         (d / "m.fsm").write_text(dsl.serialize(spec))
         starts = itertools.accumulate((n for _, _, n in stim.runs), initial=0)
         (d / "m.stim").write_text(f"horizon {stim.horizon}\n" + "".join(
             f"{t} c={c} reset={reset}\n" for t, (c, reset, _) in zip(starts, stim.runs)))
         assert main(["simulate", str(d / "m.fsm"), str(d / "m.stim"), "--log", str(d / "m.log"),
+                     "--vcd", str(d / "m.vcd"),
                      "--short", str(cfg.short_ticks), "--long", str(cfg.long_ticks)]) == 0
         assert (d / "m.log").read_text() == per_tick_log(reference_simulate(spec, cfg, stim))
+        assert (d / "m.vcd").read_text() == vcd
 
     def test_exploration_fills_every_cell(self, itlc_spec, default_cfg, tables, kernel_calls):
         reached = explore_reachable(itlc_spec, default_cfg)
@@ -340,6 +358,43 @@ class TestClosedLoopTable:
         with pytest.raises(SimError) as exc:
             Stimulus(runs)
         assert str(exc.value) == message
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("runs, message", [
+        ((), "stimulus must cover at least one tick"),
+        (((1, 2, 1),), "c and reset must be 0 or 1, got c=1 reset=2"),
+        (((0, 0, 3), (1, 0, 0)), "a run must last an int number of ticks >= 1, got 0"),
+        (((1, 0, "2"),), "a run must last an int number of ticks >= 1, got '2'"),
+    ])
+    def test_a_stimulus_refuses_bad_runs_also_through_replace(self, runs, message):
+        good = constant_stim(3)
+        for build in (lambda: Stimulus(runs), lambda: Stimulus(runs=runs),
+                      lambda: good._replace(runs=runs), lambda: Stimulus._make((runs,))):
+            with pytest.raises(SimError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_stimulus_is_an_immutable_value(self):
+        stim = Stimulus(((1, 0, 2), (0, 1, 3)))
+        assert stim.horizon == 5 and stim._replace(runs=((0, 0, 7),)).horizon == 7
+        assert stim == Stimulus(((1, 0, 2), (0, 1, 3))) and hash(stim) == hash((stim.runs,))
+        assert stim != (stim.runs,) and (stim.runs,) != stim
+        with pytest.raises(AttributeError):
+            stim.runs = ()
+
+    def test_records_and_traces_equal_only_their_own_type(self, itlc_spec, default_cfg):
+        trace = simulate(itlc_spec, default_cfg, constant_stim(20, c=1))
+        record = trace.records[16]  # S0 leaves on tl & c: the first st
+        assert record.st == 1 and record._replace(pulses=frozenset()).st == 0
+        assert record._replace() == record and record._replace() is not record
+        assert record != tuple(record) and tuple(record) != record
+        assert trace == Trace(itlc_spec, trace.records) and trace != tuple(trace)
+        assert with_distinct_records(trace) == trace
+        with pytest.raises(AttributeError):
+            record.state = "S1"
+        with pytest.raises(AttributeError):
+            trace.records = ()
 
 
 class TestReachability:
