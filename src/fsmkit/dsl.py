@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Container, NamedTuple
+from collections import namedtuple
+from collections.abc import Container
 
 from .model import (
     MAX_INPUTS, And, Const, FsmSpec, GuardExpr, Not, Or, StateDef, Transition, Var,
@@ -48,18 +49,12 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[0-9]+|[!&|(){}=]|\S")
 
 
-@value_type
-class SourceSpan(NamedTuple):
-    line: int    # 1-based
-    column: int  # 1-based
-    length: int
+SourceSpan = value_type(namedtuple("SourceSpan", "line column length"))  # line, column 1-based
 
 
 @value_type
-class ParseError(NamedTuple):
-    span: SourceSpan
-    kind: str
-    message: str
+class ParseError(namedtuple("ParseError", "span kind message")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.span.line}:{self.span.column}: {self.kind}: {self.message}"
@@ -73,10 +68,8 @@ class ParseFailure(Exception):
         super().__init__("; ".join(str(e) for e in errors))
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    column: int
+class _Token(namedtuple("_Token", "text line column")):
+    __slots__ = ()
 
     @property
     def span(self) -> SourceSpan:
@@ -209,12 +202,8 @@ def _parse_atom(p: _LineParser) -> tuple[GuardExpr, int]:
     p.fail("expected guard expression", tok)
 
 
-class _PendingTrans(NamedTuple):
-    source: _Token
-    destination: _Token
-    guard: GuardExpr
-    guard_vars: list[_Token]
-    pulses: list[_Token]
+# source and destination are _Tokens; guard_vars and pulses are lists of them.
+_PendingTrans = namedtuple("_PendingTrans", "source destination guard guard_vars pulses")
 
 
 def parse(text: str) -> FsmSpec:

@@ -12,7 +12,7 @@ toolchain by hand; no synthesis is attempted here.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 from .dsl import format_guard
 from .model import Finding, FsmSpec, validate

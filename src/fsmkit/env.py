@@ -23,9 +23,10 @@ only on event ticks; every other tick is one lookup.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
 
 from .model import FsmSpec, value_type
 from .sim import TickRecord, _ClosedLoop
@@ -93,15 +94,9 @@ def arrival_blocks(seed: int, p: float, horizon: int) -> Iterator[bytes]:
         yield pairs[6:32 * (horizon - first):32].translate(_SYMBOL)
 
 
-class _TrafficFields(NamedTuple):
-    arrival_prob: float
-    seed: int
-    horizon: int
-    service_rate: int  # vehicles departing per side-road green tick
-
-
 @value_type
-class TrafficModel(_TrafficFields):
+class TrafficModel(namedtuple("TrafficModel", "arrival_prob seed horizon service_rate")):
+    """service_rate: vehicles departing per side-road green tick."""
     __slots__ = ()
 
     def __new__(cls, arrival_prob: float, seed: int = 0, horizon: int = 1000,
@@ -116,12 +111,10 @@ class TrafficModel(_TrafficFields):
 
 
 @value_type
-class Metrics(NamedTuple):
-    mean_side_wait: float
-    max_side_wait: int
-    main_green_share: float
-    side_vehicles_served: int
-    cycles_completed: int
+class Metrics(namedtuple("Metrics", "mean_side_wait max_side_wait main_green_share "
+                                    "side_vehicles_served cycles_completed")):
+    """The mean wait and the green share are floats, the rest ints."""
+    __slots__ = ()
 
     def as_record(self, prefix: str = "") -> str:
         """Single-line record: space-separated key=value in field order."""

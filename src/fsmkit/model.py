@@ -4,14 +4,15 @@ A machine is a set of states, each carrying fixed output levels (Moore
 outputs) and an ordered list of guarded transitions.  Transitions may emit
 one-cycle pulses while they fire, which is how timer restarts are expressed.
 Everything here is immutable and purely functional; validation and stepping
-never mutate the spec.  The value types are NamedTuples marked `value_type`:
-equal only to values of their own type, and copied with a changed field by
-`_replace`.
+never mutate the spec.  The value types are `collections.namedtuple`s marked
+`value_type`: equal only to values of their own type, and copied with a
+changed field by `_replace`.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
 
 Bit = int
 
@@ -38,10 +39,10 @@ def _same_type_ne(self, other: object) -> bool:
 
 
 def value_type(cls):
-    """Class decorator for a NamedTuple: equal only to a value of the same type,
+    """Class decorator for a namedtuple: equal only to a value of the same type,
     since a plain tuple compares by its items alone (`And(a, b) == Or(a, b)`
     would hold), and hashed as its tuple, so equal values hash equal.  A class
-    that validates in its own `__new__` (over a NamedTuple base) also validates
+    that validates in its own `__new__` (over a namedtuple base) also validates
     what `_replace` builds, which goes through `_make`."""
     cls.__eq__, cls.__ne__, cls.__hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
     if "__new__" in vars(cls):
@@ -53,31 +54,12 @@ def value_type(cls):
 # Guard expressions
 # ---------------------------------------------------------------------------
 
-@value_type
-class Var(NamedTuple):
-    name: str
-
-
-@value_type
-class Not(NamedTuple):
-    operand: GuardExpr
-
-
-@value_type
-class And(NamedTuple):
-    left: GuardExpr
-    right: GuardExpr
-
-
-@value_type
-class Or(NamedTuple):
-    left: GuardExpr
-    right: GuardExpr
-
-
-@value_type
-class Const(NamedTuple):
-    value: Bit
+# A Var names an input; a Const's value is a Bit; the other fields are GuardExprs.
+Var = value_type(namedtuple("Var", "name"))
+Not = value_type(namedtuple("Not", "operand"))
+And = value_type(namedtuple("And", "left right"))
+Or = value_type(namedtuple("Or", "left right"))
+Const = value_type(namedtuple("Const", "value"))
 
 
 GuardExpr = Var | Not | And | Or | Const
@@ -117,29 +99,20 @@ def guard_variables(expr: GuardExpr) -> set[str]:
 # Machine structure
 # ---------------------------------------------------------------------------
 
-@value_type
-class Transition(NamedTuple):
-    guard: GuardExpr
-    destination: str
-    pulses: frozenset[str] = frozenset()
+# A transition fires `pulses`, a frozenset of pulse names, while its guard holds.
+Transition = value_type(namedtuple("Transition", "guard destination pulses",
+                                   defaults=(frozenset(),)))
+# moore_assignments maps outputs to Bits; the default is read-only, so sharing it is safe.
+StateDef = value_type(namedtuple("StateDef", "name moore_assignments transitions",
+                                 defaults=(MappingProxyType({}), ())))
 
 
 @value_type
-class StateDef(NamedTuple):
-    name: str
-    moore_assignments: Mapping[str, Bit] = MappingProxyType({})  # read-only, so sharing it is safe
-    transitions: tuple[Transition, ...] = ()
-
-
-@value_type
-class FsmSpec(NamedTuple):
-    name: str
-    inputs: tuple[str, ...]
-    moore_outputs: tuple[str, ...]
-    pulse_outputs: tuple[str, ...]
-    states: tuple[StateDef, ...]
-    initial_state: str
-    reset_input: str | None = None
+class FsmSpec(namedtuple("FsmSpec", "name inputs moore_outputs pulse_outputs states "
+                                    "initial_state reset_input", defaults=(None,))):
+    """Signal names are str tuples, `states` a tuple of StateDefs; the
+    reset input, if any, returns the machine to `initial_state`."""
+    __slots__ = ()
 
     def state(self, name: str) -> StateDef:
         for s in self.states:
@@ -163,12 +136,8 @@ STRUCTURAL = "structural"
 MAX_INPUTS = 16
 
 
-@value_type
-class Finding(NamedTuple):
-    kind: str  # overlap | gap | structural
-    state: str | None
-    valuation: Mapping[str, Bit] | None
-    message: str
+# kind is overlap | gap | structural; state and valuation are None where none applies.
+Finding = value_type(namedtuple("Finding", "kind state valuation message"))
 
 
 def validate(spec: FsmSpec) -> tuple[Finding, ...]:

@@ -24,9 +24,10 @@ after its guard fires.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Hashable, Mapping
 from itertools import compress, islice
 from operator import ne
-from typing import Hashable, Mapping, NamedTuple
 
 from .model import Bit, FsmSpec, moore_output, step_spec, value_type
 from .timer import TimerConfig, timer_commit, timer_outputs
@@ -43,12 +44,8 @@ class StimulusError(SimError):
     """Malformed stimulus text; message carries the line number."""
 
 
-class _Runs(NamedTuple):
-    runs: tuple[tuple[Bit, Bit, int], ...]
-
-
 @value_type
-class Stimulus(_Runs):
+class Stimulus(namedtuple("Stimulus", "runs")):
     """External inputs as runs: each (c, reset, n) holds for n ticks."""
     __slots__ = ()
 
@@ -68,24 +65,19 @@ class Stimulus(_Runs):
 
 
 @value_type
-class TickRecord(NamedTuple):
-    """One clock of a run; its tick is its index in `Trace.records`."""
-    state: str
-    inputs: Mapping[str, Bit]
-    moore: Mapping[str, Bit]
-    pulses: frozenset[str]
-    timer_count: int
+class TickRecord(namedtuple("TickRecord", "state inputs moore pulses timer_count")):
+    """One clock of a run; its tick is its index in `Trace.records`.  `inputs`
+    and `moore` map signal names to Bits, `pulses` is a frozenset of names."""
+    __slots__ = ()
 
     @property
     def st(self) -> Bit:
         return 1 if START_PULSE in self.pulses else 0
 
 
-@value_type
-class Trace(NamedTuple):
-    """A run's records; its spec names the module, the pulses and the states."""
-    spec: FsmSpec
-    records: tuple[TickRecord, ...]
+# A run's records, a tuple of TickRecords; its spec names the module, the pulses
+# and the states.
+Trace = value_type(namedtuple("Trace", "spec records"))
 
 
 def parse_stimulus(text: str) -> Stimulus:

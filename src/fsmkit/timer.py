@@ -10,7 +10,7 @@ timer's whole state is that count, a plain int in [0, long_ticks].
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import value_type
 
@@ -18,13 +18,8 @@ DEFAULT_SHORT_TICKS = 4
 DEFAULT_LONG_TICKS = 16
 
 
-class _Ticks(NamedTuple):
-    short_ticks: int
-    long_ticks: int
-
-
 @value_type
-class TimerConfig(_Ticks):
+class TimerConfig(namedtuple("TimerConfig", "short_ticks long_ticks")):
     __slots__ = ()
 
     def __new__(cls, short_ticks: int = DEFAULT_SHORT_TICKS,

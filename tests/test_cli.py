@@ -3,6 +3,7 @@ import contextlib
 import errno
 import hashlib
 import importlib.util
+import io
 import os
 import resource
 import subprocess
@@ -95,6 +96,12 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "no-such-file.fsm"]) == 2
         assert "no-such-file.fsm" in capsys.readouterr().err
+
+    def test_a_read_error_names_the_path_as_given(self, capsys):
+        assert main(["check", "./no-such-file.fsm"]) == 2
+        assert capsys.readouterr().err == (
+            "cannot read machine description './no-such-file.fsm': "
+            f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: './no-such-file.fsm'\n")
 
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fsm"
@@ -446,6 +453,70 @@ class TestInputOutputErrors:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "out of memory: the input asks for more than this process can hold\n"
+
+
+def in_process(argv):
+    """(exit code, stdout bytes, stderr bytes) of `main(argv)` with redirected streams."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help or a usage error
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def child(args, **kwargs):
+    """A real `python <args>` on this source tree, stdout and stderr to pipes."""
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), **kwargs)
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("case", [
+        "check-clean", "check-findings", "emit-onehot", "simulate-log", "bench",
+        "bench-help", "bench-bad-seeds"])
+    def test_a_process_matches_main(self, tmp_path, monkeypatch, gap_fsm, case):
+        # Help text wraps to the terminal width, so pin it for both runs.
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = {
+            "check-clean": ["check", ITLC],
+            "check-findings": ["check", gap_fsm],
+            "emit-onehot": ["emit", ITLC, "--encoding", "onehot"],
+            "simulate-log": ["simulate", ITLC,
+                             write(tmp_path, "long.stim", "horizon 20000\n0 c=1\n7000 c=0\n")],
+            "bench": ["bench", ITLC, "--arrival", "0.1", "--seeds", "8", "--horizon", "8000"],
+            "bench-help": ["bench", "--help"],
+            "bench-bad-seeds": ["bench", ITLC, "--arrival", "0.1", "--seeds", "abc"],
+        }[case]
+        code, out, err = expected = in_process(argv)
+        assert code == {"check-findings": 1, "bench-bad-seeds": 2}.get(case, 0)
+        assert bool(out or err) == (case != "check-clean")
+        done = child(["-m", "fsmkit.cli", *argv])
+        assert (done.returncode, done.stdout, done.stderr) == expected
+
+    def test_the_program_skips_teardown(self):
+        # As `python -m fsmkit.cli` runs it: the process ends once its output
+        # is flushed, so neither the atexit handler nor the next line runs.
+        done = child(["-c", f"""
+import atexit, runpy, sys
+atexit.register(print, "atexit ran")
+sys.argv = ["fsmkit", "check", {ITLC!r}]
+runpy.run_module("fsmkit.cli", run_name="__main__")
+print("returned")
+"""], text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+    def test_main_returns_and_the_caller_goes_on(self, gap_fsm):
+        done = child(["-c", f"""
+import atexit, contextlib, io
+from fsmkit.cli import main
+atexit.register(print, "atexit ran")
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["check", path]) for path in ({ITLC!r}, {gap_fsm!r}, "no-such-file.fsm")]
+print(codes)
+"""], text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 1, 2]\natexit ran\n", "")
 
 
 class TestUsage:

@@ -128,3 +128,46 @@ print(json.dumps(tracer.calls))
     assert calls["env.run_env"] == 2
     assert calls["dsl.parse"] == 2 and calls["model.validate"] == 2
     assert calls["model.step_spec"] > 0
+
+
+def test_commands_load_neither_typing_nor_pathlib(tmp_path):
+    # Without site packages, whose start-up hooks may load either, the
+    # modules a command imports are its own: `-X importtime` lists each.
+    pins = tmp_path / "one.pins"
+    pins.write_text("c N17 input\n")
+    stim = str(REPO / "designs" / "paper_fig7_10.stim")
+    for argv in (["check", ITLC], ["emit", ITLC],
+                 ["emit", ITLC, "--format", "ucf", "--pins", str(pins)],
+                 ["simulate", ITLC, stim, "--vcd", str(tmp_path / "run.vcd")],
+                 ["bench", ITLC, "--arrival", "0.1", "--horizon", "50"]):
+        done = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "fsmkit.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert done.returncode == 0, done.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "fsmkit.model" in imported, argv[0]
+        assert imported & {"typing", "pathlib"} == set(), argv
+
+
+def public_values():
+    """One value of every public value type."""
+    f = fsmkit
+    spec = f.parse(Path(ITLC).read_text())
+    a = f.Var("a")
+    return [a, f.Not(a), f.And(a, f.Const(1)), f.Or(a, a), f.Const(0),
+            f.Transition(a, "B", frozenset({"st"})), f.StateDef("A"), spec,
+            f.Finding("gap", "A", {"a": 0}, "no guard"), f.SourceSpan(1, 2, 3),
+            f.ParseError(f.SourceSpan(1, 1, 1), "syntax", "bad"), f.TimerConfig(),
+            f.Stimulus(((0, 0, 5),)), f.TickRecord("S0", {"c": 0}, {"mg": 1}, frozenset(), 0),
+            f.Trace(spec, ()), f.TrafficModel(0.1), f.Metrics(1.5, 3, 0.5, 2, 1)]
+
+
+def test_every_public_value_type_is_a_slotted_namedtuple():
+    values = public_values()
+    assert {type(v).__name__ for v in values} == {
+        name for name in fsmkit.__all__ if hasattr(getattr(fsmkit, name), "_fields")}
+    for v in values:
+        assert not hasattr(v, "__dict__"), type(v)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(v._fields, v))
+        assert repr(v) == f"{type(v).__name__}({fields})"
