@@ -180,8 +180,14 @@ def _add_timer_flags(parser: argparse.ArgumentParser) -> None:
                         help="ticks until the long (green) interval expires")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:  # argparse passes no file
+        # argparse's own printer drops a failed write; `_write_text` raises it.
+        _write_text(None, self.format_help(), "help")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fsmkit",
         description="Define, validate, simulate, and emit HDL for clocked "
                     "Moore machines with transition pulses.")
@@ -223,9 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  argparse raises SystemExit
     for `--help` and for usage errors; nothing here ends the process."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -256,6 +261,8 @@ def run() -> None:
     interpreter teardown (atexit handlers, freeing every module) does nothing
     a command needs, and costs about 11 ms (Python 3.11, 2 vCPUs), more than
     `check` spends parsing and validating a 16-state design."""
+    if sys.stdout is None:  # started with fd 1 closed: writes to a read-only fd fail alike
+        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), "w")
     try:
         code = main()
     except SystemExit as exc:  # argparse: --help or a usage error

@@ -76,29 +76,19 @@ class _Token(namedtuple("_Token", "text line column")):
         return SourceSpan(self.line, self.column, max(1, len(self.text)))
 
 
-def _tokenize_line(text: str, lineno: int) -> list[_Token]:
-    # Strip comment first; the grammar has no string literals.
-    hash_pos = text.find("#")
-    if hash_pos >= 0:
-        text = text[:hash_pos]
-    return [
-        _Token(m.group(), lineno, m.start() + 1)
-        for m in _TOKEN_RE.finditer(text)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
 class _LineParser:
-    """Cursor over one line's tokens; errors abort only the current line."""
+    """Cursor over one line's tokens, at least one; errors abort only the
+    current line.  `guard_vars` collects the input names a guard reads."""
 
-    def __init__(self, tokens: list[_Token], lineno: int, errors: list[ParseError]):
+    def __init__(self, tokens: list[_Token], errors: list[ParseError]):
         self.tokens = tokens
         self.pos = 0
-        self.lineno = lineno
         self.errors = errors
+        self.guard_vars: list[_Token] = []
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -110,10 +100,8 @@ class _LineParser:
         return tok
 
     def end_span(self) -> SourceSpan:
-        if self.tokens:
-            last = self.tokens[-1]
-            return SourceSpan(last.line, last.column + len(last.text), 1)
-        return SourceSpan(self.lineno, 1, 1)
+        last = self.tokens[-1]
+        return SourceSpan(last.line, last.column + len(last.text), 1)
 
     def fail(self, message: str, tok: _Token | None = None, kind: str = SYNTAX,
              span: SourceSpan | None = None) -> None:
@@ -198,6 +186,7 @@ def _parse_atom(p: _LineParser) -> tuple[GuardExpr, int]:
     if tok.text in ("0", "1"):
         return Const(int(tok.text)), 0
     if _NAME_RE.fullmatch(tok.text) and tok.text not in NAME_RESERVED:
+        p.guard_vars.append(tok)
         return Var(tok.text), 0
     p.fail("expected guard expression", tok)
 
@@ -214,35 +203,33 @@ def parse(text: str) -> FsmSpec:
     inputs: list[str] = []
     outputs: list[str] = []
     pulses: list[str] = []
-    initial: _Token | None = None
-    reset: _Token | None = None
+    once: dict[str, _Token] = {}  # "initial" and "reset" -> the name each gives
     # state name -> {output name -> bit}, in declaration order
     states: dict[str, dict[str, int]] = {}
     output_toks: list[_Token] = []  # the output of every state assignment
     transitions: list[_PendingTrans] = []
     signal_toks: list[_Token] = []
 
-    lines = text.split("\n")
     saw_any = False
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = _tokenize_line(raw.rstrip("\r"), lineno)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        # The grammar has no string literals, so `#` always starts a comment.
+        tokens = [_Token(m.group(), lineno, m.start() + 1)
+                  for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
         if not tokens:
             continue
-        p = _LineParser(tokens, lineno, errors)
-        head = tokens[0]
+        p = _LineParser(tokens, errors)
+        head = p.next()
         try:
             if not saw_any:
                 saw_any = True
                 if head.text != "fsm":
                     p.fail("missing fsm header", head)
-                p.next()
                 name = p.expect_name("machine name").text
                 p.expect_end()
                 continue
             if head.text == "fsm":
                 p.fail("duplicate fsm header", head)
             elif head.text in ("inputs", "outputs", "pulses"):
-                p.next()
                 target = {"inputs": inputs, "outputs": outputs, "pulses": pulses}[head.text]
                 while p.peek() is not None:
                     tok = p.expect_name("signal name")
@@ -250,20 +237,13 @@ def parse(text: str) -> FsmSpec:
                     signal_toks.append(tok)
                 if target is inputs and len(inputs) > MAX_INPUTS:
                     p.fail(f"{len(inputs)} inputs declared; at most {MAX_INPUTS} are supported", head)
-            elif head.text == "initial":
-                p.next()
-                if initial is not None:
-                    p.fail("duplicate initial directive", head)
-                initial = p.expect_name("state name")
-                p.expect_end()
-            elif head.text == "reset":
-                p.next()
-                if reset is not None:
-                    p.fail("duplicate reset directive", head)
-                reset = p.expect_name("input name")
+            elif head.text in ("initial", "reset"):
+                if head.text in once:
+                    p.fail(f"duplicate {head.text} directive", head)
+                once[head.text] = p.expect_name(
+                    "state name" if head.text == "initial" else "input name")
                 p.expect_end()
             elif head.text == "state":
-                p.next()
                 tok = p.expect_name("state name")
                 if tok.text in states:
                     p.fail(f"duplicate state name '{tok.text}'", tok, DUPLICATE_NAME)
@@ -287,17 +267,11 @@ def parse(text: str) -> FsmSpec:
                 p.expect_end()
                 states[tok.text] = assigns
             elif head.text == "trans":
-                p.next()
                 src = p.expect_name("source state")
                 p.expect("->")
                 dst = p.expect_name("destination state")
                 p.expect("when")
-                guard_start = p.pos
                 guard = _parse_guard(p)
-                guard_vars = [
-                    t for t in tokens[guard_start:p.pos]
-                    if _NAME_RE.fullmatch(t.text) and t.text not in NAME_RESERVED
-                ]
                 emit_pulses: list[_Token] = []
                 if (nxt := p.peek()) is not None:
                     if nxt.text != "emit":
@@ -307,7 +281,7 @@ def parse(text: str) -> FsmSpec:
                         emit_pulses.append(p.expect_name("pulse name"))
                     if not emit_pulses:
                         p.fail("expected pulse name after 'emit'")
-                transitions.append(_PendingTrans(src, dst, guard, guard_vars, emit_pulses))
+                transitions.append(_PendingTrans(src, dst, guard, p.guard_vars, emit_pulses))
             else:
                 p.fail(f"unknown directive '{head.text}'", head)
         except _LineAbort:
@@ -334,6 +308,7 @@ def parse(text: str) -> FsmSpec:
         undeclared([t.source, t.destination], "state", states)
         undeclared(t.guard_vars, "input", known_inputs)
         undeclared(t.pulses, "pulse", pulses)
+    initial, reset = once.get("initial"), once.get("reset")
     if name is not None:
         if initial is None:
             errors.append(ParseError(

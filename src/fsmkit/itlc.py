@@ -11,7 +11,6 @@ interval timer.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 
 from . import dsl
 from .model import FsmSpec, validate
@@ -19,11 +18,13 @@ from .model import FsmSpec, validate
 
 def bundled_source() -> str:
     """Text of the packaged `itlc.fsm` asset."""
+    from importlib import resources  # not at import: `emit` reads only the pin rows
     return resources.files(__package__).joinpath("designs/itlc.fsm").read_text("utf-8")
 
 
 def bundled_stimulus_source() -> str:
     """Text of the packaged side-road scenario stimulus."""
+    from importlib import resources
     return resources.files(__package__).joinpath(
         "designs/paper_fig7_10.stim").read_text("utf-8")
 

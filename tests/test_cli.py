@@ -314,6 +314,19 @@ class TestBench:
     def test_seeds_must_be_positive(self, capsys):
         assert main(["bench", ITLC, "--arrival", "0.5", "--seeds", "0"]) == 2
 
+    @pytest.mark.parametrize("case, message", [
+        ("horizon", "horizon must be >= 1, got 0"),
+        ("service-rate", "service_rate must be >= 1, got 0"),
+        ("inputs", "closed-loop simulation needs inputs exactly ['c', 'reset', 'tl', 'ts'], "
+                   "spec 'gappy' has ['a']"),
+    ])
+    def test_a_refused_run_exits_2_with_one_line(self, tmp_path, capsys, case, message):
+        argv = {"horizon": [ITLC, "--horizon", "0"], "service-rate": [ITLC, "--service-rate", "0"],
+                # A valid spec, but not over the traffic controller's inputs.
+                "inputs": [write(tmp_path, "plain.fsm", GAP_SPEC.replace("when a", "when 1"))]}[case]
+        assert main(["bench", *argv, "--arrival", "0.1"]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+
     def test_memory_does_not_grow_with_the_seed_count(self):
         def peak(seeds):
             args = ["bench", ITLC, "--arrival", "0.1", "--seeds", str(seeds), "--horizon", "1"]
@@ -440,6 +453,38 @@ class TestInputOutputErrors:
                                     env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
         assert result.returncode == 2
         assert result.stderr == f"cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]], ids=["fsmkit", "bench"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_help_to_a_full_stdout_exits_2_with_one_line(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:  # argparse's own printer would drop the failed write and exit 0
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = str(REPO / "src")
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "fsmkit.cli", *argv], stdout=full,
+                                    stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+        assert result.returncode == 2
+        assert result.stderr == f"cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("command", ["check-clean", "check", "simulate", "emit", "bench"])
+    def test_a_closed_stdout_acts_as_an_unwritable_one(self, gap_fsm, command):
+        # Started as `fsmkit ... >&-`: the process has no fd 1 at all.
+        argv = {"check-clean": ["check", ITLC],  # writes nothing, so exits 0
+                "check": ["check", gap_fsm],
+                "simulate": ["simulate", ITLC, STIM],
+                "emit": ["emit", ITLC],
+                "bench": ["bench", ITLC, "--arrival", "0.1"]}[command]
+        result = subprocess.run([sys.executable, "-m", "fsmkit.cli", *argv], stdout=None,
+                                stderr=subprocess.PIPE, text=True, timeout=60,
+                                preexec_fn=lambda: os.close(1),
+                                env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        if command == "check-clean":
+            assert (result.returncode, result.stderr) == (0, "")
+        else:
+            assert result.returncode == 2
+            assert result.stderr == f"cannot write output: {os.strerror(errno.EBADF)}\n"
 
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
         # A trace of 10^11 ticks cannot be held; a 256 MB address-space limit on

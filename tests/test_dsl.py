@@ -103,6 +103,76 @@ class TestParse:
         assert dsl.format_guard(guard) == "!a & b | c"
 
 
+_HEAD = "fsm m\ninputs a\ninitial A\nstate A { }\n"
+# One text per diagnostic `parse` can raise, with every error it reports:
+# "line:column: kind: message", in order.
+_DIAGNOSTICS = {
+    "bad machine name": ("fsm 1bad\n", ["1:5: syntax: expected machine name"]),
+    # No name at all: the span is just past the line's last token.
+    "missing machine name": ("fsm   # nothing\n", ["1:4: syntax: expected machine name"]),
+    "missing header": ("state A { }\n", ["1:1: syntax: missing fsm header"]),
+    "reserved word as a name": ("fsm m\ninitial A\nstate when { }\n", [
+        "3:7: syntax: 'when' is a reserved word, not a valid state name",
+        "2:9: unknown-signal: initial state 'A' is not declared"]),
+    "expected arrow": (_HEAD + "trans A A when a\n", ["5:9: syntax: expected '->'"]),
+    "trailing tokens": (_HEAD.replace("initial A", "initial A B"),
+                        ["3:11: syntax: unexpected trailing tokens"]),
+    "guard at end of line": (_HEAD + "trans A -> A when\n",
+                             ["5:18: syntax: expected guard expression"]),
+    "guard at a bad token": (_HEAD + "trans A -> A when a & }\n",
+                             ["5:23: syntax: expected guard expression"]),
+    "guard at a closing parenthesis": (_HEAD + "trans A -> A when ()\n",
+                                       ["5:20: syntax: expected guard expression"]),
+    "unclosed parenthesis": (_HEAD + "trans A -> A when (a\n", ["5:21: syntax: expected ')'"]),
+    "duplicate header": (_HEAD + "fsm n\n", ["5:1: syntax: duplicate fsm header"]),
+    "duplicate initial": (_HEAD + "initial A\ntrans A -> A when 1\n",
+                          ["5:1: syntax: duplicate initial directive"]),
+    "duplicate reset": ("fsm m\ninputs a\nreset a\nreset a\ninitial A\nstate A { }\n",
+                        ["4:1: syntax: duplicate reset directive"]),
+    "duplicate state": (_HEAD + "state A { }\n", ["5:7: duplicate-name: duplicate state name 'A'"]),
+    "duplicate assignment": ("fsm m\noutputs y\ninitial A\nstate A { y=1 y=0 }\n", [
+        "4:15: duplicate-name: duplicate assignment to 'y'",
+        "3:9: unknown-signal: initial state 'A' is not declared"]),
+    "missing bit": ("fsm m\noutputs y\ninitial A\nstate A { y=\n", [
+        "4:13: syntax: expected bit value",
+        "3:9: unknown-signal: initial state 'A' is not declared"]),
+    "bad bit": ("fsm m\noutputs y\ninitial A\nstate A { y=2 }\n", [
+        "4:13: bad-bit: bit value must be 0 or 1, got '2'",
+        "3:9: unknown-signal: initial state 'A' is not declared"]),
+    "expected emit": (_HEAD + "trans A -> A when a a\n",
+                      ["5:21: syntax: expected 'emit' or end of line"]),
+    "emit without a pulse": (_HEAD + "trans A -> A when a emit\n",
+                             ["5:25: syntax: expected pulse name after 'emit'"]),
+    "emit of a bad pulse name": (
+        "fsm m\ninputs a\npulses p\ninitial A\nstate A { }\ntrans A -> A when a emit p 1\n",
+        ["6:28: syntax: expected pulse name"]),
+    "unknown directive": (_HEAD + "frob A\n", ["5:1: syntax: unknown directive 'frob'"]),
+    "missing initial": ("fsm m\ninputs a\nstate A { }\n", ["1:1: syntax: missing initial directive"]),
+    "reset not an input": ("fsm m\ninputs a\noutputs y\nreset y\ninitial A\nstate A { }\n",
+                           ["4:7: unknown-signal: reset input 'y' is not a declared input"]),
+    "initial not a state": ("fsm m\ninitial Z\nstate A { }\n",
+                            ["2:9: unknown-signal: initial state 'Z' is not declared"]),
+    # Names read before a bad token stay declared: `p0` is a pulse.
+    "names before a bad token": ("fsm m\npulses p0 {\ninitial A\nstate A { }\n"
+                                 "trans A -> A when 1 emit p0\n",
+                                 ["2:11: syntax: expected signal name"]),
+    "undeclared names": (
+        "fsm m\ninputs a a\noutputs y\ninitial A\nstate A { z=1 }\ntrans A -> B when b emit q\n", [
+            "2:10: duplicate-name: duplicate signal name 'a'",
+            "5:11: unknown-signal: 'z' is not a declared output",
+            "6:12: unknown-signal: 'B' is not a declared state",
+            "6:19: unknown-signal: 'b' is not a declared input",
+            "6:26: unknown-signal: 'q' is not a declared pulse"]),
+}
+
+
+@pytest.mark.parametrize("text, expected", _DIAGNOSTICS.values(), ids=_DIAGNOSTICS)
+def test_every_diagnostic_is_pinned(text, expected):
+    with pytest.raises(dsl.ParseFailure) as exc:
+        dsl.parse(text)
+    assert [str(e) for e in exc.value.errors] == expected
+
+
 class TestSerialize:
     def test_canonical_and_stable(self, itlc_spec):
         assert dsl.serialize(itlc_spec) == dsl.serialize(itlc_spec)

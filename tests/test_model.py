@@ -122,7 +122,8 @@ class TestValidate:
             name="m", inputs=("c", "c"), moore_outputs=("y",),
             pulse_outputs=(),
             states=(
-                StateDef("A", {"nope": 1}, (Transition(Var("x"), "B"),)),
+                StateDef("A", {"nope": 1, "y": 2},
+                         (Transition(Var("x"), "B", frozenset({"zap"})),)),
                 StateDef("A", {}, (Transition(Const(1), "A"),)),
             ),
             initial_state="Z")
@@ -135,6 +136,8 @@ class TestValidate:
         assert "unknown state 'B'" in messages
         assert "unknown input 'x'" in messages
         assert "unknown output 'nope'" in messages
+        assert "output 'y' assigned non-bit value 2" in messages
+        assert "transition emits unknown pulse 'zap'" in messages
 
     def test_reset_valuations_skipped_in_coverage(self):
         # Guards ignore reset entirely; with reset declared the spec is

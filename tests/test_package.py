@@ -136,7 +136,7 @@ def test_commands_load_neither_typing_nor_pathlib(tmp_path):
     pins = tmp_path / "one.pins"
     pins.write_text("c N17 input\n")
     stim = str(REPO / "designs" / "paper_fig7_10.stim")
-    for argv in (["check", ITLC], ["emit", ITLC],
+    for argv in (["check", ITLC], ["emit", ITLC], ["emit", ITLC, "--format", "ucf"],
                  ["emit", ITLC, "--format", "ucf", "--pins", str(pins)],
                  ["simulate", ITLC, stim, "--vcd", str(tmp_path / "run.vcd")],
                  ["bench", ITLC, "--arrival", "0.1", "--horizon", "50"]):

@@ -180,6 +180,21 @@ class TestParseStimulus:
         with pytest.raises(StimulusError, match="horizon"):
             parse_stimulus("0 c=1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("horizon ten\n", "line 1: bad horizon 'ten'"),
+        ("# none yet\nhorizon 0\n", "line 2: horizon must be >= 1"),
+        ("", "line 1: expected 'horizon <n>' header"),
+        ("# only a comment\n\n", "line 1: expected 'horizon <n>' header"),
+        ("horizon 4\nx c=1\n", "line 2: bad tick number 'x'"),
+        ("horizon 4\n0 c=1 ts=1\n", "line 2: expected c=<bit> or reset=<bit>, got 'ts=1'"),
+        ("horizon 4\n0 c1\n", "line 2: expected c=<bit> or reset=<bit>, got 'c1'"),
+        ("horizon 4\n1  # no signal\n", "line 2: tick line assigns nothing"),
+    ])
+    def test_error_messages_are_pinned(self, text, message):
+        with pytest.raises(StimulusError) as exc:
+            parse_stimulus(text)
+        assert str(exc.value) == message
+
     def test_comments_and_blanks_ignored(self):
         stim = parse_stimulus("# hi\nhorizon 2\n\n0 c=1  # arrival\n")
         assert stim.runs == ((1, 0, 2),)
@@ -418,6 +433,10 @@ class TestReachability:
 
 
 class TestWriteVcd:
+    def test_an_empty_trace_is_refused(self, itlc_spec):
+        with pytest.raises(SimError, match="^cannot write VCD for an empty trace$"):
+            write_vcd(Trace(itlc_spec, ()))
+
     def test_open_loop_constant_trace_has_single_section(self, itlc_spec, default_cfg):
         # One record repeated as distinct objects: every (previous, current)
         # pair misses write_vcd's cache and is rendered afresh.
