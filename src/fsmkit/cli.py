@@ -110,15 +110,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _log_text(records: dict, keys: list[int]) -> str:
     """`simulate`'s log: tick t is `records[keys[t]]`, formatted once per key.
-    Its per-tick list is freed on return, before the VCD is rendered."""
+    No string is made per tick number: below tick 1000 it is one of the
+    shared "0".."999"; from 1000 on, its 1000-tick block's shared prefix
+    `str(t // 1000)`, then one of the shared "000".."999".  Its per-tick list
+    is freed on return, before the VCD is rendered."""
     bodies = {}  # a key's line, less its tick number
     for k, r in records.items():
         lights = "".join(str(r.moore.get(name, 0)) for name in LIGHT_ORDER)
         bodies[k] = (f" {r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
                      f"tl={r.inputs['tl']} st={r.st} {lights}\n")
-    log = [""] * (2 * len(keys))
-    log[::2] = map(str, range(len(keys)))
-    log[1::2] = map(bodies.__getitem__, keys)
+    n = len(keys)
+    log = [""] * (3 * n)  # per tick: block prefix, last digits, body
+    digits = list(map(str, range(min(n, 1000))))  # "0".."999", only those used
+    log[1:3000:3] = digits
+    if n > 1000:
+        padded = [d.zfill(3) for d in digits]  # "000".."999"
+        for b in range(1000, n, 1000):
+            m = min(n - b, 1000)
+            log[3 * b:3 * (b + m):3] = [str(b // 1000)] * m
+            log[3 * b + 1:3 * (b + m):3] = padded[:m]
+    log[2::3] = map(bodies.__getitem__, keys)
     return "".join(log)
 
 

@@ -18,7 +18,7 @@ grows with the text, not the horizon; `_ClosedLoop.walk` steps each run n
 times and returns the cell key of every tick.  A record's tick is its index
 in `Trace.records`: every tick that hits a cell gets the cell's one read-only
 record, so output renders once per cell, and the VCD once per change of
-what it shows.
+what it shows: no renderer builds a string per tick or a tuple per change.
 Moore outputs are registered, so a transition's new lights appear one tick
 after its guard fires.
 """
@@ -244,8 +244,9 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
 
     Each record maps to its visible class: its state and the value of every
     declared signal.  A tick writes a `#t` block exactly when its class
-    differs from the previous tick's, and each (class, class) block is
-    printed once, so the per-tick work runs at C speed."""
+    differs from the previous tick's.  Each distinct (old, new) block is
+    printed once into `rows[old][new]`, and one `%` pass writes every `#t`
+    block, so no string is built per tick and no tuple per change."""
     # Declaration order: inputs in spec order, then pulses, then Moore
     # outputs, then the state vector.  Identifier codes follow that order.
     signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
@@ -286,7 +287,11 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
     out += ["#0", "$dumpvars", changes((None,) * (len(signals) + 1), visible_of[codes[0]]), "$end"]
     ticks = list(compress(range(1, len(codes)), map(ne, islice(codes, 1, None), codes)))
     new = list(map(codes.__getitem__, ticks))
-    pairs = list(zip([codes[0], *new], new))  # between changes the class holds
-    blocks = {pair: changes(visible_of[pair[0]], visible_of[pair[1]]) for pair in set(pairs)}
-    out += map("#{}\n{}".format, ticks, map(blocks.__getitem__, pairs))
-    return "\n".join(out) + "\n"
+    old = [codes[0], *new]  # between changes the class holds
+    rows: list[dict[int, str]] = [{} for _ in visible_of]  # rows[old][new] is the block
+    for was, now in set(zip(old, new)):
+        rows[was][now] = changes(visible_of[was], visible_of[now])
+    args: list = [None] * (2 * len(ticks))  # t, block, t, block, ...
+    args[::2] = ticks
+    args[1::2] = map(dict.__getitem__, map(rows.__getitem__, old), new)
+    return "\n".join(out) + "\n" + ("#%d\n%s\n" * len(ticks)) % tuple(args)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -73,10 +74,78 @@ def per_tick_log(trace):
         + "\n" for tick, r in enumerate(trace.records))
 
 
+def per_tick_vcd(trace):
+    """`write_vcd`'s text from README's rules, formatted afresh on every tick:
+    a wire per input, pulse and Moore output in spec order, then the state
+    vector; `#0` dumps every value, and each later tick whose shown values
+    differ from the previous tick's writes the ones that changed."""
+    spec = trace.spec
+    signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
+    printable = [chr(c) for c in range(33, 127)]  # codes '!'..'~', then '!!', '!"', ...
+    id_codes = ("".join(p) for width in itertools.count(1)
+                for p in itertools.product(printable, repeat=width))
+    ids = list(itertools.islice(id_codes, len(signals) + 1))
+    width = max(1, (len(spec.states) - 1).bit_length())
+    code = {name: i for i, name in enumerate(spec.state_names())}
+    lines = ["$timescale 1 ns $end", f"$scope module {spec.name} $end",
+             *(f"$var wire 1 {i} {name} $end" for i, name in zip(ids, signals)),
+             f"$var wire {width} {ids[-1]} state $end", "$upscope $end", "$enddefinitions $end"]
+    before = None
+    for tick, r in enumerate(trace.records):
+        values = {**r.inputs, **{p: int(p in r.pulses) for p in spec.pulse_outputs}, **r.moore}
+        shown = [f"{values[name]}{i}" for name, i in zip(signals, ids)]
+        shown.append(f"b{code[r.state]:0{width}b} {ids[-1]}")
+        if before is None:
+            lines += ["#0", "$dumpvars", *shown, "$end"]
+        elif shown != before:
+            lines += [f"#{tick}", *(now for now, was in zip(shown, before) if now != was)]
+        before = shown
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(got, want):
+    """None for equal texts, else the first line where they differ, as (line
+    number, got's line, want's line): pytest's own diff of two long texts
+    takes minutes."""
+    if got == want:
+        return None
+    a, b = got.splitlines(True), want.splitlines(True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i + 1, a[i:i + 1], b[i:i + 1]
+
+
+def cli_outputs(spec, cfg, stim, d):
+    """`fsmkit simulate`'s log and `--vcd` text for the run, from files in `d`
+    with one `.stim` line per run."""
+    (d / "m.fsm").write_text(dsl.serialize(spec))
+    starts = itertools.accumulate((n for _, _, n in stim.runs), initial=0)
+    (d / "m.stim").write_text(f"horizon {stim.horizon}\n" + "".join(
+        f"{t} c={c} reset={reset}\n" for t, (c, reset, _) in zip(starts, stim.runs)))
+    assert main(["simulate", str(d / "m.fsm"), str(d / "m.stim"), "--log", str(d / "m.log"),
+                 "--vcd", str(d / "m.vcd"),
+                 "--short", str(cfg.short_ticks), "--long", str(cfg.long_ticks)]) == 0
+    return (d / "m.log").read_text(), (d / "m.vcd").read_text()
+
+
 # Runs of 1-6 ticks: c at random, reset high on about one run in ten.
 stimuli = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9), st.integers(1, 6)),
                    min_size=1, max_size=100).map(
     lambda runs: Stimulus(tuple((c, int(r == 0), n) for c, r, n in runs)))
+
+
+@st.composite
+def long_stimuli(draw):
+    """Horizons up to 40,000, so tick numbers cross the 1,000 and 10,000 edges:
+    runs of 1-6 or of up to 2,000 ticks, c at random, reset high on about one
+    run in ten."""
+    left = draw(st.integers(1, 40_000))
+    rnd = draw(st.randoms(use_true_random=False))
+    runs = []
+    while left:
+        n = min(left, rnd.randint(1, rnd.choice((6, 2000))))
+        runs.append((rnd.randint(0, 1), int(rnd.random() < 0.1), n))
+        left -= n
+    return Stimulus(tuple(runs))
 
 
 @st.composite
@@ -293,18 +362,66 @@ class TestClosedLoopTable:
         trace = simulate(spec, cfg, stim)
         vcd = write_vcd(with_distinct_records(trace))
         assert write_vcd(trace) == vcd
-        # The CLI, which renders per table cell, against a per-tick formatter
+        # The CLI, which renders per table cell, against per-tick formatters
         # over the untabulated run and against write_vcd over distinct records.
-        d = tmp_path_factory.mktemp("log")
-        (d / "m.fsm").write_text(dsl.serialize(spec))
-        starts = itertools.accumulate((n for _, _, n in stim.runs), initial=0)
-        (d / "m.stim").write_text(f"horizon {stim.horizon}\n" + "".join(
-            f"{t} c={c} reset={reset}\n" for t, (c, reset, _) in zip(starts, stim.runs)))
-        assert main(["simulate", str(d / "m.fsm"), str(d / "m.stim"), "--log", str(d / "m.log"),
-                     "--vcd", str(d / "m.vcd"),
-                     "--short", str(cfg.short_ticks), "--long", str(cfg.long_ticks)]) == 0
-        assert (d / "m.log").read_text() == per_tick_log(reference_simulate(spec, cfg, stim))
-        assert (d / "m.vcd").read_text() == vcd
+        log, cli_vcd = cli_outputs(spec, cfg, stim, tmp_path_factory.mktemp("log"))
+        reference = reference_simulate(spec, cfg, stim)
+        assert log == per_tick_log(reference)
+        assert cli_vcd == vcd == per_tick_vcd(reference)
+
+    @settings(max_examples=15, deadline=None)
+    @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
+           cfg=timer_configs(), stim=long_stimuli())
+    def test_long_runs_render_like_the_per_tick_formatters(self, spec, cfg, stim,
+                                                           tmp_path_factory):
+        reference = reference_simulate(spec, cfg, stim)
+        log, vcd = cli_outputs(spec, cfg, stim, tmp_path_factory.mktemp("long"))
+        assert first_difference(log, per_tick_log(reference)) is None
+        assert first_difference(vcd, per_tick_vcd(reference)) is None
+
+    @pytest.mark.parametrize("horizon", [1, 2, 999, 1000, 1001, 1999, 2000, 2001,
+                                         9999, 10000, 10001, 100001])
+    def test_tick_numbers_across_block_edges(self, itlc_spec, default_cfg, horizon, tmp_path):
+        # A 42-tick cycle of runs with a reset, cut at the horizon.
+        runs, left = [], horizon
+        for c, reset, n in itertools.cycle([(1, 0, 29), (0, 0, 3), (1, 1, 2), (0, 0, 1),
+                                            (1, 0, 7)]):
+            if left <= n:
+                break
+            runs.append((c, reset, n))
+            left -= n
+        stim = Stimulus((*runs, (c, reset, left)))
+        reference = reference_simulate(itlc_spec, default_cfg, stim)
+        log, vcd = cli_outputs(itlc_spec, default_cfg, stim, tmp_path)
+        assert first_difference(log, per_tick_log(reference)) is None
+        assert first_difference(vcd, per_tick_vcd(reference)) is None
+
+    def test_simulate_memory_at_50k_ticks(self, tmp_path):
+        # c toggles after 1-80 ticks; reset is high for 1-3 ticks about once
+        # per 4,000.  The peak was 5.8 MB while the log made a string per
+        # tick number and the VCD a tuple per change; it is 4.0 MB without.
+        rnd, lines, tick, c = random.Random(50_000), ["horizon 50000"], 0, 0
+        while tick < 50_000 - 85:
+            tick += rnd.randint(1, 80)
+            c ^= 1
+            lines.append(f"{tick} c={c}")
+            if rnd.random() < 1 / 100:
+                tick += 1
+                lines.append(f"{tick} reset=1")
+                tick += rnd.randint(1, 3)
+                lines.append(f"{tick} reset=0")
+        (tmp_path / "long.stim").write_text("\n".join(lines) + "\n")
+        argv = ["simulate", str(GOLDEN.parent / "designs" / "itlc.fsm"), str(tmp_path / "long.stim"),
+                "--vcd", str(tmp_path / "long.vcd"), "--log", str(tmp_path / "long.log")]
+        assert main(argv) == 0  # first-use allocations: interpreter caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "long.log").read_text().count("\n") == 50_000
+        assert peak < 4_650_000
 
     def test_exploration_fills_every_cell(self, itlc_spec, default_cfg, tables, kernel_calls):
         reached = explore_reachable(itlc_spec, default_cfg)
@@ -474,6 +591,11 @@ class TestWriteVcd:
     def test_golden_scenario_vcd(self, itlc_spec, default_cfg):
         stim = parse_stimulus(bundled_stimulus_source())
         vcd = write_vcd(simulate(itlc_spec, default_cfg, stim))
+        assert vcd.encode() == (GOLDEN / "itlc_scenario.vcd").read_bytes()
+
+    def test_per_tick_rules_give_the_golden_scenario_vcd(self, itlc_spec, default_cfg):
+        stim = parse_stimulus(bundled_stimulus_source())
+        vcd = per_tick_vcd(reference_simulate(itlc_spec, default_cfg, stim))
         assert vcd.encode() == (GOLDEN / "itlc_scenario.vcd").read_bytes()
 
     def test_declares_every_signal_and_state_vector(self, itlc_spec, default_cfg):
