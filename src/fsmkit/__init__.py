@@ -19,8 +19,9 @@ _EXPORTS = {
               "eval_guard", "moore_output", "step_spec", "validate"),
     "dsl": ("ParseError", "ParseFailure", "SourceSpan", "parse", "serialize"),
     "timer": ("TimerConfig", "timer_commit", "timer_outputs"),
-    "sim": ("SimError", "Stimulus", "StimulusError", "TickRecord", "Trace",
-            "explore_reachable", "parse_stimulus", "simulate", "write_vcd"),
+    "kernel": ("SimError", "TickRecord"),
+    "sim": ("Stimulus", "StimulusError", "Trace", "explore_reachable", "parse_stimulus",
+            "simulate", "write_vcd"),
     "env": ("Metrics", "TrafficModel", "run_env"),
     "emit": ("EmitError", "emit_ucf", "emit_verilog", "parse_pin_file"),
 }

@@ -156,7 +156,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from . import env as env_mod, sim
+    from . import env as env_mod, kernel
 
     spec = _load_spec(args.fsm)
     _require_valid(validate(spec))
@@ -178,7 +178,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     try:
         aggregate = env_mod.Metrics.aggregate(runs())
-    except (ValueError, sim.SimError) as exc:
+    except (ValueError, kernel.SimError) as exc:
         raise _CliError(2, str(exc)) from exc
     print(aggregate.as_record(prefix="aggregate "))
     return 0

@@ -11,14 +11,16 @@ Randomness comes from SplitMix64, a fixed 64-bit generator implemented here
 in plain integer arithmetic so runs reproduce bit-for-bit on any platform.
 Its draw k is mix64(seed + (k+1)*gamma mod 2**64), a pure function of k, so
 `arrival_blocks` computes a block of draws at once in one big int with a
-128-bit lane per draw; tick t takes draws 2t (north) and 2t+1 (south).
-`SplitMix64` stays the sequential definition the blocks are tested against.
+128-bit lane per draw, testing each against p as a carry into bit 64; tick t
+takes draws 2t (north) and 2t+1 (south).  `SplitMix64` stays the sequential
+definition the blocks are tested against.
 
-A run steps a memo table one level above `sim._ClosedLoop`: a product state
-pairs a closed-loop configuration with the two slots' busy bits, and each
-(product state, arrival symbol) cell holds the next product state, an event
-code and the kernel record.  Arrival ticks, waits and cycle counts change
-only on event ticks; every other tick is one lookup.
+A run steps a memo table one level above `kernel._ClosedLoop`: a product
+state pairs a closed-loop configuration with the two slots' busy bits, and
+each (product state, arrival symbol) cell holds the next product state and
+an event code.  Arrival ticks, waits, cycle counts and main-green ticks
+change only on event ticks, main green where mg rises or falls; every other
+tick is one lookup.  This module loads `kernel`, not `sim`.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
 
-from .model import FsmSpec, value_type
-from .sim import TickRecord, _ClosedLoop
+from .kernel import _ClosedLoop
+from .model import FsmSpec, moore_output, value_type
 from .timer import TimerConfig
 
 _MASK64 = (1 << 64) - 1
@@ -59,19 +61,19 @@ class SplitMix64:
 
 @lru_cache(maxsize=1)
 def _lanes(ticks: int) -> tuple[int, int, int, int]:
-    """Constants for a block of 2*ticks 128-bit lanes: a 1, 64 low ones and
-    53 low ones in every lane, and i*gamma mod 2**64 in lane i."""
+    """Constants for a block of 2*ticks 128-bit lanes: a 1 and 64 low ones in
+    every lane, i*gamma mod 2**64 in lane i, and the stride from one block's
+    counters to the next's, 2*ticks*gamma mod 2**64, in every lane."""
     n = 2 * ticks
     ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
-    low64 = int.from_bytes((b"\xff" * 8 + bytes(8)) * n, "little")
     steps = int.from_bytes(
         b"".join((i * _GAMMA & _MASK64).to_bytes(16, "little") for i in range(n)), "little")
-    return ones, low64, (ones << 53) - ones, steps
+    return ones, (ones << 64) - ones, steps, (n * _GAMMA & _MASK64) * ones
 
 
-# Byte 6 of an even lane holds its own flag (bit 53, value 32: north) beside
-# the next lane's (shifted to bit 52, value 16: south).
-_SYMBOL = bytes.maketrans(bytes((0, 16, 32, 48)), bytes((0, 1, 2, 3)))
+# Byte 8 of an even lane holds its own carry (bit 64, value 1: no north
+# arrival) beside the next lane's (shifted to bit 65, value 2: no south one).
+_SYMBOL = bytes.maketrans(bytes((0, 1, 2, 3)), bytes((3, 1, 2, 0)))
 
 
 def arrival_blocks(seed: int, p: float, horizon: int) -> Iterator[bytes]:
@@ -79,19 +81,22 @@ def arrival_blocks(seed: int, p: float, horizon: int) -> Iterator[bytes]:
     min(horizon, BLOCK_TICKS) ticks; the last block is cut at the horizon.
     Bit for bit the draws of `SplitMix64(seed).bernoulli(p)`, north first."""
     ticks = min(horizon, BLOCK_TICKS)
-    ones, low64, low53, steps = _lanes(ticks)
-    # (z >> 11) * 2**-53 < p  iff  z >> 11 < ceil(p * 2**53): scaling by a
-    # power of two is exact.  Adding the ceiling to 2**53-1 - (z >> 11) carries
-    # into bit 53 exactly when the draw is an arrival.
-    below = math.ceil(p * 2 ** 53) * ones
-    flags = ones << 53
+    ones, low64, steps, stride = _lanes(ticks)
+    # (z >> 11) * 2**-53 < p  iff  z < ceil(p * 2**53) << 11: scaling by a power
+    # of two is exact.  Adding 2**64 minus that bound to z carries into bit 64
+    # exactly when the draw is not an arrival; bits 64-96 of every lane are 0
+    # before the add, so the carry stops there.
+    above = ((1 << 64) - (math.ceil(p * 2 ** 53) << 11)) * ones
+    carries = ones << 64
+    # The counters of the block before the first: each block adds the stride.
+    count = ((seed + (1 - 2 * ticks) * _GAMMA & _MASK64) * ones + steps) & low64
     for first in range(0, horizon, ticks):
-        z = ((seed + (2 * first + 1) * _GAMMA & _MASK64) * ones + steps) & low64
-        z = ((z ^ z >> 30) & low64) * _MIX1 & low64
+        count = count + stride & low64
+        z = ((count ^ count >> 30) & low64) * _MIX1 & low64
         z = ((z ^ z >> 27) & low64) * _MIX2 & low64
-        f = ((z ^ z >> 31) >> 11 & low53 ^ low53) + below & flags
-        pairs = (f | f >> 129).to_bytes(32 * ticks, "little")
-        yield pairs[6:32 * (horizon - first):32].translate(_SYMBOL)
+        f = (z ^ z >> 31) + above & carries
+        pairs = (f | f >> 127).to_bytes(32 * ticks, "little")
+        yield pairs[8:32 * (horizon - first):32].translate(_SYMBOL)
 
 
 @value_type
@@ -147,23 +152,26 @@ class Metrics(namedtuple("Metrics", "mean_side_wait max_side_wait main_green_sha
 _NORTH, _SOUTH = 2, 1  # a vehicle arrives in that approach's free slot
 _SERVE = 4  # side green with a vehicle waiting; the next busy bits are left 0
 _CYCLE = 8  # a non-trivial return to the initial state (itlc: S3 -> S0)
+_RISE, _FALL = 16, 32  # the next state shows mg and this one does not, or the reverse
 
 
 class TrafficTable:
     """Memo table over `_ClosedLoop` plus the sensor slots.  Product state
     4*j + 2*north busy + south busy pairs configuration j with the slots;
-    cell 4*P + symbol holds (4 * next P, event code, kernel record) and
-    `hits` counts its ticks in the current run.  At most 16 cells per
+    cell 4*P + symbol holds (4 * next P, event code).  At most 16 cells per
     configuration.  Cells depend only on (spec, cfg), so runs of one spec
     and cfg may share a table whatever their seeds."""
 
     def __init__(self, spec: FsmSpec, cfg: TimerConfig):
         self.loop = _ClosedLoop(spec, cfg)
         self.initial = spec.initial_state
-        self.cells: list[tuple[int, int, TickRecord] | None] = [None] * 16
-        self.hits: list[int] = []  # per run: `run_env` sets it
+        # Whether each state shows mg.  An undeclared state reads as dark here;
+        # the kernel refuses it on the tick that starts in it.
+        self.main_green = {s.name: bool(moore_output(spec, s.name).get("mg"))
+                           for s in spec.states}
+        self.cells: list[tuple[int, int] | None] = [None] * 16
 
-    def fill(self, k: int) -> tuple[int, int, TickRecord]:
+    def fill(self, k: int) -> tuple[int, int]:
         loop = self.loop
         j, busy, symbol = k >> 4, k >> 2 & 3, k & 3
         event, busy = symbol & ~busy, busy | symbol
@@ -171,12 +179,14 @@ class TrafficTable:
         nxt, record = loop.cells[kk] or loop.fill(kk)
         if busy and record.moore.get("sg"):
             event, busy = event | _SERVE, 0
-        if record.state != self.initial and loop.configs[nxt][0] == self.initial:
+        state = loop.configs[nxt][0]
+        if record.state != self.initial and state == self.initial:
             event |= _CYCLE
-        grow = 16 * len(loop.configs) - len(self.cells)
-        self.cells.extend((None,) * grow)
-        self.hits.extend((0,) * grow)
-        cell = self.cells[k] = (16 * nxt + 4 * busy, event, record)
+        green = self.main_green.get(state, False)
+        if green != bool(record.moore.get("mg")):
+            event |= _RISE if green else _FALL
+        self.cells.extend((None,) * (16 * len(loop.configs) - len(self.cells)))
+        cell = self.cells[k] = (16 * nxt + 4 * busy, event)
         return cell
 
 
@@ -192,18 +202,16 @@ def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
     elif table.loop.spec is not spec or table.loop.cfg != cfg:
         raise ValueError("the traffic table was built for another spec or timer config")
     cells, fill = table.cells, table.fill
-    hits = table.hits = [0] * len(cells)  # this run's ticks only; `fill` extends it
     horizon, rate = model.horizon, model.service_rate
     at = 0  # 4 * product state
     north: int | None = None  # arrival tick of the vehicle in each slot
     south: int | None = None
     served = total = worst = cycles = 0
+    green = 0  # main-green ticks: minus each green stretch's start, plus its end
 
     symbols = chain.from_iterable(arrival_blocks(model.seed, model.arrival_prob, horizon))
     for tick, symbol in enumerate(symbols):
-        k = at + symbol
-        at, event, _ = cells[k] or fill(k)
-        hits[k] += 1
+        at, event = cells[at + symbol] or fill(at + symbol)
         if event:
             if event & _NORTH:
                 north = tick
@@ -222,12 +230,16 @@ def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
                 at += (8 if north is not None else 0) + (4 if south is not None else 0)
             if event & _CYCLE:
                 cycles += 1
-
-    green_main = sum(n for cell, n in zip(cells, hits) if n and cell[2].moore.get("mg"))
+            if event & _RISE:
+                green -= tick + 1
+            elif event & _FALL:
+                green += tick + 1
+    if table.main_green.get(table.loop.configs[at >> 4][0]):
+        green += horizon  # the last stretch is still green
     return Metrics(
         mean_side_wait=(total / served) if served else 0.0,
         max_side_wait=worst,
-        main_green_share=green_main / horizon,
+        main_green_share=green / horizon,
         side_vehicles_served=served,
         cycles_completed=cycles,
     )

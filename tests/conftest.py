@@ -21,6 +21,17 @@ def all_valuations(names):
         yield dict(zip(names, bits))
 
 
+def first_difference(got, want):
+    """None for equal texts, else the first line where they differ, as (line
+    number, got's line, want's line): pytest's own diff of two long texts
+    takes minutes."""
+    if got == want:
+        return None
+    a, b = got.splitlines(True), want.splitlines(True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i + 1, a[i:i + 1], b[i:i + 1]
+
+
 @pytest.fixture(scope="session")
 def itlc_spec():
     return bundled_spec()
@@ -106,10 +117,11 @@ CLOSED_LOOP_INPUTS = ("reset", "c", "ts", "tl")
 
 
 @st.composite
-def closed_loop_machines(draw, max_states=5):
-    """Random machines over exactly the closed-loop inputs, with lights mg/sg
-    and the timer pulse st.  Each state's guards partition all 16 valuations,
-    so every run is defined; reset is declared or left an ordinary input."""
+def closed_loop_machines(draw, max_states=5, lights=("mg", "sg")):
+    """Random machines over exactly the closed-loop inputs, with the given
+    lights (mg and sg by default) and the timer pulse st.  Each state's guards
+    partition all 16 valuations, so every run is defined; reset is declared or
+    left an ordinary input."""
     names = [f"Q{i}" for i in range(draw(st.integers(1, max_states)))]
     valuations = list(all_valuations(CLOSED_LOOP_INPUTS))
     states = []
@@ -122,10 +134,10 @@ def closed_loop_machines(draw, max_states=5):
             guard = guard_from_minterms(minterms, CLOSED_LOOP_INPUTS, len(valuations))
             pulses = frozenset({"st"}) if draw(st.booleans()) else frozenset()
             transitions.append(Transition(guard, draw(st.sampled_from(names)), pulses))
-        lights = {"mg": draw(st.integers(0, 1)), "sg": draw(st.integers(0, 1))}
-        states.append(StateDef(name, lights, tuple(transitions)))
+        levels = {light: draw(st.integers(0, 1)) for light in lights}
+        states.append(StateDef(name, levels, tuple(transitions)))
     return FsmSpec(
-        name="loop", inputs=CLOSED_LOOP_INPUTS, moore_outputs=("mg", "sg"),
+        name="loop", inputs=CLOSED_LOOP_INPUTS, moore_outputs=tuple(lights),
         pulse_outputs=("st",), states=tuple(states), initial_state=names[0],
         reset_input=draw(st.sampled_from(["reset", None])))
 

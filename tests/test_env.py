@@ -93,7 +93,7 @@ class TestTabulatedRun:
         configs = table.loop.configs
         filled = [(k, cell) for k, cell in enumerate(table.cells) if cell is not None]
         assert filled
-        for k, (nxt, event, record) in filled:
+        for k, (nxt, event) in filled:
             (state, count), busy, symbol = configs[k >> 4], k >> 2 & 3, k & 3
             # A vehicle is registered only in a free slot; c is the OR of the slots.
             north = not busy & 2 and bool(symbol & 2)
@@ -101,14 +101,50 @@ class TestTabulatedRun:
             busy |= symbol
             kernel, next_state, next_count = closed_loop_tick(
                 spec, cfg, state, count, 1 if busy else 0, 0)
-            assert record == kernel, k
+            assert table.loop.cells[4 * (k >> 4) + (2 if busy else 0)][1] == kernel, k
             # A side-green tick with a vehicle waiting serves: the cell leaves
             # both busy bits 0 and `run_env` sets those of vehicles still waiting.
             serve = bool(busy) and bool(kernel.moore.get("sg"))
             cycle = state != spec.initial_state and next_state == spec.initial_state
-            assert event == 2 * north + south + 4 * serve + 8 * cycle, k
+            # mg rises or falls where the next tick's record shows it differently.
+            after = closed_loop_tick(spec, cfg, next_state, next_count, 0, 0)[0]
+            now, then = bool(kernel.moore.get("mg")), bool(after.moore.get("mg"))
+            rise, fall = then and not now, now and not then
+            assert event == 2 * north + south + 4 * serve + 8 * cycle + 16 * rise + 32 * fall, k
             j = table.loop.ids[(next_state, next_count)]
             assert nxt == 16 * j + (0 if serve else 4 * busy), k
+
+
+class TestGreenAccounting:
+    """`run_env` counts main green from the ticks where mg rises or falls, plus
+    the horizon when the state after the last tick shows mg."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(spec=st.sampled_from([(), ("mg",), ("sg",), ("sg", "mg")]).flatmap(
+               lambda lights: closed_loop_machines(lights=lights)),
+           cfg=timer_configs(),
+           seed=st.integers(0, 2**64 - 1),
+           p=st.floats(0.0, 1.0),
+           service_rate=st.integers(1, 3),
+           horizon=st.one_of(st.just(1), st.integers(1, 300)))
+    def test_machines_lacking_a_light_match_the_reference(self, spec, cfg, seed, p,
+                                                          service_rate, horizon):
+        model = TrafficModel(p, seed=seed, horizon=horizon, service_rate=service_rate)
+        metrics = run_env(spec, cfg, model)
+        assert metrics == reference_run_env(spec, cfg, model).metrics
+        if "mg" not in spec.moore_outputs:
+            assert metrics.main_green_share == 0.0
+
+    def test_runs_ending_mid_green_or_not_match_the_reference(self, itlc_spec, default_cfg):
+        endings = set()
+        for horizon in range(1, 160):
+            model = TrafficModel(0.3, seed=9, horizon=horizon)
+            reference = reference_run_env(itlc_spec, default_cfg, model)
+            assert run_env(itlc_spec, default_cfg, model) == reference.metrics, horizon
+            share = reference.metrics.main_green_share
+            endings.add((reference.records[-1].moore["mg"], 0 < share < 1))
+        # Both endings occur after green has already fallen at least once.
+        assert {(0, True), (1, True)} <= endings
 
 
 class TestSharedTable:

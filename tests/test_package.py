@@ -54,6 +54,15 @@ def test_every_traced_layer_resolves():
     assert tracing.LAYERS and missing == []
 
 
+def test_sim_reexports_the_kernel():
+    from fsmkit import kernel, sim
+    names = ("CLOSED_LOOP_INPUTS", "START_PULSE", "SimError", "TickRecord",
+             "closed_loop_tick", "_ClosedLoop")
+    assert [name for name in names if getattr(sim, name) is not getattr(kernel, name)] == []
+    assert fsmkit.SimError is sim.SimError and fsmkit.TickRecord is sim.TickRecord
+    assert issubclass(sim.StimulusError, kernel.SimError)
+
+
 def test_dir_and_star_import_list_every_public_name():
     assert set(fsmkit.__all__) <= set(dir(fsmkit))
     names = {}
@@ -73,7 +82,7 @@ print(json.dumps([before, loaded()]))
     before, after = loaded
     assert before == ["fsmkit"]
     assert [m for m in after if m.startswith("fsmkit")] == [
-        "fsmkit", "fsmkit.env", "fsmkit.model", "fsmkit.sim", "fsmkit.timer"]
+        "fsmkit", "fsmkit.env", "fsmkit.kernel", "fsmkit.model", "fsmkit.timer"]
 
 
 def test_commands_import_only_what_they_run(tmp_path):
@@ -95,9 +104,9 @@ print(json.dumps(steps))
     # Each in a fresh interpreter, as the console script runs them.
     stim = REPO / "designs" / "paper_fig7_10.stim"
     for argv, runs in [(["simulate", ITLC, str(stim), "--vcd", str(tmp_path / "run.vcd")],
-                        {"fsmkit.sim"}),
+                        {"fsmkit.sim", "fsmkit.kernel"}),
                        (["bench", ITLC, "--arrival", "0.1", "--horizon", "50"],
-                        {"fsmkit.sim", "fsmkit.env"})]:
+                        {"fsmkit.kernel", "fsmkit.env"})]:
         ran = fresh_interpreter(f"""
 import contextlib, io
 from fsmkit import cli

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closed_loop_machines, timer_configs
-from fsmkit import dsl, sim
+from conftest import closed_loop_machines, first_difference, timer_configs
+from fsmkit import dsl, kernel, sim
 from fsmkit.cli import main
 from fsmkit.env import TrafficModel, run_env
 from fsmkit.itlc import bundled_spec, bundled_stimulus_source
@@ -103,17 +103,6 @@ def per_tick_vcd(trace):
     return "\n".join(lines) + "\n"
 
 
-def first_difference(got, want):
-    """None for equal texts, else the first line where they differ, as (line
-    number, got's line, want's line): pytest's own diff of two long texts
-    takes minutes."""
-    if got == want:
-        return None
-    a, b = got.splitlines(True), want.splitlines(True)
-    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-    return i + 1, a[i:i + 1], b[i:i + 1]
-
-
 def cli_outputs(spec, cfg, stim, d):
     """`fsmkit simulate`'s log and `--vcd` text for the run, from files in `d`
     with one `.stim` line per run."""
@@ -178,12 +167,12 @@ def into_undeclared_state():
 def tables(monkeypatch):
     """Every closed-loop table built while the test runs."""
     built = []
-    init = sim._ClosedLoop.__init__
+    init = kernel._ClosedLoop.__init__
 
     def recording_init(self, *args):
         init(self, *args)
         built.append(self)
-    monkeypatch.setattr(sim._ClosedLoop, "__init__", recording_init)
+    monkeypatch.setattr(kernel._ClosedLoop, "__init__", recording_init)
     return built
 
 
@@ -195,7 +184,7 @@ def kernel_calls(monkeypatch):
     def counting_kernel(*args):
         calls[0] += 1
         return closed_loop_tick(*args)
-    monkeypatch.setattr(sim, "closed_loop_tick", counting_kernel)
+    monkeypatch.setattr(kernel, "closed_loop_tick", counting_kernel)
     return calls
 
 
