@@ -90,16 +90,16 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import sim
+    from . import kernel, sim
 
     spec = _load_spec(args.fsm)
     _require_valid(validate(spec))
     cfg = _timer_config(args)
     try:
         stim = sim.parse_stimulus(_read_text(args.stim, "stimulus"))
-        loop = sim._ClosedLoop(spec, cfg)
+        loop = kernel._ClosedLoop(spec, cfg)
         keys = loop.walk(stim.runs)  # the table cell of every tick
-    except sim.SimError as exc:
+    except kernel.SimError as exc:
         raise _CliError(2, str(exc)) from exc
     records = {k: cell[1] for k, cell in enumerate(loop.cells) if cell}
     _write_text(args.log, _log_text(records, keys), "log")
@@ -142,10 +142,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
             text = emit_mod.emit_verilog(spec, args.encoding)  # validates the spec first
         else:
             _require_valid(validate(spec))
-            if args.pins:
-                pins = emit_mod.parse_pin_file(_read_text(args.pins, "pin file"))
-            else:
-                from .itlc import DEFAULT_PIN_ROWS as pins
+            pins = (emit_mod.parse_pin_file(_read_text(args.pins, "pin file")) if args.pins
+                    else emit_mod.DEFAULT_PIN_ROWS)
             text = emit_mod.emit_ucf(spec, pins)
     except emit_mod.InvalidSpecError as exc:
         raise _CliError(1, _findings_text(exc.findings).rstrip("\n")) from exc

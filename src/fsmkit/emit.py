@@ -3,7 +3,8 @@ and UCF pin-constraint text for board bring-up.
 
 Both emitters are pure text functions; tests pin their output byte-for-byte
 against golden files.  A pin map is a sequence of (signal, location, kind)
-rows, which `emit_ucf` checks against the spec before rendering.  Generated
+rows, which `emit_ucf` checks against the spec before rendering;
+`DEFAULT_PIN_ROWS` is the board's map for the bundled controller.  Generated
 HDL uses a synchronous dominant reset and registered state, matching the
 simulation kernel, with combinational pulse outputs asserted during the
 cycle a transition fires.  The generated text is meant to be fed to a vendor
@@ -11,16 +12,29 @@ toolchain by hand; no synthesis is attempted here.
 """
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 
-from .dsl import format_guard
+from .dsl import _NAME_RE, format_guard
 from .model import Finding, FsmSpec, validate
 
 BINARY = "binary"
 ONE_HOT = "onehot"
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Board mapping for the Spartan-3E demo of the bundled controller: the sensor
+# and the two timer-expiry switches drive it; the six lights show on LEDs.
+# The start-timer pulse is a controller output and deliberately has no board
+# input pin.
+DEFAULT_PIN_ROWS: tuple[tuple[str, str, str], ...] = (
+    ("c", "N17", "input"),
+    ("ts", "H18", "input"),
+    ("tl", "L14", "input"),
+    ("mr", "F9", "output"),
+    ("my", "E9", "output"),
+    ("mg", "D11", "output"),
+    ("sr", "F11", "output"),
+    ("sy", "E11", "output"),
+    ("sg", "E12", "output"),
+)
 
 # The 123 reserved words of Verilog-2001 (IEEE 1364-2001, Annex B).
 _VERILOG_KEYWORDS = frozenset("""
@@ -93,7 +107,7 @@ def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
 # ---------------------------------------------------------------------------
 
 def _usable(name: str) -> bool:
-    return bool(_IDENT_RE.fullmatch(name)) and name not in _VERILOG_KEYWORDS
+    return bool(_NAME_RE.fullmatch(name)) and name not in _VERILOG_KEYWORDS
 
 
 def _check_identifiers(spec: FsmSpec, encoding: str) -> None:

@@ -12,9 +12,9 @@ Per-tick order, fixed and relied on by every downstream consumer:
   5. commit: state := next, timer advances (restarting on st).
 `closed_loop_tick` is the one implementation of steps 2-5, evaluated once per
 reached (configuration, input) cell of a `_ClosedLoop` table; `sim.simulate`,
-`sim.explore_reachable` and `env.run_env` supply step 1 and read it.  This
-module holds only that part, so `bench` loads no stimulus parser or VCD
-renderer; `sim` re-exports every name here.
+`sim.explore_reachable`, `env.run_env` and `cli.cmd_simulate` supply step 1
+and read it.  This module holds only that part, so `bench` loads no stimulus
+parser or VCD renderer.
 Moore outputs are registered, so a transition's new lights appear one tick
 after its guard fires.
 """

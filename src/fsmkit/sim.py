@@ -1,10 +1,9 @@
-"""Stimulus-driven runs, reachability and VCD output over `kernel`, whose
-names this module re-exports.  A `Stimulus` holds the kernel's step 1, the
-external inputs, as (c, reset, n) runs, one per `.stim` line, so it grows with
-the text, not the horizon.  Every tick that hits a table cell gets the cell's
-one read-only record, so output renders once per cell, and the VCD once per
-change of what it shows: no renderer builds a string per tick or a tuple per
-change.
+"""Stimulus-driven runs, reachability and VCD output over `kernel`.  A
+`Stimulus` holds the kernel's step 1, the external inputs, as (c, reset, n)
+runs, one per `.stim` line, so it grows with the text, not the horizon.  Every
+tick that hits a table cell gets the cell's one read-only record, so output
+renders once per cell, and the VCD once per change of what it shows: no
+renderer builds a string per tick or a tuple per change.
 """
 from __future__ import annotations
 
@@ -13,9 +12,7 @@ from collections.abc import Hashable, Mapping
 from itertools import compress, islice
 from operator import ne
 
-from .kernel import (  # noqa: F401  (the kernel's names, re-exported)
-    CLOSED_LOOP_INPUTS, START_PULSE, SimError, TickRecord, _ClosedLoop, closed_loop_tick,
-)
+from .kernel import SimError, TickRecord, _ClosedLoop
 from .model import Bit, FsmSpec, value_type
 from .timer import TimerConfig
 

@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
+from importlib import resources
 
 import pytest
 from hypothesis import strategies as st
 
-from fsmkit.itlc import bundled_spec
+from fsmkit import dsl
 from fsmkit.model import (
-    And, Const, FsmSpec, Not, Or, StateDef, Transition, Var,
+    And, Const, FsmSpec, Not, Or, StateDef, Transition, Var, validate,
 )
 from fsmkit.timer import TimerConfig
 
@@ -30,6 +31,26 @@ def first_difference(got, want):
     a, b = got.splitlines(True), want.splitlines(True)
     i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
     return i + 1, a[i:i + 1], b[i:i + 1]
+
+
+def bundled_source() -> str:
+    """Text of the packaged `itlc.fsm` asset, the traffic light controller."""
+    return resources.files("fsmkit").joinpath("designs/itlc.fsm").read_text("utf-8")
+
+
+def bundled_stimulus_source() -> str:
+    """Text of the packaged side-road scenario stimulus."""
+    return resources.files("fsmkit").joinpath("designs/paper_fig7_10.stim").read_text("utf-8")
+
+
+@lru_cache(maxsize=1)
+def bundled_spec() -> FsmSpec:
+    """Parsed and validated controller spec from the packaged asset."""
+    spec = dsl.parse(bundled_source())
+    findings = validate(spec)
+    if findings:
+        raise AssertionError(f"bundled controller spec is invalid: {findings}")
+    return spec
 
 
 @pytest.fixture(scope="session")

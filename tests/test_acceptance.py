@@ -9,14 +9,13 @@ from pathlib import Path
 from hypothesis import given, settings
 
 from fsmkit import dsl
-from fsmkit.emit import emit_ucf, emit_verilog
+from fsmkit.emit import DEFAULT_PIN_ROWS, emit_ucf, emit_verilog
 from fsmkit.env import TrafficModel, run_env
-from fsmkit.itlc import DEFAULT_PIN_ROWS, bundled_spec, bundled_stimulus_source
 from fsmkit.model import moore_output, step_spec, validate
 from fsmkit.sim import explore_reachable, parse_stimulus, simulate, write_vcd
 from fsmkit.timer import TimerConfig
 
-from conftest import all_valuations, valid_machines
+from conftest import all_valuations, bundled_spec, bundled_stimulus_source, valid_machines
 from itlc_reference import ControllerState, ItlcInputs, reference_next, reference_output
 
 REPO = Path(__file__).resolve().parent.parent

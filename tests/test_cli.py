@@ -488,7 +488,7 @@ class TestInputOutputErrors:
             assert result.stderr == f"cannot write output: {os.strerror(errno.EBADF)}\n"
 
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
-        # A trace of 10^11 ticks cannot be held; a 256 MB address-space limit on
+        # 10^11 table keys, one per tick, cannot be held; a 256 MB address-space limit on
         # the child alone makes it fail within seconds rather than swap.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsmkit import dsl
-from fsmkit.itlc import bundled_source
 from fsmkit.model import Const, FsmSpec, StateDef, Transition, validate
 
-from conftest import valid_machines
+from conftest import bundled_source, valid_machines
 
 
 class TestParse:

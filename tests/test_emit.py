@@ -7,10 +7,9 @@ from hypothesis import given, settings
 
 from fsmkit import dsl
 from fsmkit.emit import (
-    BINARY, EmitError, InvalidSpecError, ONE_HOT, emit_ucf, emit_verilog,
-    parse_pin_file,
+    BINARY, DEFAULT_PIN_ROWS, EmitError, InvalidSpecError, ONE_HOT, emit_ucf,
+    emit_verilog, parse_pin_file,
 )
-from fsmkit.itlc import DEFAULT_PIN_ROWS
 from fsmkit.model import Const, FsmSpec, StateDef, Transition, Var
 
 from conftest import valid_machines

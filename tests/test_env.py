@@ -4,12 +4,11 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closed_loop_machines, timer_configs
+from conftest import bundled_spec, closed_loop_machines, timer_configs
 from fsmkit.env import (
     BLOCK_TICKS, Metrics, SplitMix64, TrafficModel, TrafficTable, arrival_blocks, run_env,
 )
-from fsmkit.itlc import bundled_spec
-from fsmkit.sim import _ClosedLoop, closed_loop_tick
+from fsmkit.kernel import _ClosedLoop, closed_loop_tick
 from fsmkit.timer import TimerConfig
 
 # Frozen analytic worst-case wait for cfg {short, long}: a vehicle can at

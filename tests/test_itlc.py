@@ -1,9 +1,8 @@
 from pathlib import Path
 
-from fsmkit.itlc import bundled_source, bundled_spec
 from fsmkit.model import moore_output, step_spec, validate
 
-from conftest import all_valuations
+from conftest import all_valuations, bundled_source, bundled_spec
 from itlc_reference import (
     ControllerState, ItlcInputs, LightOutputs, reference_next, reference_output,
 )

@@ -6,18 +6,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closed_loop_machines, first_difference, timer_configs
-from fsmkit import dsl, kernel, sim
+from conftest import (
+    bundled_spec, bundled_stimulus_source, closed_loop_machines, first_difference,
+    timer_configs,
+)
+from fsmkit import dsl, kernel
 from fsmkit.cli import main
 from fsmkit.env import TrafficModel, run_env
-from fsmkit.itlc import bundled_spec, bundled_stimulus_source
 from fsmkit.model import (
     ContractViolation, FsmSpec, Not, StateDef, StructuralError, Transition, Var,
     moore_output,
 )
+from fsmkit.kernel import SimError, closed_loop_tick
 from fsmkit.sim import (
-    SimError, Stimulus, StimulusError, Trace, closed_loop_tick,
-    parse_stimulus, simulate, write_vcd, explore_reachable,
+    Stimulus, StimulusError, Trace, parse_stimulus, simulate, write_vcd, explore_reachable,
 )
 from fsmkit.timer import TimerConfig, timer_outputs
 
@@ -302,7 +304,7 @@ class TestSimulate:
     def test_pulse_law_at_every_reachable_cell(self, itlc_spec, cfg):
         # Every transition that changes state pulses st, and no other does;
         # reset, which returns to S0 without a pulse, is the one exception.
-        loop = sim._ClosedLoop(itlc_spec, cfg)
+        loop = kernel._ClosedLoop(itlc_spec, cfg)
         for k, _ in enumerate(loop.cells):  # also visits the cells each fill appends
             loop.fill(k)
         checked = 0
@@ -443,7 +445,7 @@ class TestClosedLoopTable:
             assert str(exc.value) == message
 
     def test_a_failed_kernel_caches_nothing(self, default_cfg):
-        table = sim._ClosedLoop(dsl.parse(GAP_SPEC), default_cfg)
+        table = kernel._ClosedLoop(dsl.parse(GAP_SPEC), default_cfg)
         with pytest.raises(ContractViolation):
             table.fill(2)  # c=1, reset=0 on the initial configuration
         assert table.cells == [None] * 4
