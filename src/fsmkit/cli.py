@@ -5,14 +5,18 @@ Exit codes: 0 success, 1 validation/check failure, 2 usage or parse error
 Every subcommand is deterministic given its arguments and input files, and
 writes only to the paths named in its flags (or stdout).  Each one imports
 the modules it runs when it runs, so `check` never loads `sim`, `env` or
-`emit`.  `main(argv)` returns the exit code; `run()`, the process entry,
-flushes and then ends the process at once, skipping interpreter teardown.
+`emit`.  Every subcommand and flag is declared once, in `COMMANDS`: `main`
+matches a valid argv against it directly, and only `--help` and usage
+errors build argparse's parser from it (so only they import argparse), which
+writes every help text and every one-line usage error.  `main(argv)` returns
+the exit code; `run()`, the process entry, flushes and then ends the process
+at once, skipping interpreter teardown.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import dsl
 from .model import Finding, FsmSpec, validate
@@ -66,7 +70,7 @@ def _load_spec(path: str) -> FsmSpec:
         raise _CliError(2, detail) from exc
 
 
-def _timer_config(args: argparse.Namespace) -> TimerConfig:
+def _timer_config(args) -> TimerConfig:
     try:
         return TimerConfig(short_ticks=args.short, long_ticks=args.long)
     except ValueError as exc:
@@ -83,13 +87,13 @@ def _require_valid(findings: tuple[Finding, ...]) -> None:
         raise _CliError(1, _findings_text(findings).rstrip("\n"))
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args) -> int:
     findings = validate(_load_spec(args.fsm))
     _write_text(None, _findings_text(findings), "findings")
     return 1 if findings else 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args) -> int:
     from . import kernel, sim
 
     spec = _load_spec(args.fsm)
@@ -133,7 +137,7 @@ def _log_text(records: dict, keys: list[int]) -> str:
     return "".join(log)
 
 
-def cmd_emit(args: argparse.Namespace) -> int:
+def cmd_emit(args) -> int:
     from . import emit as emit_mod
 
     spec = _load_spec(args.fsm)
@@ -153,7 +157,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args) -> int:
     from . import env as env_mod, kernel
 
     spec = _load_spec(args.fsm)
@@ -182,64 +186,110 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_timer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--short", type=int, default=DEFAULT_SHORT_TICKS,
-                        help="ticks until the short (amber) interval expires")
-    parser.add_argument("--long", type=int, default=DEFAULT_LONG_TICKS,
-                        help="ticks until the long (green) interval expires")
+# Each subcommand once: (handler, help, positionals, flags).  A flag is
+# (spellings, dest, type, default, required, help); a tuple type is its choices.
+_TIMER_FLAGS = (
+    (("--short",), "short", int, DEFAULT_SHORT_TICKS, False,
+     "ticks until the short (amber) interval expires"),
+    (("--long",), "long", int, DEFAULT_LONG_TICKS, False,
+     "ticks until the long (green) interval expires"),
+)
+COMMANDS = {
+    "check": (cmd_check, "validate a machine description", ("fsm",), ()),
+    "simulate": (cmd_simulate, "closed-loop cycle-accurate simulation", ("fsm", "stim"), (
+        *_TIMER_FLAGS,
+        (("--vcd",), "vcd", str, None, False, "write a VCD waveform to this path"),
+        (("--log",), "log", str, None, False, "write the per-tick text log to this path"),
+    )),
+    "emit": (cmd_emit, "generate Verilog or UCF text", ("fsm",), (
+        (("--format",), "format", ("verilog", "ucf"), "verilog", False, None),
+        # emit.BINARY and emit.ONE_HOT, spelled out so that parsing loads no emitter.
+        (("--encoding",), "encoding", ("binary", "onehot"), "binary", False, None),
+        (("--pins",), "pins", str, None, False, "pin file (default: the bundled board map)"),
+        (("-o", "--output"), "output", str, None, False, "write to this path instead of stdout"),
+    )),
+    "bench": (cmd_bench, "run the stochastic traffic environment", ("fsm",), (
+        (("--arrival",), "arrival", float, None, True,
+         "per-tick per-approach arrival probability"),
+        (("--seeds",), "seeds", int, 1, False, None),
+        (("--horizon",), "horizon", int, 1000, False, None),
+        (("--service-rate",), "service_rate", int, 1, False, None),
+        *_TIMER_FLAGS,
+    )),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None) -> None:  # argparse passes no file
-        # argparse's own printer drops a failed write; `_write_text` raises it.
-        _write_text(None, self.format_help(), "help")
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` would return, when
+    argv is a command name, then exactly its positionals and its flags spelled
+    out in full, each followed by a value that does not start with "-",
+    converts to the flag's type and is one of its choices, with every
+    required flag given.  None for any other argv, argparse's to handle."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, positionals, flags = COMMANDS[argv[0]]
+    spelled = {spelling: flag for flag in flags for spelling in flag[0]}
+    values = {dest: default for _, dest, _, default, _, _ in flags}
+    missing = {dest for _, dest, _, _, required, _ in flags if required}
+    given = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            given.append(arg)
+            continue
+        flag, value = spelled.get(arg), next(rest, "-")
+        if flag is None or value.startswith("-"):
+            return None
+        _, dest, kind, _, _, _ = flag
+        try:  # `index` raises ValueError for a value that is not a choice
+            value = kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            return None
+        values[dest] = value
+        missing.discard(dest)
+    if missing or len(given) != len(positionals):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **dict(zip(positionals, given)), **values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """argparse's parser for `COMMANDS`, which writes the help texts and the
+    usage errors; each error is one line, with no usage block before it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):  # the subparsers take this class too
+        def print_help(self, file=None) -> None:  # argparse passes no file
+            # argparse's own printer drops a failed write; `_write_text` raises it.
+            _write_text(None, self.format_help(), "help")
+
+        def error(self, message: str):  # one line, even for an argument holding "\n"
+            self.exit(2, f"{self.prog}: error: " + message.replace("\n", "\\n") + "\n")
+
     parser = _Parser(
         prog="fsmkit",
         description="Define, validate, simulate, and emit HDL for clocked "
                     "Moore machines with transition pulses.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate a machine description")
-    p.add_argument("fsm")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("simulate", help="closed-loop cycle-accurate simulation")
-    p.add_argument("fsm")
-    p.add_argument("stim")
-    _add_timer_flags(p)
-    p.add_argument("--vcd", help="write a VCD waveform to this path")
-    p.add_argument("--log", help="write the per-tick text log to this path")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("emit", help="generate Verilog or UCF text")
-    p.add_argument("fsm")
-    p.add_argument("--format", choices=("verilog", "ucf"), default="verilog")
-    # emit.BINARY and emit.ONE_HOT, spelled out so that parsing loads no emitter.
-    p.add_argument("--encoding", choices=("binary", "onehot"), default="binary")
-    p.add_argument("--pins", help="pin file (default: the bundled board map)")
-    p.add_argument("-o", "--output", help="write to this path instead of stdout")
-    p.set_defaults(func=cmd_emit)
-
-    p = sub.add_parser("bench", help="run the stochastic traffic environment")
-    p.add_argument("fsm")
-    p.add_argument("--arrival", type=float, required=True,
-                   help="per-tick per-approach arrival probability")
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--service-rate", type=int, default=1)
-    _add_timer_flags(p)
-    p.set_defaults(func=cmd_bench)
+    for name, (func, summary, positionals, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for dest in positionals:
+            p.add_argument(dest)
+        for spellings, dest, kind, default, required, text in flags:
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(*spellings, dest=dest, default=default, required=required,
+                           help=text, **typed)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.  argparse raises SystemExit
-    for `--help` and for usage errors; nothing here ends the process."""
+    """Run one command and return its exit code.  An argv that `_match`
+    refuses goes to argparse, which raises SystemExit for `--help` and for
+    usage errors; nothing here ends the process."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _match(argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

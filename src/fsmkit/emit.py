@@ -12,6 +12,7 @@ toolchain by hand; no synthesis is attempted here.
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 
 from .dsl import _NAME_RE, format_guard
@@ -81,13 +82,18 @@ def parse_pin_file(text: str) -> tuple[tuple[str, str, str], ...]:
 
 def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
     """UCF constraint text, one NET/LOC line per pin in map order.  First
-    checks each row's kind and that its signal is new, row by row, then that
-    `spec` declares every signal, then that each kind matches its signal's
-    direction in `spec`; `EmitError` names the offenders."""
+    checks, row by row, each row's kind, that its location is one or more
+    ASCII letters, digits or `_` (so it cannot close the quoted LOC value),
+    and that its signal is new; then that `spec` declares every signal, then
+    that each kind matches its signal's direction in `spec`; `EmitError`
+    names the offenders."""
     seen: set[str] = set()
-    for signal, _, kind in pins:
+    for signal, location, kind in pins:
         if kind not in ("input", "output"):
             raise EmitError(f"pin '{signal}': kind must be input or output, got '{kind}'")
+        if not re.fullmatch(r"\w+", location, re.ASCII):
+            raise EmitError(
+                f"pin '{signal}': location must be ASCII letters, digits or '_', got '{location}'")
         if signal in seen:
             raise EmitError(f"duplicate pin mapping for signal '{signal}'")
         seen.add(signal)

@@ -6,12 +6,14 @@ import importlib.util
 import io
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import first_difference
 from fsmkit import cli, emit, model
@@ -21,7 +23,8 @@ from fsmkit.dsl import MAX_GUARD_DEPTH, MAX_INPUTS
 REPO = Path(__file__).resolve().parent.parent
 ITLC = str(REPO / "designs" / "itlc.fsm")
 STIM = str(REPO / "designs" / "paper_fig7_10.stim")
-PERFBENCH_INPUTS = REPO / "perfbench" / "inputs.py"
+PERFBENCH = REPO / "perfbench"
+PERFBENCH_INPUTS = PERFBENCH / "inputs.py"
 
 GAP_SPEC = """fsm gappy
 inputs a
@@ -565,11 +568,126 @@ print(codes)
         assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 1, 2]\natexit ran\n", "")
 
 
+def fields(args):
+    """A namespace's attributes with each value's type, so that 1 and 1.0
+    differ and a NaN equals itself."""
+    return {name: (type(value), repr(value)) for name, value in vars(args).items()}
+
+
+def parsed(argv):
+    return fields(cli.build_parser().parse_args(argv))
+
+
+# Per type, values that convert (and paths that take no "-" first), then
+# values that do not; a draw takes one of the first three times as often.
+VALUES = {
+    int: (["3", "0", "16", " 7 ", "1_000", "٣"], ["-1", "", "abc", "1.5", "nan", "0x10"]),
+    float: (["0.1", "1", "nan", "inf", "1e-3", " 0.2", "1_0"], ["-0.5", "", "abc", "0.1.2"]),
+    str: ([ITLC, "out.v", "a b.fsm", "x=y", "ü.vcd", "", "dir/-x", "check"], ["-", "-x.fsm"]),
+    tuple: (["verilog", "ucf", "binary", "onehot"], ["gray", "UCF", "onehot ", ""]),
+}
+# Pieces the matcher leaves to argparse: help, `--`, `--flag=value`,
+# abbreviations, an attached short value and unknown names.
+JUNK = ["-h", "--help", "--", "--seeds=3", "--output=o.v", "--hor", "--enc", "-oout.v",
+        "--vcd", "-o", "--arrival", "frobnicate", "emit", "-x"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv near a valid command: its positionals (sometimes one too few
+    or too many), some of its flags with values of every kind, in any order,
+    and sometimes a junk piece spliced in."""
+    def value(kind):
+        good, bad = VALUES[tuple if isinstance(kind, tuple) else kind]
+        return draw(st.sampled_from(good * 3 + bad))
+
+    name = draw(st.sampled_from([*cli.COMMANDS, "frobnicate", "-h"]))
+    _, _, positionals, flags = cli.COMMANDS.get(name, (None, None, (), ()))
+    count = draw(st.sampled_from([len(positionals)] * 4 + [0, len(positionals) + 1]))
+    units = [[value(str)] for _ in range(count)]
+    for spellings, _, kind, _, _, _ in draw(st.lists(st.sampled_from(flags), max_size=6)
+                                            if flags else st.just([])):
+        units.append([draw(st.sampled_from(spellings)), value(kind)])
+    argv = [name, *(arg for unit in draw(st.permutations(units)) for arg in unit)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+@pytest.fixture
+def perfbench_run():
+    """The benchmark's runner, `perfbench/run.py`, loaded by path with its sibling modules."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in (spec.name, "inputs", "tracing"):
+            sys.modules.pop(name, None)
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", ITLC], "fsmkit bench: error: the following arguments are required: --arrival"),
+        (["bench", ITLC, "--arrival", "0.1", "--seeds", "abc"],
+         "fsmkit bench: error: argument --seeds: invalid int value: 'abc'"),
+        (["emit", ITLC, "--encoding", "gray"],
+         "fsmkit emit: error: argument --encoding: invalid choice: 'gray' "
+         "(choose from 'binary', 'onehot')"),
+        (["frobnicate"], "fsmkit: error: argument command: invalid choice: 'frobnicate' "
+                         "(choose from 'check', 'simulate', 'emit', 'bench')"),
+        ([], "fsmkit: error: the following arguments are required: command"),
+        (["check", ITLC, "b\nc"], "fsmkit: error: unrecognized arguments: b\\nc"),
+    ], ids=["missing-arrival", "bad-seeds", "bad-encoding", "unknown-command", "no-command",
+            "extra-argument-with-newline"])
+    def test_a_usage_error_is_one_line(self, argv, message):
+        assert in_process(argv) == (2, b"", f"{message}\n".encode())
+        done = child(["-m", "fsmkit.cli", *argv])
+        assert (done.returncode, done.stdout, done.stderr) == (2, b"", f"{message}\n".encode())
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout varies by version")
+    def test_help_texts_are_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        digests = {"": "10e17231e3a6ce74", "check": "95c459370175ba3a",
+                   "simulate": "4591331ba46e2986", "emit": "d82d3c3bb1c898ca",
+                   "bench": "560cd7a0ec9167db"}
+        for command, digest in digests.items():
+            code, out, err = in_process([command, "--help"] if command else ["--help"])
+            assert (code, err, hashlib.sha256(out).hexdigest()[:16]) == (0, b"", digest), command
+
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    def test_an_argv_the_matcher_takes_parses_alike(self, argv):
+        args = cli._match(argv)
+        if args is not None:
+            assert fields(args) == parsed(argv)
+
+    def test_the_matcher_takes_every_documented_and_benchmarked_argv(self, tmp_path,
+                                                                     perfbench_run):
+        block = (REPO / "README.md").read_text().split("## CLI\n\n```sh\n", 1)[1]
+        lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+        argvs = [shlex.split(line, comments=True)[1:] for line in lines]
+        assert len(argvs) == 5
+        cmds = perfbench_run.flagship(tmp_path)
+        for name, workload in perfbench_run.WORKLOADS.items():
+            (tmp_path / name).mkdir()
+            wl = workload(tmp_path / name, 1, perfbench_run.TINY)
+            cmds += wl.setup + wl.round
+        argvs += [cmd.argv for cmd in cmds]
+        assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+        for argv in argvs:
+            args = cli._match(argv)
+            assert args is not None, argv
+            assert fields(args) == parsed(argv)
 
     def test_encoding_choices_are_the_emitters(self):
         # The parser spells the encodings out, so that it need not load emit.

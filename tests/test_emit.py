@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from fsmkit import dsl
+from fsmkit.cli import main
 from fsmkit.emit import (
     BINARY, DEFAULT_PIN_ROWS, EmitError, InvalidSpecError, ONE_HOT, emit_ucf,
     emit_verilog, parse_pin_file,
@@ -44,6 +45,32 @@ class TestEmitUcf:
         pins = (("c", "N17", "input"), ("c", "H18", "sideways"))
         with pytest.raises(EmitError, match="^pin 'c': kind must be input or output, got 'sideways'$"):
             emit_ucf(itlc_spec, pins)
+
+    @pytest.mark.parametrize("location", [
+        'N17";NET"ts', "", "N 17", "A-1", "N17\n", "É1", "١٢"])
+    def test_a_location_is_ascii_letters_digits_or_underscore(self, itlc_spec, location):
+        # Row by row, before the later row's duplicate: anything else could end
+        # the quoted LOC value and write a constraint of its own.
+        pins = (("c", location, "input"), ("c", "H18", "input"))
+        with pytest.raises(EmitError) as exc:
+            emit_ucf(itlc_spec, pins)
+        assert str(exc.value) == (
+            f"pin 'c': location must be ASCII letters, digits or '_', got '{location}'")
+
+    def test_board_and_benchmark_locations_pass(self, itlc_spec):
+        pins = tuple(("c", loc, "input") for loc in ("P1", "P208", "_", "io_L01P_3"))
+        for row in pins + DEFAULT_PIN_ROWS[1:]:
+            assert emit_ucf(itlc_spec, (row,)) == f'NET "{row[0]}" LOC = "{row[1]}";\n'
+
+    def test_an_injected_location_exits_2_with_one_line(self, tmp_path, capsys):
+        pins = tmp_path / "inject.pins"
+        pins.write_text('c N17";NET"ts input\n')
+        itlc = str(GOLDEN.parent / "designs" / "itlc.fsm")
+        assert main(["emit", itlc, "--format", "ucf", "--pins", str(pins)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pin 'c': location must be ASCII letters, digits or '_', got 'N17\";NET\"ts'\n")
 
     def test_duplicate_signal_rejected(self, itlc_spec):
         # Both rows also name a signal absent from the spec; the duplicate wins.

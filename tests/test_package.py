@@ -21,10 +21,10 @@ def fresh_interpreter(code: str):
     that is returned."""
     prelude = ("import json, sys\n"
                "def loaded():\n"
-               # Only fsmkit modules and these two are asserted on: what else
+               # Only fsmkit modules and these four are asserted on: what else
                # an interpreter loads at start-up varies with its site packages.
                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'fsmkit'\n"
-               "                  or m in ('dataclasses', 'inspect'))\n")
+               "                  or m in ('dataclasses', 'inspect', 'argparse', 'gettext'))\n")
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
@@ -101,9 +101,11 @@ print(json.dumps(steps))
     assert imported == {"fsmkit", "fsmkit.cli", "fsmkit.dsl", "fsmkit.model", "fsmkit.timer"}
     assert checked == imported
     assert emitted == imported | {"fsmkit.emit"}
-    # Each in a fresh interpreter, as the console script runs them.
+    # Each in a fresh interpreter, as the console script runs them; a valid
+    # command never loads argparse (nor, with it, gettext).
     stim = REPO / "designs" / "paper_fig7_10.stim"
-    for argv, runs in [(["emit", ITLC, "--format", "ucf"], {"fsmkit.emit"}),
+    for argv, runs in [(["emit", ITLC], {"fsmkit.emit"}),
+                       (["emit", ITLC, "--format", "ucf"], {"fsmkit.emit"}),
                        (["simulate", ITLC, str(stim), "--vcd", str(tmp_path / "run.vcd")],
                         {"fsmkit.sim", "fsmkit.kernel"}),
                        (["bench", ITLC, "--arrival", "0.1", "--horizon", "50"],
@@ -116,6 +118,20 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(loaded()))
 """)
         assert set(ran) == imported | runs, argv[0]
+    # Help goes through argparse, built from the same table.
+    code, text, helped = fresh_interpreter("""
+import contextlib, io
+from fsmkit import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        cli.main(["bench", "--help"])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue(), loaded()]))
+""")
+    assert code == 0 and text.startswith("usage: fsmkit bench [-h] --arrival ARRIVAL")
+    assert {"argparse", "gettext"} <= set(helped)
 
 
 def test_traced_run_wraps_the_lazily_imported_layers():
