@@ -23,6 +23,7 @@ from .model import Finding, FsmSpec, validate
 from .timer import DEFAULT_LONG_TICKS, DEFAULT_SHORT_TICKS, TimerConfig
 
 LIGHT_ORDER = ("mg", "my", "mr", "sg", "sy", "sr")
+_ONE_LINE = str.maketrans({"\n": "\\n"})  # a message quotes a newline as \n, staying one line
 
 
 class _CliError(Exception):
@@ -37,7 +38,7 @@ def _read_text(path: str, what: str) -> str:
         with open(path, encoding="utf-8") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(2, f"cannot read {what} '{path}': {exc}") from exc
+        raise _CliError(2, f"cannot read {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
 
 
 def _write_text(path: str | None, text: str, what: str) -> None:
@@ -58,7 +59,7 @@ def _write_text(path: str | None, text: str, what: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     except OSError as exc:
-        raise _CliError(2, f"cannot write {what} '{path}': {exc}") from exc
+        raise _CliError(2, f"cannot write {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
 
 
 def _load_spec(path: str) -> FsmSpec:
@@ -167,21 +168,20 @@ def cmd_bench(args) -> int:
         raise _CliError(2, f"--arrival must be in [0, 1], got {args.arrival}")
     if args.seeds < 1:
         raise _CliError(2, f"--seeds must be >= 1, got {args.seeds}")
-    def runs():  # one seed at a time, so memory stays flat in --seeds
-        table = None  # one for every seed: its cells do not depend on the seed
-        for seed in range(args.seeds):
-            model = env_mod.TrafficModel(
-                arrival_prob=args.arrival, seed=seed, horizon=args.horizon,
-                service_rate=args.service_rate)
-            table = table or env_mod.TrafficTable(spec, cfg)
-            metrics = env_mod.run_env(spec, cfg, model, table)
+    runs = env_mod.run_seeds(spec, cfg, args.seeds, args.arrival, args.horizon,
+                             args.service_rate)
+
+    def printed():  # each seed's line once its run is in, so memory stays flat in --seeds
+        for seed, metrics in enumerate(runs):
             print(metrics.as_record(prefix=f"seed={seed} "))
             yield metrics
 
     try:
-        aggregate = env_mod.Metrics.aggregate(runs())
+        aggregate = env_mod.Metrics.aggregate(printed())
     except (ValueError, kernel.SimError) as exc:
         raise _CliError(2, str(exc)) from exc
+    finally:
+        runs.close()  # kills and reaps its worker processes, on every path
     print(aggregate.as_record(prefix="aggregate "))
     return 0
 
@@ -263,7 +263,7 @@ def build_parser():
             _write_text(None, self.format_help(), "help")
 
         def error(self, message: str):  # one line, even for an argument holding "\n"
-            self.exit(2, f"{self.prog}: error: " + message.replace("\n", "\\n") + "\n")
+            self.exit(2, f"{self.prog}: error: {message.translate(_ONE_LINE)}\n")
 
     parser = _Parser(
         prog="fsmkit",

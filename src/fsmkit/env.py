@@ -21,10 +21,16 @@ each (product state, arrival symbol) cell holds the next product state and
 an event code.  Arrival ticks, waits, cycle counts and main-green ticks
 change only on event ticks, main green where mg rises or falls; every other
 tick is one lookup.  This module loads `kernel`, not `sim`.
+
+`run_seeds`, what `fsmkit bench` runs, spreads one model's seeds round-robin
+over the usable CPUs, in forked workers with a table each, and yields their
+`Metrics` in seed order, equal to a one-process run's.
 """
 from __future__ import annotations
 
+import marshal
 import math
+import os
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
@@ -39,6 +45,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 BLOCK_TICKS = 1024  # ticks per block of draws: 2048 lanes, 32 KiB per lane constant
+_SIGKILL = 9  # fixed by POSIX; importing `signal` for the name costs about 0.8 ms
 
 
 class SplitMix64:
@@ -243,3 +250,63 @@ def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
         side_vehicles_served=served,
         cycles_completed=cycles,
     )
+
+
+def run_seeds(spec: FsmSpec, cfg: TimerConfig, seeds: int, arrival_prob: float, horizon: int,
+              service_rate: int) -> Iterator[Metrics]:
+    """The Metrics of seeds 0 .. seeds-1 of one traffic model, in seed order,
+    from J = min(seeds, usable CPUs) processes: forked worker j (0 < j < J)
+    runs seeds j, j + J, ..., and this process runs seeds 0, J, ... and reads
+    each other seed's from its worker when that seed's turn comes.  A bad
+    model or spec raises here, before any fork.  A worker that stops early
+    (an error in a run, or killed) leaves the rest of its seeds to this
+    process, so a run's error raises here as in a one-process run.  J is 1
+    where there is no fork.  Workers are forked, not spawned: a fresh
+    interpreter costs more than the runs it would take over, and fsmkit
+    starts no threads.  Closing the iterator, or running it to its end,
+    kills and reaps every worker."""
+    TrafficModel(arrival_prob, 0, horizon, service_rate)  # refuses a bad model before any fork
+    table = TrafficTable(spec, cfg)
+    _lanes(min(horizon, BLOCK_TICKS))  # built once, shared with the workers
+
+    def run(seed: int) -> Metrics:
+        return run_env(spec, cfg, TrafficModel(arrival_prob, seed, horizon, service_rate), table)
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    jobs = min(seeds, cpus) if hasattr(os, "fork") else 1
+    pids, readers = [], []  # readers[j - 1] holds worker j's records
+    try:
+        for j in range(1, jobs):
+            read, write = os.pipe()
+            readers.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: worker j's seeds run here
+                pid = None
+            if pid == 0:  # the worker: it writes only its records, and never returns
+                try:
+                    for seed in range(j, seeds, jobs):  # a record is one atomic pipe write
+                        os.write(write, marshal.dumps(tuple(run(seed))))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            if pid:
+                pids.append(pid)
+        for seed in range(seeds):
+            metrics = _receive(readers[seed % jobs - 1]) if seed % jobs else None
+            yield metrics or run(seed)
+    finally:
+        for pid in pids:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
+def _receive(reader) -> Metrics | None:
+    """A worker's next Metrics, or None once it has stopped."""
+    try:
+        return Metrics._make(marshal.load(reader))
+    except EOFError:
+        return None

@@ -11,14 +11,16 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import first_difference
-from fsmkit import cli, emit, model
+from fsmkit import cli, emit, env, model
 from fsmkit.cli import main
 from fsmkit.dsl import MAX_GUARD_DEPTH, MAX_INPUTS
+from fsmkit.kernel import SimError
 
 REPO = Path(__file__).resolve().parent.parent
 ITLC = str(REPO / "designs" / "itlc.fsm")
@@ -106,6 +108,11 @@ class TestCheck:
         assert capsys.readouterr().err == (
             "cannot read machine description './no-such-file.fsm': "
             f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: './no-such-file.fsm'\n")
+
+    def test_a_path_holding_a_newline_is_quoted_on_one_line(self, capsys):
+        assert main(["check", "a\nb"]) == 2
+        assert capsys.readouterr() == ("", "cannot read machine description 'a\\nb': "
+                                       f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'a\\nb'\n")
 
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fsm"
@@ -347,6 +354,91 @@ class TestBench:
         assert peak(2000) < peak(200) + 50_000
 
 
+def cpus(n):
+    """Patches `os.sched_getaffinity` to report n usable CPUs."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBenchProcesses:
+    """`bench` runs its seeds round-robin on the usable CPUs; its output is
+    that of a run on one CPU, and no worker outlives `main`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.integers(1, 9),
+           horizon=st.one_of(st.sampled_from([1, 1023, 1024, 1025]), st.integers(1, 3000)),
+           arrival=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+           service_rate=st.integers(1, 3),
+           timer=st.sampled_from([[], ["--short", "1", "--long", "2"], ["--short", "8", "--long", "64"]]))
+    def test_four_cpus_print_what_one_prints(self, seeds, horizon, arrival, service_rate, timer):
+        argv = ["bench", ITLC, "--arrival", repr(arrival), "--seeds", str(seeds),
+                "--horizon", str(horizon), "--service-rate", str(service_rate), *timer]
+        with cpus(1):
+            serial = in_process(argv)
+        forks = []
+        real_fork = os.fork
+        def fork():
+            forks.append(1)
+            return real_fork()
+        with cpus(4), mock.patch.object(os, "fork", fork):
+            assert in_process(argv) == serial
+        assert serial[0] == 0
+        assert len(forks) == min(seeds, 4) - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing_seed", [4, 3], ids=["parent", "worker"])
+    @pytest.mark.parametrize("error", [ValueError, SimError, MemoryError])
+    def test_an_error_at_a_seed_reads_as_on_one_cpu(self, monkeypatch, failing_seed, error):
+        # On two CPUs this process runs the even seeds and a worker the odd ones.
+        real = env.run_env
+        def run_env(spec, cfg, model, table=None):
+            if model.seed == failing_seed:
+                raise error(f"seed {model.seed} refused")
+            return real(spec, cfg, model, table)
+        monkeypatch.setattr(env, "run_env", run_env)
+        argv = ["bench", ITLC, "--arrival", "0.1", "--seeds", "7", "--horizon", "300"]
+        with cpus(1):
+            code, out, err = serial = in_process(argv)
+        assert code == 2 and out.count(b"\n") == failing_seed and err.count(b"\n") == 1
+        with cpus(2):
+            assert in_process(argv) == serial
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["fork", "worker"])
+    def test_seeds_without_a_worker_run_here(self, monkeypatch, fault):
+        # No process to fork, or a worker that dies after its first seed:
+        # this process runs those seeds itself.
+        parent = os.getpid()
+        if fault == "fork":
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError(errno.EAGAIN, "no")))
+        else:
+            real = env.run_env
+            def run_env(spec, cfg, model, table=None):
+                if os.getpid() != parent and model.seed > 2:
+                    os._exit(1)
+                return real(spec, cfg, model, table)
+            monkeypatch.setattr(env, "run_env", run_env)
+        argv = ["bench", ITLC, "--arrival", "0.2", "--seeds", "9", "--horizon", "500"]
+        with cpus(1):
+            serial = in_process(argv)
+        with cpus(3):
+            assert in_process(argv) == serial
+        assert_no_child_left()
+
+    def test_a_closed_stdout_leaves_no_worker(self, capsys):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe fails with EPIPE
+        argv = ["bench", ITLC, "--arrival", "0.1", "--seeds", "3000", "--horizon", "1"]
+        with open(write, "w") as out, contextlib.redirect_stdout(out), cpus(2):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "cannot write output: standard output was closed\n"
+        assert_no_child_left()
+
+
 def capped_spec(form, above):
     """GAP_SPEC at a cap, which is valid, or one above it: guard nesting by
     parentheses or by nots, or the number of declared inputs."""
@@ -400,6 +492,8 @@ def io_error_case(case, tmp_path):
         "vcd-unwritable": ["simulate", ITLC, STIM, "--vcd", nowhere],
         "log-unwritable": ["simulate", ITLC, STIM, "--log", nowhere],
         "output-unwritable": ["emit", ITLC, "-o", nowhere],
+        "fsm-path-newline": ["check", str(tmp_path / "a\nb")],
+        "output-path-newline": ["emit", ITLC, "-o", str(tmp_path / "a\nb" / "out")],
     }[case]
 
 
@@ -407,6 +501,7 @@ class TestInputOutputErrors:
     @pytest.mark.parametrize("case", [
         "fsm-not-utf8", "stim-not-utf8", "pins-not-utf8",
         "vcd-unwritable", "log-unwritable", "output-unwritable",
+        "fsm-path-newline", "output-path-newline",
     ])
     def test_exit_2_with_one_line_and_no_traceback(self, tmp_path, case):
         # A real process, so that an uncaught exception shows as a traceback.
@@ -414,6 +509,7 @@ class TestInputOutputErrors:
         result = subprocess.run([sys.executable, "-m", "fsmkit.cli", *io_error_case(case, tmp_path)],
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 2
+        assert result.stdout == "" or case == "vcd-unwritable"  # the log goes out before the VCD
         assert "Traceback" not in result.stderr
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("cannot ")
 

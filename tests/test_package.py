@@ -136,9 +136,11 @@ print(json.dumps([code, out.getvalue(), loaded()]))
 
 def test_traced_run_wraps_the_lazily_imported_layers():
     # `tracing.installed` imports each layer's module itself; a command that
-    # imports it later must reach the wrapped function all the same.
+    # imports it later must reach the wrapped function all the same.  One CPU,
+    # so that `bench` runs every seed in this process, where the tracer counts.
     calls = fresh_interpreter(f"""
-import importlib.util
+import importlib.util, os
+os.sched_getaffinity = lambda pid: {{0}}
 spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(TRACING)!r})
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
