@@ -22,7 +22,6 @@ from . import dsl
 from .model import Finding, FsmSpec, validate
 from .timer import DEFAULT_LONG_TICKS, DEFAULT_SHORT_TICKS, TimerConfig
 
-LIGHT_ORDER = ("mg", "my", "mr", "sg", "sy", "sr")
 _ONE_LINE = str.maketrans({"\n": "\\n"})  # a message quotes a newline as \n, staying one line
 
 
@@ -42,8 +41,8 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _write_text(path: str | None, text: str, what: str) -> None:
-    """Write `text` to `path`, or to stdout when no path is given."""
-    if not path:
+    """Write `text` to `path` (which may be "", unwritable), or to stdout for None."""
+    if path is None:
         out = getattr(sys.stdout, "buffer", None)
         if out is None:  # an in-memory stdout, which has no byte layer
             sys.stdout.write(text)
@@ -102,40 +101,13 @@ def cmd_simulate(args) -> int:
     cfg = _timer_config(args)
     try:
         stim = sim.parse_stimulus(_read_text(args.stim, "stimulus"))
-        loop = kernel._ClosedLoop(spec, cfg)
-        keys = loop.walk(stim.runs)  # the table cell of every tick
+        records, keys = kernel._ClosedLoop(spec, cfg).walk(stim.runs)
     except kernel.SimError as exc:
         raise _CliError(2, str(exc)) from exc
-    records = {k: cell[1] for k, cell in enumerate(loop.cells) if cell}
-    _write_text(args.log, _log_text(records, keys), "log")
-    if args.vcd:
+    _write_text(args.log, sim.render_log(records, keys), "log")
+    if args.vcd is not None:
         _write_text(args.vcd, sim.render_vcd(spec, records, keys), "VCD")
     return 0
-
-
-def _log_text(records: dict, keys: list[int]) -> str:
-    """`simulate`'s log: tick t is `records[keys[t]]`, formatted once per key.
-    No string is made per tick number: below tick 1000 it is one of the
-    shared "0".."999"; from 1000 on, its 1000-tick block's shared prefix
-    `str(t // 1000)`, then one of the shared "000".."999".  Its per-tick list
-    is freed on return, before the VCD is rendered."""
-    bodies = {}  # a key's line, less its tick number
-    for k, r in records.items():
-        lights = "".join(str(r.moore.get(name, 0)) for name in LIGHT_ORDER)
-        bodies[k] = (f" {r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
-                     f"tl={r.inputs['tl']} st={r.st} {lights}\n")
-    n = len(keys)
-    log = [""] * (3 * n)  # per tick: block prefix, last digits, body
-    digits = list(map(str, range(min(n, 1000))))  # "0".."999", only those used
-    log[1:3000:3] = digits
-    if n > 1000:
-        padded = [d.zfill(3) for d in digits]  # "000".."999"
-        for b in range(1000, n, 1000):
-            m = min(n - b, 1000)
-            log[3 * b:3 * (b + m):3] = [str(b // 1000)] * m
-            log[3 * b + 1:3 * (b + m):3] = padded[:m]
-    log[2::3] = map(bodies.__getitem__, keys)
-    return "".join(log)
 
 
 def cmd_emit(args) -> int:
@@ -147,8 +119,8 @@ def cmd_emit(args) -> int:
             text = emit_mod.emit_verilog(spec, args.encoding)  # validates the spec first
         else:
             _require_valid(validate(spec))
-            pins = (emit_mod.parse_pin_file(_read_text(args.pins, "pin file")) if args.pins
-                    else emit_mod.DEFAULT_PIN_ROWS)
+            pins = (emit_mod.parse_pin_file(_read_text(args.pins, "pin file"))
+                    if args.pins is not None else emit_mod.DEFAULT_PIN_ROWS)
             text = emit_mod.emit_ucf(spec, pins)
     except emit_mod.InvalidSpecError as exc:
         raise _CliError(1, _findings_text(exc.findings).rstrip("\n")) from exc

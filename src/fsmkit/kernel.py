@@ -12,9 +12,9 @@ Per-tick order, fixed and relied on by every downstream consumer:
   5. commit: state := next, timer advances (restarting on st).
 `closed_loop_tick` is the one implementation of steps 2-5, evaluated once per
 reached (configuration, input) cell of a `_ClosedLoop` table; `sim.simulate`,
-`sim.explore_reachable`, `env.run_env` and `cli.cmd_simulate` supply step 1
-and read it.  This module holds only that part, so `bench` loads no stimulus
-parser or VCD renderer.
+`sim.explore_reachable`, `env.run_env` and `fsmkit simulate` supply step 1
+and read it, the stimulus runs through `_ClosedLoop.walk`.  This module holds
+only that part, so `bench` loads no stimulus parser or renderer.
 Moore outputs are registered, so a transition's new lights appear one tick
 after its guard fires.
 """
@@ -82,8 +82,11 @@ class _ClosedLoop:
         cell = self.cells[k] = (self.ids[config], record)
         return cell
 
-    def walk(self, runs: tuple[tuple[Bit, Bit, int], ...]) -> list[int]:
-        """The cell key of every tick of the runs, from the initial configuration."""
+    def walk(self, runs: tuple[tuple[Bit, Bit, int], ...]
+             ) -> tuple[dict[int, TickRecord], list[int]]:
+        """The runs from the initial configuration as (records, keys): tick t's
+        cell key is `keys[t]` and its record `records[keys[t]]`, the one stored
+        in the cell.  On a fresh table `records` holds just the keys' cells."""
         cells, fill = self.cells, self.fill
         keys: list[int] = []
         append = keys.append
@@ -94,4 +97,4 @@ class _ClosedLoop:
                 k = 4 * i + x
                 append(k)
                 i = (cells[k] or fill(k))[0]
-        return keys
+        return {k: cell[1] for k, cell in enumerate(cells) if cell}, keys

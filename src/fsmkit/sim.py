@@ -1,16 +1,14 @@
-"""Stimulus-driven runs, reachability and VCD output over `kernel`.  A
-`Stimulus` holds the kernel's step 1, the external inputs, as (c, reset, n)
-runs, one per `.stim` line, so it grows with the text, not the horizon.  Every
-tick that hits a table cell gets the cell's one read-only record, so output
-renders once per cell, and the VCD once per change of what it shows: no
-renderer builds a string per tick or a tuple per change.
+"""Stimulus-driven runs, reachability and the log and VCD renderers over
+`kernel`.  A `Stimulus` holds the kernel's step 1, the external inputs, as
+(c, reset, n) runs, one per `.stim` line, so it grows with the text, not the
+horizon.  A run is rendered from `_ClosedLoop.walk`'s record per table cell
+and key per tick: once per record, and the VCD once per change of what it
+shows, so no renderer builds a string per tick or a tuple per change.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Hashable, Mapping
-from itertools import compress, islice
-from operator import ne
 
 from .kernel import SimError, TickRecord, _ClosedLoop
 from .model import Bit, FsmSpec, value_type
@@ -101,9 +99,7 @@ def parse_stimulus(text: str) -> Stimulus:
 def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
     """Closed-loop run over the stimulus horizon.  Pure: identical arguments
     give identical traces."""
-    loop = _ClosedLoop(spec, cfg)
-    keys = loop.walk(stim.runs)
-    records = [cell and cell[1] for cell in loop.cells]
+    records, keys = _ClosedLoop(spec, cfg).walk(stim.runs)
     return Trace(spec, tuple(map(records.__getitem__, keys)))
 
 
@@ -123,8 +119,36 @@ def explore_reachable(spec: FsmSpec, cfg: TimerConfig) -> frozenset[tuple[str, i
 
 
 # ---------------------------------------------------------------------------
-# VCD output
+# Rendering: tick t of a run is `records[keys[t]]`
 # ---------------------------------------------------------------------------
+
+LIGHT_ORDER = ("mg", "my", "mr", "sg", "sy", "sr")
+
+
+def render_log(records: Mapping[Hashable, TickRecord], keys: list[Hashable]) -> str:
+    """`fsmkit simulate`'s log, formatted once per key.  No string is made
+    per tick number: below tick 1000 it is one of the shared "0".."999"; from
+    1000 on, its 1000-tick block's shared prefix `str(t // 1000)`, then one of
+    the shared "000".."999".  Its per-tick list is freed on return, before
+    `fsmkit simulate` renders the VCD."""
+    bodies = {}  # a key's line, less its tick number
+    for k, r in records.items():
+        lights = "".join(str(r.moore.get(name, 0)) for name in LIGHT_ORDER)
+        bodies[k] = (f" {r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
+                     f"tl={r.inputs['tl']} st={r.st} {lights}\n")
+    n = len(keys)
+    log = [""] * (3 * n)  # per tick: block prefix, last digits, body
+    digits = list(map(str, range(min(n, 1000))))  # "0".."999", only those used
+    log[1:3000:3] = digits
+    if n > 1000:
+        padded = [d.zfill(3) for d in digits]  # "000".."999"
+        for b in range(1000, n, 1000):
+            m = min(n - b, 1000)
+            log[3 * b:3 * (b + m):3] = [str(b // 1000)] * m
+            log[3 * b + 1:3 * (b + m):3] = padded[:m]
+    log[2::3] = map(bodies.__getitem__, keys)
+    return "".join(log)
+
 
 def _vcd_id(index: int) -> str:
     # Printable identifier codes assigned in declaration order from '!'.
@@ -155,11 +179,11 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
                keys: list[Hashable]) -> str:
     """`write_vcd` of the run whose tick t has the record `records[keys[t]]`.
 
-    Each record maps to its visible class: its state and the value of every
-    declared signal.  A tick writes a `#t` block exactly when its class
-    differs from the previous tick's.  Each distinct (old, new) block is
-    printed once into `rows[old][new]`, and one `%` pass writes every `#t`
-    block, so no string is built per tick and no tuple per change."""
+    Each record maps to the code of its visible class: its state and the
+    value of every declared signal.  One pass over the keys writes a `#t`
+    block exactly when a tick's class differs from the previous tick's.
+    Each distinct (old, new) block is printed once and cached under
+    `old * len(classes) + new`, so no tuple is built per change."""
     # Declaration order: inputs in spec order, then pulses, then Moore
     # outputs, then the state vector.  Identifier codes follow that order.
     signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
@@ -195,16 +219,16 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
             lines.append(f"b{state_index[new[0]]:0{width}b} {state_id}")
         return "\n".join(lines)
 
-    codes = list(map(code_of.__getitem__, keys))
+    old = code_of[keys[0]]
     # Nothing is shown before #0, so it dumps every signal and the state.
-    out += ["#0", "$dumpvars", changes((None,) * (len(signals) + 1), visible_of[codes[0]]), "$end"]
-    ticks = list(compress(range(1, len(codes)), map(ne, islice(codes, 1, None), codes)))
-    new = list(map(codes.__getitem__, ticks))
-    old = [codes[0], *new]  # between changes the class holds
-    rows: list[dict[int, str]] = [{} for _ in visible_of]  # rows[old][new] is the block
-    for was, now in set(zip(old, new)):
-        rows[was][now] = changes(visible_of[was], visible_of[now])
-    args: list = [None] * (2 * len(ticks))  # t, block, t, block, ...
-    args[::2] = ticks
-    args[1::2] = map(dict.__getitem__, map(rows.__getitem__, old), new)
-    return "\n".join(out) + "\n" + ("#%d\n%s\n" * len(ticks)) % tuple(args)
+    out += ["#0", "$dumpvars", changes((None,) * (len(signals) + 1), visible_of[old]), "$end"]
+    blocks: dict[int, str] = {}  # old * len(classes) + new -> that change's block
+    for t, new in enumerate(map(code_of.__getitem__, keys)):
+        if new != old:
+            pair = old * len(classes) + new
+            block = blocks.get(pair)
+            if block is None:
+                block = blocks[pair] = changes(visible_of[old], visible_of[new])
+            out.append(f"#{t}\n{block}")
+            old = new
+    return "\n".join(out) + "\n"

@@ -492,6 +492,10 @@ def io_error_case(case, tmp_path):
         "vcd-unwritable": ["simulate", ITLC, STIM, "--vcd", nowhere],
         "log-unwritable": ["simulate", ITLC, STIM, "--log", nowhere],
         "output-unwritable": ["emit", ITLC, "-o", nowhere],
+        "vcd-empty-path": ["simulate", ITLC, STIM, "--vcd", ""],
+        "log-empty-path": ["simulate", ITLC, STIM, "--log", ""],
+        "output-empty-path": ["emit", ITLC, "-o", ""],
+        "pins-empty-path": ["emit", ITLC, "--format", "ucf", "--pins", ""],
         "fsm-path-newline": ["check", str(tmp_path / "a\nb")],
         "output-path-newline": ["emit", ITLC, "-o", str(tmp_path / "a\nb" / "out")],
     }[case]
@@ -501,6 +505,7 @@ class TestInputOutputErrors:
     @pytest.mark.parametrize("case", [
         "fsm-not-utf8", "stim-not-utf8", "pins-not-utf8",
         "vcd-unwritable", "log-unwritable", "output-unwritable",
+        "vcd-empty-path", "log-empty-path", "output-empty-path", "pins-empty-path",
         "fsm-path-newline", "output-path-newline",
     ])
     def test_exit_2_with_one_line_and_no_traceback(self, tmp_path, case):
@@ -509,7 +514,8 @@ class TestInputOutputErrors:
         result = subprocess.run([sys.executable, "-m", "fsmkit.cli", *io_error_case(case, tmp_path)],
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 2
-        assert result.stdout == "" or case == "vcd-unwritable"  # the log goes out before the VCD
+        # The log goes out before the VCD.
+        assert result.stdout == "" or case in ("vcd-unwritable", "vcd-empty-path")
         assert "Traceback" not in result.stderr
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("cannot ")
 

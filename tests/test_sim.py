@@ -4,7 +4,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     bundled_spec, bundled_stimulus_source, closed_loop_machines, first_difference,
@@ -341,10 +341,17 @@ class TestClosedLoopTable:
             assert kernel_calls[0] == filled <= 4 * 44
 
     def test_no_record_is_built_per_tick(self, itlc_spec, default_cfg, tables):
-        trace = simulate(itlc_spec, default_cfg, stim_of(("0011101" * 286)[:2000]))
+        stim = stim_of(("0011101" * 286)[:2000])
+        trace = simulate(itlc_spec, default_cfg, stim)
         filled = sum(cell is not None for cell in tables[0].cells)
         assert len(trace.records) == 2000
         assert len({id(r) for r in trace.records}) <= filled
+        # `walk` hands over each hit cell's own record once, keyed by cell.
+        loop = kernel._ClosedLoop(itlc_spec, default_cfg)
+        records, keys = loop.walk(stim.runs)
+        assert len(keys) == 2000
+        assert records.keys() == set(keys)
+        assert all(records[k] is loop.cells[k][1] for k in keys)
 
     @settings(max_examples=100, deadline=None)
     @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
@@ -363,12 +370,17 @@ class TestClosedLoopTable:
     @settings(max_examples=15, deadline=None)
     @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
            cfg=timer_configs(), stim=long_stimuli())
+    # c toggles on every tick, so every tick writes a `#t` block, across the
+    # 1000-tick edges too.
+    @example(spec=bundled_spec(), cfg=TimerConfig(),
+             stim=Stimulus(tuple((t % 2, 0, 1) for t in range(2001))))
     def test_long_runs_render_like_the_per_tick_formatters(self, spec, cfg, stim,
                                                            tmp_path_factory):
         reference = reference_simulate(spec, cfg, stim)
         log, vcd = cli_outputs(spec, cfg, stim, tmp_path_factory.mktemp("long"))
         assert first_difference(log, per_tick_log(reference)) is None
         assert first_difference(vcd, per_tick_vcd(reference)) is None
+        assert write_vcd(simulate(spec, cfg, stim)) == vcd
 
     @pytest.mark.parametrize("horizon", [1, 2, 999, 1000, 1001, 1999, 2000, 2001,
                                          9999, 10000, 10001, 100001])
