@@ -66,7 +66,7 @@ def _load_spec(path: str) -> FsmSpec:
     try:
         return dsl.parse(text)
     except dsl.ParseFailure as exc:
-        detail = "\n".join(f"{path}:{e}" for e in exc.errors)
+        detail = "\n".join(f"{path.translate(_ONE_LINE)}:{e}" for e in exc.errors)
         raise _CliError(2, detail) from exc
 
 
@@ -123,7 +123,7 @@ def cmd_emit(args) -> int:
                     if args.pins is not None else emit_mod.DEFAULT_PIN_ROWS)
             text = emit_mod.emit_ucf(spec, pins)
     except emit_mod.InvalidSpecError as exc:
-        raise _CliError(1, _findings_text(exc.findings).rstrip("\n")) from exc
+        _require_valid(exc.findings)
     except emit_mod.EmitError as exc:
         raise _CliError(2, str(exc)) from exc
     _write_text(args.output, text, "output")

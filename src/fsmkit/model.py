@@ -42,11 +42,11 @@ def value_type(cls):
     """Class decorator for a namedtuple: equal only to a value of the same type,
     since a plain tuple compares by its items alone (`And(a, b) == Or(a, b)`
     would hold), and hashed as its tuple, so equal values hash equal.  A class
-    that validates in its own `__new__` (over a namedtuple base) also validates
-    what `_replace` builds, which goes through `_make`."""
+    validating in `__new__` also validates what `_replace` builds via `_make`,
+    which unpacks a list: an iterator's argument tuple is oversized, then shrunk."""
     cls.__eq__, cls.__ne__, cls.__hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
     if "__new__" in vars(cls):
-        cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+        cls._make = classmethod(lambda cls, iterable: cls(*list(iterable)))
     return cls
 
 
@@ -204,7 +204,7 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
     care = full ^ masks.get(spec.reset_input, 0)
     # Coverage only makes sense once guards evaluate cleanly.
     for s in spec.states:
-        if s.name in broken_guard_states or s.name not in declared:
+        if s.name in broken_guard_states:
             continue
         tables = [eval_guard(t.guard, masks, full) for t in s.transitions]
         one = two = 0  # valuations where at least one, and at least two, guards hold

@@ -94,10 +94,7 @@ class TestCheck:
 
     def test_gap_reported(self, gap_fsm, capsys):
         assert main(["check", gap_fsm]) == 1
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1
-        assert out.startswith("gap A ")
-        assert "a=0" in out
+        assert capsys.readouterr() == ("gap A state 'A': no guard true at {a=0}\n", "")
 
     def test_missing_file(self, capsys):
         assert main(["check", "no-such-file.fsm"]) == 2
@@ -109,10 +106,17 @@ class TestCheck:
             "cannot read machine description './no-such-file.fsm': "
             f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: './no-such-file.fsm'\n")
 
-    def test_a_path_holding_a_newline_is_quoted_on_one_line(self, capsys):
-        assert main(["check", "a\nb"]) == 2
-        assert capsys.readouterr() == ("", "cannot read machine description 'a\\nb': "
-                                       f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'a\\nb'\n")
+    @pytest.mark.parametrize("case", ["unreadable", "unparseable"])
+    def test_a_path_holding_a_newline_is_quoted_on_one_line(self, tmp_path, capsys, case):
+        if case == "unreadable":
+            assert main(["check", "a\nb"]) == 2
+            assert capsys.readouterr() == ("", "cannot read machine description 'a\\nb': "
+                                           f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'a\\nb'\n")
+        else:  # the transition names an undeclared state
+            fsm = write(tmp_path, "a\nb.fsm", GAP_SPEC.replace("-> A", "-> B"))
+            assert main(["check", fsm]) == 2
+            assert capsys.readouterr() == ("", fsm.replace("\n", "\\n") +
+                                           ":5:12: unknown-signal: 'B' is not a declared state\n")
 
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fsm"
@@ -152,12 +156,48 @@ class TestSimulate:
         assert all(line.endswith(" 100001") for line in lines)
         assert lines[0] == "0 S0 c=0 ts=0 tl=0 st=0 100001"
 
-    def test_log_bytes_are_pinned(self, capsys):
-        assert main(["simulate", ITLC, STIM]) == 0
-        log = capsys.readouterr().out
-        assert log.count("\n") == 40
-        assert hashlib.sha256(log.encode()).hexdigest() == (
-            "7b47fd9b13e9b02f6508caca52c9d7c04d3bdc42924c8dbdc2a1af2a98290e7e")
+    # Per stimulus: the sha256 of the log and of the VCD (None: no VCD is
+    # written), the log's line count, some of its lines by 1-based number, and
+    # the VCD's count of `#t` blocks (None: not pinned).
+    @pytest.mark.parametrize("stim, log_sha, vcd_sha, ticks, lines, blocks", [
+        (Path(STIM).read_text(),
+         "7b47fd9b13e9b02f6508caca52c9d7c04d3bdc42924c8dbdc2a1af2a98290e7e",
+         hashlib.sha256((REPO / "golden" / "itlc_scenario.vcd").read_bytes()).hexdigest(),
+         40, {}, None),
+        # c rises two ticks before tick numbers reach four digits, with a reset there.
+        ("horizon 2001\n998 c=1\n1000 reset=1\n1001 reset=0\n",
+         "d02389e36f2de0a7179e25d09b1e8d94397663307a27ae7c8688ed53288e3429",
+         "9fcff65f1b51bb70aca02753496323719ae86f8f6a321d9d4ba9a86a88dd9d12",
+         2001, {1000: "999 S1 c=1 ts=0 tl=0 st=0 010001",
+                1001: "1000 S1 c=1 ts=0 tl=0 st=0 010001"}, None),
+        # c toggles on every tick, so every tick of the VCD writes a #t block.
+        ("horizon 2001\n" + "".join(f"{t} c={t % 2}\n" for t in range(2001)),
+         "78df3838ca8a57d375cc373cd734ae3044bbca140a2d5afdbf349c37ebde60e9",
+         "dbae600a19bb9c1ff9fae829c95b119cf23fae2023b7ee992fc52b86984aa04f",
+         2001, {}, 2001),
+        ("horizon 1000000\n",
+         "0c9fc8b9cdd3d0f1c79059047decd46884f06bf3ddd9259c2486c0f2307b6766", None,
+         1_000_000, {1_000_000: "999999 S0 c=0 ts=1 tl=1 st=0 100001"}, None),
+    ], ids=["paper", "edge", "toggle", "long"])
+    def test_log_bytes_are_pinned(self, tmp_path, stim, log_sha, vcd_sha, ticks, lines, blocks):
+        # A real process's stdout, as the console script writes it, read back a
+        # line at a time: the long log is 36 MB.
+        log, vcd = tmp_path / "run.log", tmp_path / "run.vcd"
+        with open(log, "wb") as out:
+            done = child(["-m", "fsmkit.cli", "simulate", ITLC, write(tmp_path, "run.stim", stim),
+                          *(["--vcd", str(vcd)] if vcd_sha else [])], stdout=out)
+        assert (done.returncode, done.stderr) == (0, b"")
+        digest, seen, count = hashlib.sha256(), {}, 0
+        with open(log, "rb") as f:
+            for count, line in enumerate(f, 1):
+                digest.update(line)
+                if count in lines:
+                    seen[count] = line.decode().rstrip("\n")
+        assert (count, seen, digest.hexdigest()) == (ticks, lines, log_sha)
+        if vcd_sha:
+            assert hashlib.sha256(vcd.read_bytes()).hexdigest() == vcd_sha
+        if blocks is not None:
+            assert vcd.read_text().count("\n#") == blocks
 
     def test_writes_vcd_and_log_deterministically(self, tmp_path):
         args = ["simulate", ITLC, STIM,
@@ -263,15 +303,24 @@ class TestEmit:
         assert captured.out == ""
         assert captured.err == "names unusable as HDL identifiers: wait\n"
 
-    def test_custom_pin_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rows, code, out, err", [
+        ("c N17 input\n", 0, 'NET "c" LOC = "N17";\n', ""),
+        ("zz A1 input\n", 2, "", "pin map names signals absent from spec 'itlc': zz\n"),
+        ("mg D11 input\nc N17 output\n", 2, "",
+         "pin kind disagrees with spec 'itlc' for signals: mg, c\n"),
+    ], ids=["one-row", "absent-signal", "wrong-kind"])
+    def test_custom_pin_file(self, tmp_path, capsys, rows, code, out, err):
         pins = tmp_path / "pins.txt"
-        pins.write_text("c N17 input\n")
-        assert main(["emit", ITLC, "--format", "ucf", "--pins", str(pins)]) == 0
-        assert capsys.readouterr().out == 'NET "c" LOC = "N17";\n'
+        pins.write_text(rows)
+        assert main(["emit", ITLC, "--format", "ucf", "--pins", str(pins)]) == code
+        assert capsys.readouterr() == (out, err)
 
     def test_onehot_encoding_flag(self, capsys):
         assert main(["emit", ITLC, "--encoding", "onehot"]) == 0
-        assert "4'b0001" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "4'b0001" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3814a0f4b9d940c353f16a4e557ac79dea9c5fa9f9ac571b48032f5ecc3534de")
 
 
 class TestBench:
@@ -284,16 +333,32 @@ class TestBench:
         assert captured.out == ""
         assert captured.err == findings
 
-    def test_pinned_output(self, capsys):
-        assert main(["bench", ITLC, "--arrival", "0.1", "--seeds", "2",
-                     "--horizon", "100"]) == 0
-        assert capsys.readouterr().out == (
-            "seed=0 mean_side_wait=16.500 max_side_wait=27 main_green_share=0.610 "
-            "side_vehicles_served=6 cycles_completed=3\n"
-            "seed=1 mean_side_wait=15.571 max_side_wait=25 main_green_share=0.600 "
-            "side_vehicles_served=7 cycles_completed=3\n"
-            "aggregate mean_side_wait=16.036 max_side_wait=27 main_green_share=0.605 "
-            "side_vehicles_served=13 cycles_completed=6\n")
+    # Each run's sha256, and for the first its text too.
+    @pytest.mark.parametrize("argv, digest, text", [
+        (["--arrival", "0.1", "--seeds", "2", "--horizon", "100"],
+         "ca0a3579d4395984b92e208356972639bc9c3e222d790323e0381e6dd53d90b5",
+         "seed=0 mean_side_wait=16.500 max_side_wait=27 main_green_share=0.610 "
+         "side_vehicles_served=6 cycles_completed=3\n"
+         "seed=1 mean_side_wait=15.571 max_side_wait=25 main_green_share=0.600 "
+         "side_vehicles_served=7 cycles_completed=3\n"
+         "aggregate mean_side_wait=16.036 max_side_wait=27 main_green_share=0.605 "
+         "side_vehicles_served=13 cycles_completed=6\n"),
+        (["--arrival", "0.1", "--seeds", "8", "--horizon", "8000"],
+         "3711ecf4f906b44038c3e608d3c60773999937027b5b3d4aeb0f292064d838d5", None),
+        (["--arrival", "0.3", "--seeds", "3", "--horizon", "999", "--service-rate", "2"],
+         "296cff05981558c3718eef69720b5c0e086679b2f8658fbaf17d543f3bf7ff9a", None),
+        (["--arrival", "0.05", "--seeds", "2", "--horizon", "5000", "--short", "8", "--long", "64"],
+         "e3e099babc55c1d10428a4f491c252aa948eb8a9d8c5134519c3f691db0f7d48", None),
+    ], ids=["two-seeds", "bench-workload", "service-rate-2", "timers-8-64"])
+    # One CPU runs every seed here; unpatched, `bench` forks a worker per further usable CPU.
+    @pytest.mark.parametrize("one_cpu", [True, False], ids=["one-cpu", "all-cpus"])
+    def test_pinned_output(self, capsys, argv, digest, text, one_cpu):
+        with cpus(1) if one_cpu else contextlib.nullcontext():
+            assert main(["bench", ITLC, *argv]) == 0
+        out = capsys.readouterr().out
+        if text is not None:
+            assert out == text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("horizon, cycles", [(43, 0), (44, 1)])
     def test_cycle_closing_on_final_tick_counts(self, capsys, horizon, cycles):
@@ -617,10 +682,11 @@ def in_process(argv):
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def child(args, **kwargs):
-    """A real `python <args>` on this source tree, stdout and stderr to pipes."""
-    return subprocess.run([sys.executable, *args], capture_output=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), **kwargs)
+def child(args, stdout=subprocess.PIPE, **kwargs):
+    """A real `python <args>` on this source tree, stderr (and unless given,
+    stdout) to a pipe."""
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=str(REPO / "src")), **kwargs)
 
 
 class TestProcessEntry:

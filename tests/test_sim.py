@@ -374,6 +374,9 @@ class TestClosedLoopTable:
     # 1000-tick edges too.
     @example(spec=bundled_spec(), cfg=TimerConfig(),
              stim=Stimulus(tuple((t % 2, 0, 1) for t in range(2001))))
+    # Resets mid-cycle, one of them with c falling, in an 80-tick run.
+    @example(spec=bundled_spec(), cfg=TimerConfig(),
+             stim=Stimulus(((1, 0, 20), (1, 1, 2), (1, 0, 23), (0, 1, 1), (0, 0, 14), (1, 0, 20))))
     def test_long_runs_render_like_the_per_tick_formatters(self, spec, cfg, stim,
                                                            tmp_path_factory):
         reference = reference_simulate(spec, cfg, stim)
