@@ -35,7 +35,8 @@ class _CliError(Exception):
 def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            # Skips a leading byte-order mark; the "utf-8-sig" codec would cost an import.
+            return f.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(2, f"cannot read {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
 
@@ -140,8 +141,11 @@ def cmd_bench(args) -> int:
         raise _CliError(2, f"--arrival must be in [0, 1], got {args.arrival}")
     if args.seeds < 1:
         raise _CliError(2, f"--seeds must be >= 1, got {args.seeds}")
-    runs = env_mod.run_seeds(spec, cfg, args.seeds, args.arrival, args.horizon,
-                             args.service_rate)
+    try:
+        model = env_mod.TrafficModel(args.arrival, 0, args.horizon, args.service_rate)
+    except ValueError as exc:
+        raise _CliError(2, str(exc)) from exc
+    runs = env_mod.run_seeds(spec, cfg, model, args.seeds)
 
     def printed():  # each seed's line once its run is in, so memory stays flat in --seeds
         for seed, metrics in enumerate(runs):

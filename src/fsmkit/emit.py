@@ -84,9 +84,10 @@ def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
     """UCF constraint text, one NET/LOC line per pin in map order.  First
     checks, row by row, each row's kind, that its location is one or more
     ASCII letters, digits or `_` (so it cannot close the quoted LOC value),
-    and that its signal is new; then that `spec` declares every signal, then
-    that each kind matches its signal's direction in `spec`; `EmitError`
-    names the offenders."""
+    and that its signal is new; then that every signal is a port of the
+    module `emit_verilog` writes (`clk` or a signal `spec` declares), then
+    that each kind matches its port's direction; `EmitError` names the
+    offenders."""
     seen: set[str] = set()
     for signal, location, kind in pins:
         if kind not in ("input", "output"):
@@ -97,12 +98,12 @@ def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
         if signal in seen:
             raise EmitError(f"duplicate pin mapping for signal '{signal}'")
         seen.add(signal)
-    known = {*spec.inputs, *spec.moore_outputs, *spec.pulse_outputs}
-    missing = [signal for signal, _, _ in pins if signal not in known]
+    direction = {name: kind for kind, name in _ports(spec)}
+    missing = [signal for signal, _, _ in pins if signal not in direction]
     if missing:
         raise EmitError(
             f"pin map names signals absent from spec '{spec.name}': " + ", ".join(missing))
-    wrong = [signal for signal, _, kind in pins if (kind == "input") != (signal in spec.inputs)]
+    wrong = [signal for signal, _, kind in pins if kind != direction[signal]]
     if wrong:
         raise EmitError(f"pin kind disagrees with spec '{spec.name}' for signals: " + ", ".join(wrong))
     return "".join(f'NET "{signal}" LOC = "{location}";\n' for signal, location, _ in pins)
@@ -114,6 +115,15 @@ def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
 
 def _usable(name: str) -> bool:
     return bool(_NAME_RE.fullmatch(name)) and name not in _VERILOG_KEYWORDS
+
+
+def _ports(spec: FsmSpec) -> list[tuple[str, str]]:
+    """The module's (direction, name) ports in header order: clk, inputs,
+    Moore outputs, pulse outputs."""
+    return ([("input", "clk")]
+            + [("input", name) for name in spec.inputs]
+            + [("output", name) for name in spec.moore_outputs]
+            + [("output", name) for name in spec.pulse_outputs])
 
 
 def _check_identifiers(spec: FsmSpec, encoding: str) -> None:
@@ -161,12 +171,7 @@ def emit_verilog(spec: FsmSpec, encoding: str = BINARY) -> str:
     w = lines.append
     w(f"// Machine '{spec.name}' rendered as synthesizable Verilog. Generated file; do not edit.")
     w(f"module {spec.name} (")
-    ports = (
-        [("input", "clk")]
-        + [("input", name) for name in spec.inputs]
-        + [("output", name) for name in spec.moore_outputs]
-        + [("output", name) for name in spec.pulse_outputs]
-    )
+    ports = _ports(spec)
     for i, (direction, name) in enumerate(ports):
         comma = "," if i < len(ports) - 1 else ""
         pad = " " if direction == "input" else ""

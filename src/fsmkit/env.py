@@ -252,37 +252,41 @@ def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
     )
 
 
-def run_seeds(spec: FsmSpec, cfg: TimerConfig, seeds: int, arrival_prob: float, horizon: int,
-              service_rate: int) -> Iterator[Metrics]:
-    """The Metrics of seeds 0 .. seeds-1 of one traffic model, in seed order,
-    from J = min(seeds, usable CPUs) processes: forked worker j (0 < j < J)
-    runs seeds j, j + J, ..., and this process runs seeds 0, J, ... and reads
-    each other seed's from its worker when that seed's turn comes.  A bad
-    model or spec raises here, before any fork.  A worker that stops early
-    (an error in a run, or killed) leaves the rest of its seeds to this
-    process, so a run's error raises here as in a one-process run.  J is 1
-    where there is no fork.  Workers are forked, not spawned: a fresh
-    interpreter costs more than the runs it would take over, and fsmkit
-    starts no threads.  Closing the iterator, or running it to its end,
-    kills and reaps every worker."""
-    TrafficModel(arrival_prob, 0, horizon, service_rate)  # refuses a bad model before any fork
+def run_seeds(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
+              seeds: int) -> Iterator[Metrics]:
+    """The Metrics of seeds 0 .. seeds-1 of `model` (its own seed unused), in
+    seed order, from J = min(seeds, usable CPUs) processes: forked worker j
+    (0 < j < J) runs seeds j, j + J, ..., and this process runs seeds 0, J, ...
+    and reads each other seed's from its worker when that seed's turn comes.
+    A bad spec raises here, before any fork.  A worker that stops early (an
+    error in a run, or killed), or gets no pipe or process, leaves the rest of
+    its seeds to this process, so a run's error raises here as in a
+    one-process run.  J is 1 where there is no fork.  Workers are forked, not
+    spawned: a fresh interpreter costs more than the runs it would take over,
+    and fsmkit starts no threads.  Closing the iterator, or running it to its
+    end, reaps every worker, killing it first if it still runs."""
     table = TrafficTable(spec, cfg)
-    _lanes(min(horizon, BLOCK_TICKS))  # built once, shared with the workers
+    _lanes(min(model.horizon, BLOCK_TICKS))  # built once, shared with the workers
 
     def run(seed: int) -> Metrics:
-        return run_env(spec, cfg, TrafficModel(arrival_prob, seed, horizon, service_rate), table)
+        return run_env(spec, cfg, model._replace(seed=seed), table)
 
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     jobs = min(seeds, cpus) if hasattr(os, "fork") else 1
-    pids, readers = [], []  # readers[j - 1] holds worker j's records
+    # (pid, reader) of process j.  Seeds whose reader is None (this process, a
+    # worker with no pipe) or at its end (a worker stopped or never forked) run here.
+    workers = [(None, None)]
     try:
         for j in range(1, jobs):
-            read, write = os.pipe()
-            readers.append(open(read, "rb"))
+            try:
+                read, write = os.pipe()
+            except OSError:  # no descriptor to spare
+                workers.append((None, None))
+                continue
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: worker j's seeds run here
+            except OSError:  # no process to spare
                 pid = None
             if pid == 0:  # the worker: it writes only its records, and never returns
                 try:
@@ -291,22 +295,21 @@ def run_seeds(spec: FsmSpec, cfg: TimerConfig, seeds: int, arrival_prob: float, 
                 finally:
                     os._exit(0)
             os.close(write)
-            if pid:
-                pids.append(pid)
+            workers.append((pid, open(read, "rb")))
         for seed in range(seeds):
-            metrics = _receive(readers[seed % jobs - 1]) if seed % jobs else None
+            _, reader = workers[seed % jobs]
+            try:
+                metrics = Metrics._make(marshal.load(reader)) if reader else None
+            except EOFError:
+                metrics = None
             yield metrics or run(seed)
     finally:
-        for pid in pids:
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-        for reader in readers:
-            reader.close()
-
-
-def _receive(reader) -> Metrics | None:
-    """A worker's next Metrics, or None once it has stopped."""
-    try:
-        return Metrics._make(marshal.load(reader))
-    except EOFError:
-        return None
+        for pid, reader in workers:
+            try:  # kill a worker only while it is ours and running, then reap it
+                if pid and os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, _SIGKILL)
+                    os.waitpid(pid, 0)
+            except (ChildProcessError, ProcessLookupError):  # SIGCHLD ignored: reaped already
+                pass
+            if reader:
+                reader.close()

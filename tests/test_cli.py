@@ -7,6 +7,7 @@ import io
 import os
 import resource
 import shlex
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -118,6 +119,13 @@ class TestCheck:
             assert capsys.readouterr() == ("", fsm.replace("\n", "\\n") +
                                            ":5:12: unknown-signal: 'B' is not a declared state\n")
 
+    @pytest.mark.parametrize("text, code", [(Path(ITLC).read_text(), 0), (GAP_SPEC, 1)],
+                             ids=["itlc", "gap"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, text, code):
+        plain = in_process(["check", write(tmp_path, "plain.fsm", text)])
+        assert plain[0] == code
+        assert in_process(["check", write(tmp_path, "marked.fsm", "\ufeff" + text)]) == plain
+
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fsm"
         bad.write_text("not an fsm\n")
@@ -164,6 +172,11 @@ class TestSimulate:
          "7b47fd9b13e9b02f6508caca52c9d7c04d3bdc42924c8dbdc2a1af2a98290e7e",
          hashlib.sha256((REPO / "golden" / "itlc_scenario.vcd").read_bytes()).hexdigest(),
          40, {}, None),
+        # The same stimulus behind a UTF-8 byte-order mark.
+        ("\ufeff" + Path(STIM).read_text(),
+         "7b47fd9b13e9b02f6508caca52c9d7c04d3bdc42924c8dbdc2a1af2a98290e7e",
+         hashlib.sha256((REPO / "golden" / "itlc_scenario.vcd").read_bytes()).hexdigest(),
+         40, {}, None),
         # c rises two ticks before tick numbers reach four digits, with a reset there.
         ("horizon 2001\n998 c=1\n1000 reset=1\n1001 reset=0\n",
          "d02389e36f2de0a7179e25d09b1e8d94397663307a27ae7c8688ed53288e3429",
@@ -178,7 +191,7 @@ class TestSimulate:
         ("horizon 1000000\n",
          "0c9fc8b9cdd3d0f1c79059047decd46884f06bf3ddd9259c2486c0f2307b6766", None,
          1_000_000, {1_000_000: "999999 S0 c=0 ts=1 tl=1 st=0 100001"}, None),
-    ], ids=["paper", "edge", "toggle", "long"])
+    ], ids=["paper", "paper-bom", "edge", "toggle", "long"])
     def test_log_bytes_are_pinned(self, tmp_path, stim, log_sha, vcd_sha, ticks, lines, blocks):
         # A real process's stdout, as the console script writes it, read back a
         # line at a time: the long log is 36 MB.
@@ -308,7 +321,11 @@ class TestEmit:
         ("zz A1 input\n", 2, "", "pin map names signals absent from spec 'itlc': zz\n"),
         ("mg D11 input\nc N17 output\n", 2, "",
          "pin kind disagrees with spec 'itlc' for signals: mg, c\n"),
-    ], ids=["one-row", "absent-signal", "wrong-kind"])
+        ("\ufeffc N17 input\n", 0, 'NET "c" LOC = "N17";\n', ""),
+        # Every module that `emit` writes has a clk input port.
+        ("clk C9 input\n", 0, 'NET "clk" LOC = "C9";\n', ""),
+        ("clk C9 output\n", 2, "", "pin kind disagrees with spec 'itlc' for signals: clk\n"),
+    ], ids=["one-row", "absent-signal", "wrong-kind", "bom", "clk-row", "clk-as-output"])
     def test_custom_pin_file(self, tmp_path, capsys, rows, code, out, err):
         pins = tmp_path / "pins.txt"
         pins.write_text(rows)
@@ -473,13 +490,15 @@ class TestBenchProcesses:
             assert in_process(argv) == serial
         assert_no_child_left()
 
-    @pytest.mark.parametrize("fault", ["fork", "worker"])
+    @pytest.mark.parametrize("fault", ["fork", "worker", "pipe"])
     def test_seeds_without_a_worker_run_here(self, monkeypatch, fault):
-        # No process to fork, or a worker that dies after its first seed:
-        # this process runs those seeds itself.
+        # No process to fork, a worker that dies after its first seed, or no
+        # descriptor for a pipe: this process runs those seeds itself.
         parent = os.getpid()
         if fault == "fork":
             monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError(errno.EAGAIN, "no")))
+        elif fault == "pipe":
+            monkeypatch.setattr(os, "pipe", mock.Mock(side_effect=OSError(errno.EMFILE, "no")))
         else:
             real = env.run_env
             def run_env(spec, cfg, model, table=None):
@@ -493,6 +512,18 @@ class TestBenchProcesses:
         with cpus(3):
             assert in_process(argv) == serial
         assert_no_child_left()
+
+    def test_an_ignored_sigchld_changes_nothing(self):
+        # With SIGCHLD ignored the system reaps each worker as it exits, so
+        # a worker's pid may no longer name a child of the command.
+        argv = ["bench", ITLC, "--arrival", "0.1", "--seeds", "4", "--horizon", "500"]
+        with cpus(1):
+            code, out, _ = in_process(argv)
+        done = child(["-c", "import os; os.sched_getaffinity = lambda pid: set(range(4)); "
+                            "from fsmkit import cli; cli.run()", *argv],
+                     preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+        assert code == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, b"")
 
     def test_a_closed_stdout_leaves_no_worker(self, capsys):
         read, write = os.pipe()
