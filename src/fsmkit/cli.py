@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
         raise _CliError(2, str(exc)) from exc
     _write_text(args.log, sim.render_log(records, keys), "log")
     if args.vcd is not None:
-        _write_text(args.vcd, sim.render_vcd(spec, records, keys), "VCD")
+        _write_text(args.vcd, sim.render_vcd(spec, records, keys, [n for _, _, n in stim.runs]), "VCD")
     return 0
 
 

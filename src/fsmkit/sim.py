@@ -2,13 +2,17 @@
 `kernel`.  A `Stimulus` holds the kernel's step 1, the external inputs, as
 (c, reset, n) runs, one per `.stim` line, so it grows with the text, not the
 horizon.  A run is rendered from `_ClosedLoop.walk`'s record per table cell
-and key per tick: once per record, and the VCD once per change of what it
-shows, so no renderer builds a string per tick or a tuple per change.
+and key per tick: the log once per record, and the VCD once per change of
+what it shows, so no renderer builds a string per tick.  Within a run a key
+is a function of the key before it, so the VCD replays a run's changes from
+the longest earlier run with the same first key and scans only the ticks
+past it.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Iterable, Mapping
+from itertools import islice
 
 from .kernel import SimError, TickRecord, _ClosedLoop
 from .model import Bit, FsmSpec, value_type
@@ -47,11 +51,14 @@ Trace = value_type(namedtuple("Trace", "spec records"))
 def parse_stimulus(text: str) -> Stimulus:
     """Parse `.stim` text: a `horizon <n>` header, then `<tick> c=<bit>
     [reset=<bit>]` lines with strictly increasing ticks, each signal at most
-    once per line.  Unlisted ticks hold the previous values, starting at 0."""
+    once per line; the horizon and ticks are ASCII decimal digits.  Unlisted
+    ticks hold the previous values, starting at 0."""
     horizon: int | None = None
     runs: list[tuple[Bit, Bit, int]] = []
     c = reset = start = 0  # (c, reset) holds from tick `start` on
     last_tick = -1
+    # A number is ASCII digits; int() also takes a sign, `_` and other scripts' digits.
+    ascii_text = text.isascii()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -61,6 +68,8 @@ def parse_stimulus(text: str) -> Stimulus:
             if fields[0] != "horizon" or len(fields) != 2:
                 raise StimulusError(f"line {lineno}: expected 'horizon <n>' header")
             try:
+                if not (fields[1].isdigit() and (ascii_text or fields[1].isascii())):
+                    raise ValueError
                 horizon = int(fields[1])
             except ValueError:
                 raise StimulusError(f"line {lineno}: bad horizon '{fields[1]}'") from None
@@ -68,6 +77,8 @@ def parse_stimulus(text: str) -> Stimulus:
                 raise StimulusError(f"line {lineno}: horizon must be >= 1")
             continue
         try:
+            if not (fields[0].isdigit() and (ascii_text or fields[0].isascii())):
+                raise ValueError
             tick = int(fields[0])
         except ValueError:
             raise StimulusError(f"line {lineno}: bad tick number '{fields[0]}'") from None
@@ -172,18 +183,23 @@ def write_vcd(trace: Trace) -> str:
     # Records of one table cell are one object.  Every keyed record lives in
     # `trace.records` until we return, so its id cannot be reused for another.
     keys = list(map(id, trace.records))
-    return render_vcd(trace.spec, dict(zip(keys, trace.records)), keys)
+    return render_vcd(trace.spec, dict(zip(keys, trace.records)), keys, (len(keys),))
 
 
 def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
-               keys: list[Hashable]) -> str:
-    """`write_vcd` of the run whose tick t has the record `records[keys[t]]`.
+               keys: list[Hashable], lengths: Iterable[int]) -> str:
+    """`write_vcd` of the ticks whose tick t has the record `records[keys[t]]`,
+    split into stimulus runs of `lengths` ticks, which sum to `len(keys)`.
 
     Each record maps to the code of its visible class: its state and the
-    value of every declared signal.  One pass over the keys writes a `#t`
-    block exactly when a tick's class differs from the previous tick's.
-    Each distinct (old, new) block is printed once and cached under
-    `old * len(classes) + new`, so no tuple is built per change."""
+    value of every declared signal.  A `#t` block is written exactly when a
+    tick's class differs from the previous tick's.  Within a run (c, reset)
+    is fixed, so each key follows from the one before, and a run's changes
+    depend only on its first key.  Each run's first tick is compared afresh;
+    the changes inside it at offsets below the length of the longest
+    earlier run from its first key are replayed from that run, and only the
+    ticks past it are scanned.  Each distinct (old, new) block is printed
+    once and cached under `old * len(classes) + new`."""
     # Declaration order: inputs in spec order, then pulses, then Moore
     # outputs, then the state vector.  Identifier codes follow that order.
     signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
@@ -222,13 +238,49 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
     old = code_of[keys[0]]
     # Nothing is shown before #0, so it dumps every signal and the state.
     out += ["#0", "$dumpvars", changes((None,) * (len(signals) + 1), visible_of[old]), "$end"]
-    blocks: dict[int, str] = {}  # old * len(classes) + new -> that change's block
-    for t, new in enumerate(map(code_of.__getitem__, keys)):
+    blocks: dict[int, str] = {}  # old * n_classes + new -> that change's block
+    n_classes = len(classes)
+
+    def block(old: int, new: int) -> str:
+        text = blocks[old * n_classes + new] = changes(visible_of[old], visible_of[new])
+        return text
+
+    # First key -> [length, (offset, block) of each change inside] of the
+    # longest run from it so far.  A one-tick run has no inside.
+    longest: dict[Hashable, list] = {}
+    ahead = iter(keys)  # yields tick `read` next; new ground is scanned from it
+    codes = map(code_of.__getitem__, ahead)
+    read = t = 0
+    for n in lengths:
+        k = keys[t]
+        new = code_of[k]
         if new != old:
-            pair = old * len(classes) + new
-            block = blocks.get(pair)
-            if block is None:
-                block = blocks[pair] = changes(visible_of[old], visible_of[new])
-            out.append(f"#{t}\n{block}")
+            out.append(f"#{t}\n{blocks.get(old * n_classes + new) or block(old, new)}")
+        if n > 1:
+            seen = longest.get(k)
+            if seen is None:
+                seen = longest[k] = [1, []]
+            length, moves = seen
+            for offset, text in moves:
+                if offset >= n:
+                    break
+                out.append(f"#{t + offset}\n{text}")
+            if n > length:
+                seen[0] = n
+                record = t + n < len(keys)  # no later run replays the last one
+                old = code_of[keys[t + length - 1]]
+                next(islice(ahead, t + length - read, t + length - read), None)  # on to t + length
+                read = t + n
+                for u, new in zip(range(t + length, t + n), codes):
+                    if new != old:
+                        text = blocks.get(old * n_classes + new) or block(old, new)
+                        out.append(f"#{u}\n{text}")
+                        if record:
+                            moves.append((u - t, text))
+                        old = new
+            else:
+                old = code_of[keys[t + n - 1]]
+        else:
             old = new
+        t += n
     return "\n".join(out) + "\n"

@@ -30,6 +30,14 @@ def constant_stim(n, c=0, reset=0):
     return Stimulus(((c, reset, n),))
 
 
+def repeated_runs(cfg, lengths=(30, 5, 60)):
+    """c=1 runs of `lengths` ticks, each after `reset` held for `long_ticks`
+    ticks.  Reset does not restart the timer, so the hold saturates it and
+    every c=1 run starts in one cell: the 5-tick run replays part of the
+    30-tick one, and the 60-tick run replays all of it and extends it."""
+    return Stimulus(tuple(run for n in lengths for run in ((1, 1, cfg.long_ticks), (1, 0, n))))
+
+
 def stim_of(bits):
     """Stimulus from a string of c bits, one character per tick."""
     return Stimulus(tuple((int(b), 0, 1) for b in bits))
@@ -249,14 +257,25 @@ class TestParseStimulus:
         ("horizon 4\n0 c=1 ts=1\n", "line 2: expected c=<bit> or reset=<bit>, got 'ts=1'"),
         ("horizon 4\n0 c1\n", "line 2: expected c=<bit> or reset=<bit>, got 'c1'"),
         ("horizon 4\n1  # no signal\n", "line 2: tick line assigns nothing"),
+        # Only ASCII decimal digits make a number, though int() takes more.
+        ("horizon 3\n1_0 c=1\n", "line 2: bad tick number '1_0'"),
+        ("horizon 3\n+1 c=1\n", "line 2: bad tick number '+1'"),
+        ("horizon 3\n-1 c=1\n", "line 2: bad tick number '-1'"),
+        ("horizon 3\n\u0661 c=1\n", "line 2: bad tick number '\u0661'"),
+        ("horizon \u0663\n", "line 1: bad horizon '\u0663'"),
+        ("horizon +3\n", "line 1: bad horizon '+3'"),
+        ("horizon 1_0\n", "line 1: bad horizon '1_0'"),
     ])
     def test_error_messages_are_pinned(self, text, message):
         with pytest.raises(StimulusError) as exc:
             parse_stimulus(text)
         assert str(exc.value) == message
 
-    def test_comments_and_blanks_ignored(self):
-        stim = parse_stimulus("# hi\nhorizon 2\n\n0 c=1  # arrival\n")
+    # Numbers in a text that is not all ASCII are checked field by field.
+    @pytest.mark.parametrize("text", ["# hi\nhorizon 2\n\n0 c=1  # arrival\n",
+                                      "# h\u00e9\nhorizon 2\n\n0 c=1  # arriv\u00e9e\n"])
+    def test_comments_and_blanks_ignored(self, text):
+        stim = parse_stimulus(text)
         assert stim.runs == ((1, 0, 2),)
 
 
@@ -340,16 +359,20 @@ class TestClosedLoopTable:
             filled = sum(cell is not None for cell in tables[-1].cells)
             assert kernel_calls[0] == filled <= 4 * 44
 
-    def test_no_record_is_built_per_tick(self, itlc_spec, default_cfg, tables):
-        stim = stim_of(("0011101" * 286)[:2000])
+    @pytest.mark.parametrize("stim", [
+        stim_of(("0011101" * 286)[:2000]),
+        # Long runs that replay earlier ones: no cell past a copy is filled.
+        repeated_runs(TimerConfig(4, 16)),
+    ], ids=["bits", "repeated-runs"])
+    def test_no_record_is_built_per_tick(self, itlc_spec, default_cfg, tables, stim):
         trace = simulate(itlc_spec, default_cfg, stim)
         filled = sum(cell is not None for cell in tables[0].cells)
-        assert len(trace.records) == 2000
+        assert len(trace.records) == stim.horizon
         assert len({id(r) for r in trace.records}) <= filled
         # `walk` hands over each hit cell's own record once, keyed by cell.
         loop = kernel._ClosedLoop(itlc_spec, default_cfg)
         records, keys = loop.walk(stim.runs)
-        assert len(keys) == 2000
+        assert len(keys) == stim.horizon
         assert records.keys() == set(keys)
         assert all(records[k] is loop.cells[k][1] for k in keys)
 
@@ -377,6 +400,14 @@ class TestClosedLoopTable:
     # Resets mid-cycle, one of them with c falling, in an 80-tick run.
     @example(spec=bundled_spec(), cfg=TimerConfig(),
              stim=Stimulus(((1, 0, 20), (1, 1, 2), (1, 0, 23), (0, 1, 1), (0, 0, 14), (1, 0, 20))))
+    # Runs from one cell, 30, 5 and 60 ticks long: a shorter replay, then an
+    # extension; and one 5,000-tick run, which has nothing to replay.
+    @example(spec=bundled_spec(), cfg=TimerConfig(4, 16), stim=repeated_runs(TimerConfig(4, 16)))
+    @example(spec=bundled_spec(), cfg=TimerConfig(8, 64), stim=repeated_runs(TimerConfig(8, 64)))
+    @example(spec=bundled_spec(), cfg=TimerConfig(1, 2), stim=repeated_runs(TimerConfig(1, 2)))
+    @example(spec=bundled_spec(), cfg=TimerConfig(4, 16), stim=constant_stim(5000, c=1))
+    @example(spec=bundled_spec(), cfg=TimerConfig(8, 64), stim=constant_stim(5000, c=1))
+    @example(spec=bundled_spec(), cfg=TimerConfig(1, 2), stim=constant_stim(5000, c=1))
     def test_long_runs_render_like_the_per_tick_formatters(self, spec, cfg, stim,
                                                            tmp_path_factory):
         reference = reference_simulate(spec, cfg, stim)
