@@ -102,12 +102,13 @@ def cmd_simulate(args) -> int:
     cfg = _timer_config(args)
     try:
         stim = sim.parse_stimulus(_read_text(args.stim, "stimulus"))
-        records, keys = kernel._ClosedLoop(spec, cfg).walk(stim.runs)
+        records, paths = kernel._ClosedLoop(spec, cfg).walk(stim.runs)
     except kernel.SimError as exc:
         raise _CliError(2, str(exc)) from exc
-    _write_text(args.log, sim.render_log(records, keys), "log")
+    lengths = [n for _, _, n in stim.runs]
+    _write_text(args.log, sim.render_log(records, paths, lengths), "log")
     if args.vcd is not None:
-        _write_text(args.vcd, sim.render_vcd(spec, records, keys, [n for _, _, n in stim.runs]), "VCD")
+        _write_text(args.vcd, sim.render_vcd(spec, records, paths, lengths), "VCD")
     return 0
 
 

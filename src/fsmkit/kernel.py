@@ -13,10 +13,10 @@ Per-tick order, fixed and relied on by every downstream consumer:
 `closed_loop_tick` is the one implementation of steps 2-5, evaluated once per
 reached (configuration, input) cell of a `_ClosedLoop` table; `sim.simulate`,
 `sim.explore_reachable`, `env.run_env` and `fsmkit simulate` supply step 1
-and read it, the stimulus runs through `_ClosedLoop.walk`, which copies the
-cell keys of a run from the longest earlier run with the same first key and
-steps only the ticks past it.  This module holds only that part, so `bench`
-loads no stimulus parser or renderer.
+and read it, the stimulus runs through `_ClosedLoop.walk`, which reads each
+run off its first key's path: the cell keys of the longest run from that key,
+stepped only past the runs before.  This module holds only that part, so
+`bench` loads no stimulus parser or renderer.
 Moore outputs are registered, so a transition's new lights appear one tick
 after its guard fires.
 """
@@ -85,34 +85,33 @@ class _ClosedLoop:
         return cell
 
     def walk(self, runs: tuple[tuple[Bit, Bit, int], ...]
-             ) -> tuple[dict[int, TickRecord], list[int]]:
-        """The runs from the initial configuration as (records, keys): tick t's
-        cell key is `keys[t]` and its record `records[keys[t]]`, the one stored
-        in the cell.  On a fresh table `records` holds just the keys' cells.
+             ) -> tuple[dict[int, TickRecord], list[list[int]]]:
+        """The runs from the initial configuration as (records, paths): run r's
+        ticks have the cell keys `paths[r][:n]`, n its length, and key k the
+        record `records[k]`, the one stored in the cell.  On a fresh table
+        `records` holds just the ticks' cells.
 
         Within a run (c, reset) is fixed, so a key is a function of the key
         before it, and two runs from one first key agree on their common
-        length.  A run copies the keys of the longest earlier run from its
-        first key and steps only the ticks past it."""
+        length.  So the runs from one first key share one path, a list that
+        holds the keys of the longest run from it; a run steps its path only
+        past its earlier length, never ahead of a run that needs the keys."""
         cells, fill = self.cells, self.fill
-        keys: list[int] = []
-        append = keys.append
-        longest: dict[int, tuple[int, int]] = {}  # first key -> (start, length)
+        paths: list[list[int]] = []
+        path_from: dict[int, list[int]] = {}  # first key -> its path
         i = 0
         for c, reset, n in runs:
             x = 2 * c + reset
-            if n > 1:  # a one-tick run is stepped: a copy would cost more
-                k = 4 * i + x
-                start, length = longest.get(k, (0, 0))
-                if length:
-                    keys += keys[start:start + (n if n < length else length)]
-                    i = cells[keys[-1]][0]
-                    if n <= length:
-                        continue
-                longest[k] = len(keys) - length, n
-                n -= length
-            for _ in range(n):
-                k = 4 * i + x
-                append(k)
-                i = (cells[k] or fill(k))[0]
-        return {k: cell[1] for k, cell in enumerate(cells) if cell}, keys
+            k = 4 * i + x
+            path = path_from.get(k)
+            if path is None:
+                path = path_from[k] = [k]
+            if n > len(path):
+                append, k = path.append, path[-1]
+                for _ in range(n - len(path)):
+                    k = 4 * (cells[k] or fill(k))[0] + x
+                    append(k)
+            paths.append(path)
+            k = path[n - 1]
+            i = (cells[k] or fill(k))[0]
+        return {k: cell[1] for k, cell in enumerate(cells) if cell}, paths

@@ -2,17 +2,16 @@
 `kernel`.  A `Stimulus` holds the kernel's step 1, the external inputs, as
 (c, reset, n) runs, one per `.stim` line, so it grows with the text, not the
 horizon.  A run is rendered from `_ClosedLoop.walk`'s record per table cell
-and key per tick: the log once per record, and the VCD once per change of
-what it shows, so no renderer builds a string per tick.  Within a run a key
-is a function of the key before it, so the VCD replays a run's changes from
-the longest earlier run with the same first key and scans only the ticks
-past it.
+and path per stimulus run: the log once per record, and the VCD once per
+change of what it shows, so no renderer builds a string per tick.  The runs
+from one first key share its path, so the VCD scans each path once and
+replays its changes for every later run from that key.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Hashable, Iterable, Mapping
-from itertools import islice
+from collections.abc import Hashable, Mapping, Sequence
+from itertools import chain, islice
 
 from .kernel import SimError, TickRecord, _ClosedLoop
 from .model import Bit, FsmSpec, value_type
@@ -48,6 +47,10 @@ class Stimulus(namedtuple("Stimulus", "runs")):
 Trace = value_type(namedtuple("Trace", "spec records"))
 
 
+# Every well-formed field of a tick line, as (signal, bit).
+_FIELDS = {f"{key}={bit}": (key, bit) for key in ("c", "reset") for bit in (0, 1)}
+
+
 def parse_stimulus(text: str) -> Stimulus:
     """Parse `.stim` text: a `horizon <n>` header, then `<tick> c=<bit>
     [reset=<bit>]` lines with strictly increasing ticks, each signal at most
@@ -59,11 +62,11 @@ def parse_stimulus(text: str) -> Stimulus:
     last_tick = -1
     # A number is ASCII digits; int() also takes a sign, `_` and other scripts' digits.
     ascii_text = text.isascii()
+    comments = "#" in text
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = (raw.split("#", 1)[0] if comments else raw).split()
+        if not fields:
             continue
-        fields = line.split()
         if horizon is None:
             if fields[0] != "horizon" or len(fields) != 2:
                 raise StimulusError(f"line {lineno}: expected 'horizon <n>' header")
@@ -88,14 +91,15 @@ def parse_stimulus(text: str) -> Stimulus:
             raise StimulusError(f"line {lineno}: tick {tick} is outside horizon {horizon}")
         values: dict[str, Bit] = {}
         for field in fields[1:]:
-            key, eq, val = field.partition("=")
-            if eq != "=" or key not in ("c", "reset"):
-                raise StimulusError(f"line {lineno}: expected c=<bit> or reset=<bit>, got '{field}'")
-            if key in values:
-                raise StimulusError(f"line {lineno}: duplicate assignment to '{key}'")
-            if val not in ("0", "1"):
+            signal = _FIELDS.get(field)
+            if signal is None or signal[0] in values:  # refused: find out why
+                key, eq, val = field.partition("=")
+                if eq != "=" or key not in ("c", "reset"):
+                    raise StimulusError(f"line {lineno}: expected c=<bit> or reset=<bit>, got '{field}'")
+                if key in values:
+                    raise StimulusError(f"line {lineno}: duplicate assignment to '{key}'")
                 raise StimulusError(f"line {lineno}: bit value must be 0 or 1, got '{val}'")
-            values[key] = int(val)
+            values[signal[0]] = signal[1]
         if not values:
             raise StimulusError(f"line {lineno}: tick line assigns nothing")
         if tick:
@@ -110,7 +114,8 @@ def parse_stimulus(text: str) -> Stimulus:
 def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
     """Closed-loop run over the stimulus horizon.  Pure: identical arguments
     give identical traces."""
-    records, keys = _ClosedLoop(spec, cfg).walk(stim.runs)
+    records, paths = _ClosedLoop(spec, cfg).walk(stim.runs)
+    keys = chain.from_iterable(map(islice, paths, (n for _, _, n in stim.runs)))
     return Trace(spec, tuple(map(records.__getitem__, keys)))
 
 
@@ -130,14 +135,16 @@ def explore_reachable(spec: FsmSpec, cfg: TimerConfig) -> frozenset[tuple[str, i
 
 
 # ---------------------------------------------------------------------------
-# Rendering: tick t of a run is `records[keys[t]]`
+# Rendering: a run of n ticks has the records `records[k]` for k in `path[:n]`
 # ---------------------------------------------------------------------------
 
 LIGHT_ORDER = ("mg", "my", "mr", "sg", "sy", "sr")
 
 
-def render_log(records: Mapping[Hashable, TickRecord], keys: list[Hashable]) -> str:
-    """`fsmkit simulate`'s log, formatted once per key.  No string is made
+def render_log(records: Mapping[Hashable, TickRecord], paths: list[list[Hashable]],
+               lengths: Sequence[int]) -> str:
+    """`fsmkit simulate`'s log of the runs whose run r has the keys
+    `paths[r][:lengths[r]]`, formatted once per key.  No string is made
     per tick number: below tick 1000 it is one of the shared "0".."999"; from
     1000 on, its 1000-tick block's shared prefix `str(t // 1000)`, then one of
     the shared "000".."999".  Its per-tick list is freed on return, before
@@ -147,7 +154,7 @@ def render_log(records: Mapping[Hashable, TickRecord], keys: list[Hashable]) -> 
         lights = "".join(str(r.moore.get(name, 0)) for name in LIGHT_ORDER)
         bodies[k] = (f" {r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
                      f"tl={r.inputs['tl']} st={r.st} {lights}\n")
-    n = len(keys)
+    n = sum(lengths)
     log = [""] * (3 * n)  # per tick: block prefix, last digits, body
     digits = list(map(str, range(min(n, 1000))))  # "0".."999", only those used
     log[1:3000:3] = digits
@@ -157,7 +164,7 @@ def render_log(records: Mapping[Hashable, TickRecord], keys: list[Hashable]) -> 
             m = min(n - b, 1000)
             log[3 * b:3 * (b + m):3] = [str(b // 1000)] * m
             log[3 * b + 1:3 * (b + m):3] = padded[:m]
-    log[2::3] = map(bodies.__getitem__, keys)
+    log[2::3] = map(bodies.__getitem__, chain.from_iterable(map(islice, paths, lengths)))
     return "".join(log)
 
 
@@ -182,24 +189,25 @@ def write_vcd(trace: Trace) -> str:
         raise SimError("cannot write VCD for an empty trace")
     # Records of one table cell are one object.  Every keyed record lives in
     # `trace.records` until we return, so its id cannot be reused for another.
-    keys = list(map(id, trace.records))
-    return render_vcd(trace.spec, dict(zip(keys, trace.records)), keys, (len(keys),))
+    ids = list(map(id, trace.records))
+    return render_vcd(trace.spec, dict(zip(ids, trace.records)), [ids], [len(ids)])
 
 
 def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
-               keys: list[Hashable], lengths: Iterable[int]) -> str:
-    """`write_vcd` of the ticks whose tick t has the record `records[keys[t]]`,
-    split into stimulus runs of `lengths` ticks, which sum to `len(keys)`.
+               paths: list[list[Hashable]], lengths: Sequence[int]) -> str:
+    """`write_vcd` of the runs whose run r has the records `records[k]` for k
+    in `paths[r][:lengths[r]]`, where the runs from one first key share one
+    path, as `_ClosedLoop.walk` hands them over.
 
     Each record maps to the code of its visible class: its state and the
     value of every declared signal.  A `#t` block is written exactly when a
-    tick's class differs from the previous tick's.  Within a run (c, reset)
-    is fixed, so each key follows from the one before, and a run's changes
-    depend only on its first key.  Each run's first tick is compared afresh;
-    the changes inside it at offsets below the length of the longest
-    earlier run from its first key are replayed from that run, and only the
-    ticks past it are scanned.  Each distinct (old, new) block is printed
-    once and cached under `old * len(classes) + new`."""
+    tick's class differs from the previous tick's.  Each run's first tick is
+    compared afresh; the changes inside a run depend only on its path.  The
+    first run of more than one tick from a path scans it whole, writes the
+    changes below its own length and keeps them all as (offset, block);
+    later runs from it replay those below their length.  The last run keeps
+    none, as no later run replays it.  Each distinct (old, new) block is
+    printed once and cached under `old * len(classes) + new`."""
     # Declaration order: inputs in spec order, then pulses, then Moore
     # outputs, then the state vector.  Identifier codes follow that order.
     signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
@@ -235,7 +243,7 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
             lines.append(f"b{state_index[new[0]]:0{width}b} {state_id}")
         return "\n".join(lines)
 
-    old = code_of[keys[0]]
+    old = code_of[paths[0][0]]
     # Nothing is shown before #0, so it dumps every signal and the state.
     out += ["#0", "$dumpvars", changes((None,) * (len(signals) + 1), visible_of[old]), "$end"]
     blocks: dict[int, str] = {}  # old * n_classes + new -> that change's block
@@ -245,42 +253,32 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
         text = blocks[old * n_classes + new] = changes(visible_of[old], visible_of[new])
         return text
 
-    # First key -> [length, (offset, block) of each change inside] of the
-    # longest run from it so far.  A one-tick run has no inside.
-    longest: dict[Hashable, list] = {}
-    ahead = iter(keys)  # yields tick `read` next; new ground is scanned from it
-    codes = map(code_of.__getitem__, ahead)
-    read = t = 0
-    for n in lengths:
-        k = keys[t]
+    kept: dict[Hashable, list[tuple[int, str]]] = {}  # first key -> its path's changes
+    total, t = sum(lengths), 0
+    for path, n in zip(paths, lengths):
+        k = path[0]
         new = code_of[k]
         if new != old:
             out.append(f"#{t}\n{blocks.get(old * n_classes + new) or block(old, new)}")
-        if n > 1:
-            seen = longest.get(k)
-            if seen is None:
-                seen = longest[k] = [1, []]
-            length, moves = seen
+        old = new
+        if n > 1:  # a one-tick run has no inside
+            moves = kept.get(k)
+            if moves is None:  # the first run from this path scans it
+                keep = t + n < total  # no later run replays the last one
+                moves = kept[k] = []
+                for u, new in enumerate(map(code_of.__getitem__, path), t):
+                    if new != old:
+                        text = blocks.get(old * n_classes + new) or block(old, new)
+                        if keep:
+                            moves.append((u - t, text))
+                        else:
+                            out.append(f"#{u}\n{text}")
+                        old = new
             for offset, text in moves:
                 if offset >= n:
                     break
                 out.append(f"#{t + offset}\n{text}")
-            if n > length:
-                seen[0] = n
-                record = t + n < len(keys)  # no later run replays the last one
-                old = code_of[keys[t + length - 1]]
-                next(islice(ahead, t + length - read, t + length - read), None)  # on to t + length
-                read = t + n
-                for u, new in zip(range(t + length, t + n), codes):
-                    if new != old:
-                        text = blocks.get(old * n_classes + new) or block(old, new)
-                        out.append(f"#{u}\n{text}")
-                        if record:
-                            moves.append((u - t, text))
-                        old = new
-            else:
-                old = code_of[keys[t + n - 1]]
-        else:
-            old = new
+            old = code_of[path[n - 1]]
         t += n
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, without copying the text to add it
+    return "\n".join(out)

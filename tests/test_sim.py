@@ -265,6 +265,13 @@ class TestParseStimulus:
         ("horizon \u0663\n", "line 1: bad horizon '\u0663'"),
         ("horizon +3\n", "line 1: bad horizon '+3'"),
         ("horizon 1_0\n", "line 1: bad horizon '1_0'"),
+        # Well-formed fields are read by one lookup; these are refused all the same.
+        ("horizon 4\n0 c=1 c=0\n", "line 2: duplicate assignment to 'c'"),
+        ("horizon 4\n0 reset=1 reset=1\n", "line 2: duplicate assignment to 'reset'"),
+        ("horizon 4\n0 c=2\n", "line 2: bit value must be 0 or 1, got '2'"),
+        # A comment after a field is cut off, so line 2 is well formed.
+        ("horizon 4\n0 c=1  # c=1 again\n0 c=0\n", "line 3: non-monotonic tick 0"),
+        ("horizon 4\n0 c=1#reset=2\n1 c=\n", "line 3: bit value must be 0 or 1, got ''"),
     ])
     def test_error_messages_are_pinned(self, text, message):
         with pytest.raises(StimulusError) as exc:
@@ -369,12 +376,22 @@ class TestClosedLoopTable:
         filled = sum(cell is not None for cell in tables[0].cells)
         assert len(trace.records) == stim.horizon
         assert len({id(r) for r in trace.records}) <= filled
-        # `walk` hands over each hit cell's own record once, keyed by cell.
+        # `walk` hands over each hit cell's own record once, keyed by cell,
+        # and one path per first key, no longer than the longest run from it.
         loop = kernel._ClosedLoop(itlc_spec, default_cfg)
-        records, keys = loop.walk(stim.runs)
+        records, paths = loop.walk(stim.runs)
+        lengths = [n for _, _, n in stim.runs]
+        keys = [k for path, n in zip(paths, lengths) for k in path[:n]]
         assert len(keys) == stim.horizon
         assert records.keys() == set(keys)
         assert all(records[k] is loop.cells[k][1] for k in keys)
+        first = {}  # first key -> (its path, the longest run from it)
+        for path, n in zip(paths, lengths):
+            shared, m = first.setdefault(path[0], (path, n))
+            assert shared is path
+            first[path[0]] = path, max(m, n)
+        # No look-ahead: a path holds no key past the longest run from it.
+        assert all(len(path) == m for path, m in first.values())
 
     @settings(max_examples=100, deadline=None)
     @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
@@ -400,6 +417,9 @@ class TestClosedLoopTable:
     # Resets mid-cycle, one of them with c falling, in an 80-tick run.
     @example(spec=bundled_spec(), cfg=TimerConfig(),
              stim=Stimulus(((1, 0, 20), (1, 1, 2), (1, 0, 23), (0, 1, 1), (0, 0, 14), (1, 0, 20))))
+    # The c=1 cycle returns to the initial cell after 44 ticks, so the last run
+    # replays the path that the run just before it scanned first.
+    @example(spec=bundled_spec(), cfg=TimerConfig(), stim=Stimulus(((1, 0, 44), (1, 0, 30))))
     # Runs from one cell, 30, 5 and 60 ticks long: a shorter replay, then an
     # extension; and one 5,000-tick run, which has nothing to replay.
     @example(spec=bundled_spec(), cfg=TimerConfig(4, 16), stim=repeated_runs(TimerConfig(4, 16)))
