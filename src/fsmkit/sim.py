@@ -61,7 +61,6 @@ def parse_stimulus(text: str) -> Stimulus:
     c = reset = start = 0  # (c, reset) holds from tick `start` on
     last_tick = -1
     # A number is ASCII digits; int() also takes a sign, `_` and other scripts' digits.
-    ascii_text = text.isascii()
     comments = "#" in text
     for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = (raw.split("#", 1)[0] if comments else raw).split()
@@ -71,7 +70,7 @@ def parse_stimulus(text: str) -> Stimulus:
             if fields[0] != "horizon" or len(fields) != 2:
                 raise StimulusError(f"line {lineno}: expected 'horizon <n>' header")
             try:
-                if not (fields[1].isdigit() and (ascii_text or fields[1].isascii())):
+                if not (fields[1].isdigit() and fields[1].isascii()):
                     raise ValueError
                 horizon = int(fields[1])
             except ValueError:
@@ -80,7 +79,7 @@ def parse_stimulus(text: str) -> Stimulus:
                 raise StimulusError(f"line {lineno}: horizon must be >= 1")
             continue
         try:
-            if not (fields[0].isdigit() and (ascii_text or fields[0].isascii())):
+            if not (fields[0].isdigit() and fields[0].isascii()):
                 raise ValueError
             tick = int(fields[0])
         except ValueError:
@@ -199,15 +198,17 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
     in `paths[r][:lengths[r]]`, where the runs from one first key share one
     path, as `_ClosedLoop.walk` hands them over.
 
-    Each record maps to the code of its visible class: its state and the
-    value of every declared signal.  A `#t` block is written exactly when a
-    tick's class differs from the previous tick's.  Each run's first tick is
-    compared afresh; the changes inside a run depend only on its path.  The
-    first run of more than one tick from a path scans it whole, writes the
-    changes below its own length and keeps them all as (offset, block);
-    later runs from it replay those below their length.  The last run keeps
-    none, as no later run replays it.  Each distinct (old, new) block is
-    printed once and cached under `old * len(classes) + new`."""
+    Each record maps to the code of its visible class, its state and every
+    declared signal's value, formatted once as the lines that show it.  `#0`
+    dumps the first tick's lines.  A `#t` block, written exactly when a
+    tick's class differs from the previous tick's, is the new class's lines
+    that differ from the old one's, joined once per (old, new) and cached
+    under `old * len(classes) + new`.  Each run's first tick is compared
+    afresh; the changes inside a run depend only on its path.  The first run
+    of more than one tick from a path scans it whole, writes the changes
+    below its own length and keeps them all as (offset, block); later runs
+    from it replay those below their length.  The last run keeps none, as no
+    later run replays it."""
     # Declaration order: inputs in spec order, then pulses, then Moore
     # outputs, then the state vector.  Identifier codes follow that order.
     signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
@@ -234,23 +235,19 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
 
     classes: dict[tuple, int] = {}  # visible class -> code, in first-seen order
     code_of = {key: classes.setdefault(visible(r), len(classes)) for key, r in records.items()}
-    visible_of = list(classes)
-
-    def changes(old: tuple, new: tuple) -> str:
-        lines = [f"{value}{ids[name]}"
-                 for name, was, value in zip(signals, old[1:], new[1:]) if was != value]
-        if old[0] != new[0]:
-            lines.append(f"b{state_index[new[0]]:0{width}b} {state_id}")
-        return "\n".join(lines)
+    # Each class as the lines that show it: every signal, then the state vector.
+    lines = [(*[f"{value}{ids[name]}" for name, value in zip(signals, shown[1:])],
+              f"b{state_index[shown[0]]:0{width}b} {state_id}") for shown in classes]
 
     old = code_of[paths[0][0]]
-    # Nothing is shown before #0, so it dumps every signal and the state.
-    out += ["#0", "$dumpvars", changes((None,) * (len(signals) + 1), visible_of[old]), "$end"]
+    # Nothing is shown before #0, so it dumps every line of the first class.
+    out += ["#0", "$dumpvars", *lines[old], "$end"]
     blocks: dict[int, str] = {}  # old * n_classes + new -> that change's block
     n_classes = len(classes)
 
     def block(old: int, new: int) -> str:
-        text = blocks[old * n_classes + new] = changes(visible_of[old], visible_of[new])
+        text = blocks[old * n_classes + new] = "\n".join(
+            line for line, was in zip(lines[new], lines[old]) if line != was)
         return text
 
     kept: dict[Hashable, list[tuple[int, str]]] = {}  # first key -> its path's changes

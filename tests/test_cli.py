@@ -144,6 +144,35 @@ class TestCheck:
         assert capsys.readouterr().out == design.findings()
 
 
+# What int() or str.split() take that the `.stim` format does not, or at its edges.
+STIM_NOISE = ("+", "-", "_", "\u0661", "\uff11", "\x00", "\r", "\ufeff", "#", "1" * 5000)
+
+
+@st.composite
+def near_valid_stimuli(draw):
+    """Valid `.stim` text of at most 10,000 ticks with one to three edits,
+    each to one field: noise put in, the field repeated, or a `#` glued on."""
+    horizon = draw(st.integers(1, 10_000))
+    ticks = sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=1, max_size=6)))
+    lines = [f"horizon {horizon}", *(f"{t} c={draw(st.integers(0, 1))}"
+                                     f"{draw(st.sampled_from(['', ' reset=1', '  # note']))}"
+                                     for t in ticks)]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(" ")
+        j = draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(("repeat", "glue", *STIM_NOISE)))
+        if edit == "repeat":
+            fields.insert(j, fields[j])
+        elif edit == "glue":
+            fields[j] += "#"
+        else:
+            k = draw(st.integers(0, len(fields[j])))
+            fields[j] = fields[j][:k] + edit + fields[j][k:]
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 class TestSimulate:
     @pytest.mark.parametrize("spec_text", [OVERLAP_SPEC, CLOSED_GAP_SPEC])
     def test_findings_exit_1_before_tick_0(self, tmp_path, capsys, spec_text):
@@ -249,6 +278,21 @@ class TestSimulate:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.count("\n") == 1
             assert message in captured.err
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(text=near_valid_stimuli())
+    def test_near_valid_stimuli_exit_0_or_2_with_one_line(self, text, tmp_path_factory):
+        stim = tmp_path_factory.getbasetemp() / "near_valid.stim"
+        stim.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", ITLC, str(stim)])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == "" and 0 < out.count("\n") <= 10_000
+        else:
+            assert code == 2 and out == "" and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestEmit:

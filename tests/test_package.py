@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -61,6 +62,14 @@ def test_kernel_names_live_in_the_kernel():
     # `sim` imports only the kernel names it runs; it passes none on.
     assert [name for name in ("closed_loop_tick", "CLOSED_LOOP_INPUTS", "START_PULSE")
             if hasattr(sim, name)] == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # requires-python is >=3.10, whichever interpreter runs these tests.
+    modules = sorted((REPO / "src" / "fsmkit").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_dir_and_star_import_list_every_public_name():

@@ -265,6 +265,11 @@ class TestParseStimulus:
         ("horizon \u0663\n", "line 1: bad horizon '\u0663'"),
         ("horizon +3\n", "line 1: bad horizon '+3'"),
         ("horizon 1_0\n", "line 1: bad horizon '1_0'"),
+        # int() refuses a number past its digit limit, and so does the parser.
+        pytest.param("horizon " + "1" * 5000 + "\n", "line 1: bad horizon '" + "1" * 5000 + "'",
+                     id="5000-digit-horizon"),
+        pytest.param("horizon 3\n" + "1" * 5000 + " c=1\n",
+                     "line 2: bad tick number '" + "1" * 5000 + "'", id="5000-digit-tick"),
         # Well-formed fields are read by one lookup; these are refused all the same.
         ("horizon 4\n0 c=1 c=0\n", "line 2: duplicate assignment to 'c'"),
         ("horizon 4\n0 reset=1 reset=1\n", "line 2: duplicate assignment to 'reset'"),
@@ -278,7 +283,7 @@ class TestParseStimulus:
             parse_stimulus(text)
         assert str(exc.value) == message
 
-    # Numbers in a text that is not all ASCII are checked field by field.
+    # Comments, non-ASCII ones too, and blank lines are skipped.
     @pytest.mark.parametrize("text", ["# hi\nhorizon 2\n\n0 c=1  # arrival\n",
                                       "# h\u00e9\nhorizon 2\n\n0 c=1  # arriv\u00e9e\n"])
     def test_comments_and_blanks_ignored(self, text):
@@ -670,6 +675,18 @@ class TestWriteVcd:
         declared = [l.split()[4] for l in vcd.splitlines() if l.startswith("$var")]
         assert declared == ["tl", "ts", "c", "reset", "st", "mg", "my", "mr", "sg", "sy", "sr",
                             "state"]
+
+    def test_a_repeated_input_name_keeps_one_code(self, itlc_spec, default_cfg):
+        # simulate compares input sets, so a spec may list an input twice.
+        # Both of its wires take the name's code, and every value line
+        # writes a declared code.
+        spec = itlc_spec._replace(inputs=(*itlc_spec.inputs, "c"))
+        lines = write_vcd(simulate(spec, default_cfg, repeated_runs(default_cfg))).splitlines()
+        declared = {l.split()[4]: l.split()[3] for l in lines if l.startswith("$var")}
+        assert [l.split()[3] for l in lines if l.endswith(" c $end")] == [declared["c"]] * 2
+        values = [l for l in lines if l[:1] in "01"]
+        assert values and {l[1:] for l in values} <= set(declared.values())
+        assert f"1{declared['c']}" in values
 
 
 class TestScenarioOrdering:
