@@ -1,7 +1,9 @@
 """Command-line front end: check, simulate, emit, bench.
 
-Exit codes: 0 success, 1 validation/check failure, 2 usage or parse error
-(or a stdout that cannot be written).
+Exit codes: 0 success, 1 validation/check failure, 2 usage or parse error,
+a refusal from the library (an `FsmError`, as `SimError`, `EmitError` and
+`ParseFailure` are, or `TimerConfig`'s and `TrafficModel`'s `ValueError`,
+each caught once, in `main`), or a stdout that cannot be written.
 Every subcommand is deterministic given its arguments and input files, and
 writes only to the paths named in its flags (or stdout).  Each one imports
 the modules it runs when it runs, so `check` never loads `sim`, `env` or
@@ -19,7 +21,7 @@ import sys
 from types import SimpleNamespace
 
 from . import dsl
-from .model import Finding, FsmSpec, validate
+from .model import Finding, FsmError, FsmSpec, validate
 from .timer import DEFAULT_LONG_TICKS, DEFAULT_SHORT_TICKS, TimerConfig
 
 _ONE_LINE = str.maketrans({"\n": "\\n"})  # a message quotes a newline as \n, staying one line
@@ -71,13 +73,6 @@ def _load_spec(path: str) -> FsmSpec:
         raise _CliError(2, detail) from exc
 
 
-def _timer_config(args) -> TimerConfig:
-    try:
-        return TimerConfig(short_ticks=args.short, long_ticks=args.long)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
-
-
 def _findings_text(findings: tuple[Finding, ...]) -> str:
     return "".join(f"{f.kind} {f.state or '-'} {f.message}\n" for f in findings)
 
@@ -99,12 +94,9 @@ def cmd_simulate(args) -> int:
 
     spec = _load_spec(args.fsm)
     _require_valid(validate(spec))
-    cfg = _timer_config(args)
-    try:
-        stim = sim.parse_stimulus(_read_text(args.stim, "stimulus"))
-        records, paths = kernel._ClosedLoop(spec, cfg).walk(stim.runs)
-    except kernel.SimError as exc:
-        raise _CliError(2, str(exc)) from exc
+    cfg = TimerConfig(args.short, args.long)
+    stim = sim.parse_stimulus(_read_text(args.stim, "stimulus"))
+    records, paths = kernel._ClosedLoop(spec, cfg).walk(stim.runs)
     lengths = [n for _, _, n in stim.runs]
     _write_text(args.log, sim.render_log(records, paths, lengths), "log")
     if args.vcd is not None:
@@ -126,26 +118,21 @@ def cmd_emit(args) -> int:
             text = emit_mod.emit_ucf(spec, pins)
     except emit_mod.InvalidSpecError as exc:
         _require_valid(exc.findings)
-    except emit_mod.EmitError as exc:
-        raise _CliError(2, str(exc)) from exc
     _write_text(args.output, text, "output")
     return 0
 
 
 def cmd_bench(args) -> int:
-    from . import env as env_mod, kernel
+    from . import env as env_mod
 
     spec = _load_spec(args.fsm)
     _require_valid(validate(spec))
-    cfg = _timer_config(args)
+    cfg = TimerConfig(args.short, args.long)
     if not 0.0 <= args.arrival <= 1.0:
         raise _CliError(2, f"--arrival must be in [0, 1], got {args.arrival}")
     if args.seeds < 1:
         raise _CliError(2, f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        model = env_mod.TrafficModel(args.arrival, 0, args.horizon, args.service_rate)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
+    model = env_mod.TrafficModel(args.arrival, 0, args.horizon, args.service_rate)
     runs = env_mod.run_seeds(spec, cfg, model, args.seeds)
 
     def printed():  # each seed's line once its run is in, so memory stays flat in --seeds
@@ -155,8 +142,6 @@ def cmd_bench(args) -> int:
 
     try:
         aggregate = env_mod.Metrics.aggregate(printed())
-    except (ValueError, kernel.SimError) as exc:
-        raise _CliError(2, str(exc)) from exc
     finally:
         runs.close()  # kills and reaps its worker processes, on every path
     print(aggregate.as_record(prefix="aggregate "))
@@ -273,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
+    except (FsmError, ValueError) as exc:  # a refusal from the library
+        print(exc, file=sys.stderr)
+        return 2
     except OSError as exc:
         # Writing stdout failed; every other OSError is already a _CliError.
         return _output_failed(exc)

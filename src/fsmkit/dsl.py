@@ -25,8 +25,8 @@ from collections import namedtuple
 from collections.abc import Container
 
 from .model import (
-    MAX_INPUTS, And, Const, FsmSpec, GuardExpr, Not, Or, StateDef, Transition, Var,
-    value_type,
+    MAX_INPUTS, And, Const, FsmError, FsmSpec, GuardExpr, Not, Or, StateDef, Transition,
+    Var, value_type,
 )
 
 SYNTAX = "syntax"
@@ -60,7 +60,7 @@ class ParseError(namedtuple("ParseError", "span kind message")):
         return f"{self.span.line}:{self.span.column}: {self.kind}: {self.message}"
 
 
-class ParseFailure(Exception):
+class ParseFailure(FsmError):
     """Raised when a source text cannot be parsed; carries all errors found."""
 
     def __init__(self, errors: list[ParseError]):

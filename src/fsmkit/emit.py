@@ -16,7 +16,7 @@ import re
 from collections.abc import Sequence
 
 from .dsl import _NAME_RE, format_guard
-from .model import Finding, FsmSpec, validate
+from .model import Finding, FsmError, FsmSpec, validate
 
 BINARY = "binary"
 ONE_HOT = "onehot"
@@ -53,7 +53,7 @@ weak1 while wire wor xnor xor
 """.split())
 
 
-class EmitError(Exception):
+class EmitError(FsmError):
     """The spec cannot be rendered as HDL; message lists the offenders."""
 
 

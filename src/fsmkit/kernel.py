@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import Bit, FsmSpec, moore_output, step_spec, value_type
+from .model import Bit, FsmError, FsmSpec, moore_output, step_spec, value_type
 from .timer import TimerConfig, timer_commit, timer_outputs
 
 CLOSED_LOOP_INPUTS = frozenset({"reset", "c", "ts", "tl"})
 START_PULSE = "st"
 
 
-class SimError(Exception):
+class SimError(FsmError):
     """Configuration or stimulus problem detected before tick 0."""
 
 
@@ -64,7 +64,7 @@ class _ClosedLoop:
     callers may hold it; a record is shared by all ticks of its cell and read-only."""
 
     def __init__(self, spec: FsmSpec, cfg: TimerConfig):
-        if set(spec.inputs) != CLOSED_LOOP_INPUTS:
+        if sorted(spec.inputs) != sorted(CLOSED_LOOP_INPUTS):  # refuses an input listed twice
             raise SimError(
                 f"closed-loop simulation needs inputs exactly "
                 f"{sorted(CLOSED_LOOP_INPUTS)}, spec '{spec.name}' has {list(spec.inputs)}")

@@ -14,11 +14,11 @@ from collections import namedtuple
 from collections.abc import Mapping
 from types import MappingProxyType
 
-Bit = int
+Bit = int  # the int 0 or 1: a bool or a float is not a Bit
 
 
 class FsmError(Exception):
-    """Base class for all errors raised by the FSM model."""
+    """Base of every error fsmkit raises for input it refuses."""
 
 
 class StructuralError(FsmError):
@@ -177,7 +177,7 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
         for out, bit in s.moore_assignments.items():
             if out not in spec.moore_outputs:
                 structural(f"assignment to unknown output '{out}'", s.name)
-            if bit not in (0, 1):
+            if type(bit) is not int or bit not in (0, 1):
                 structural(f"output '{out}' assigned non-bit value {bit!r}", s.name)
         for t in s.transitions:
             if t.destination not in declared:

@@ -31,7 +31,9 @@ class Stimulus(namedtuple("Stimulus", "runs")):
         if not runs:
             raise SimError("stimulus must cover at least one tick")
         for c, reset, n in runs:
-            if c not in (0, 1) or reset not in (0, 1):
+            # `__class__` reads faster than `type()`, and refuses a bool or a float alike.
+            if (c.__class__ is not int or reset.__class__ is not int
+                    or c not in (0, 1) or reset not in (0, 1)):
                 raise SimError(f"c and reset must be 0 or 1, got c={c!r} reset={reset!r}")
             if not isinstance(n, int) or n < 1:
                 raise SimError(f"a run must last an int number of ticks >= 1, got {n!r}")

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import os
+import re
 import resource
 import shlex
 import signal
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import first_difference
-from fsmkit import cli, emit, env, model
+from fsmkit import cli, dsl, emit, env, model
 from fsmkit.cli import main
 from fsmkit.dsl import MAX_GUARD_DEPTH, MAX_INPUTS
 from fsmkit.kernel import SimError
@@ -148,29 +149,45 @@ class TestCheck:
 STIM_NOISE = ("+", "-", "_", "\u0661", "\uff11", "\x00", "\r", "\ufeff", "#", "1" * 5000)
 
 
-@st.composite
-def near_valid_stimuli(draw):
-    """Valid `.stim` text of at most 10,000 ticks with one to three edits,
-    each to one field: noise put in, the field repeated, or a `#` glued on."""
-    horizon = draw(st.integers(1, 10_000))
-    ticks = sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=1, max_size=6)))
-    lines = [f"horizon {horizon}", *(f"{t} c={draw(st.integers(0, 1))}"
-                                     f"{draw(st.sampled_from(['', ' reset=1', '  # note']))}"
-                                     for t in ticks)]
-    for _ in range(draw(st.integers(1, 3))):
+def edited(draw, lines, edits, tokens=(), least=1):
+    """`lines` joined as text after `least` to three edits drawn from `edits`,
+    each to one space-separated field: the field repeated ("repeat"), a `#`
+    glued on ("glue"), the field dropped ("drop") or replaced by one of
+    `tokens` ("swap"), its line repeated ("line"), or else the edit put into
+    the field as noise."""
+    for _ in range(draw(st.integers(least, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         fields = lines[i].split(" ")
         j = draw(st.integers(0, len(fields) - 1))
-        edit = draw(st.sampled_from(("repeat", "glue", *STIM_NOISE)))
+        edit = draw(st.sampled_from(edits))
         if edit == "repeat":
             fields.insert(j, fields[j])
         elif edit == "glue":
             fields[j] += "#"
+        elif edit == "drop":
+            del fields[j]
+        elif edit == "swap":
+            fields[j] = draw(st.sampled_from(tokens))
+        elif edit == "line":
+            lines.insert(i, lines[i])
         else:
             k = draw(st.integers(0, len(fields[j])))
             fields[j] = fields[j][:k] + edit + fields[j][k:]
         lines[i] = " ".join(fields)
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def near_valid_stimuli(draw, max_horizon=10_000, least=1):
+    """Valid `.stim` text of at most `max_horizon` ticks with `least` to three
+    edits, each to one field: noise put in, the field repeated, or a `#`
+    glued on."""
+    horizon = draw(st.integers(1, max_horizon))
+    ticks = sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=1, max_size=6)))
+    lines = [f"horizon {horizon}", *(f"{t} c={draw(st.integers(0, 1))}"
+                                     f"{draw(st.sampled_from(['', ' reset=1', '  # note']))}"
+                                     for t in ticks)]
+    return edited(draw, lines, ("repeat", "glue", *STIM_NOISE), least=least)
 
 
 class TestSimulate:
@@ -267,17 +284,25 @@ class TestSimulate:
 
     def test_bad_timer_config(self, capsys):
         assert main(["simulate", ITLC, STIM, "--short", "16", "--long", "4"]) == 2
-        assert "short" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "short_ticks must be positive and < long_ticks (got short=16, long=4)\n")
 
     def test_bad_stimulus(self, tmp_path, capsys):
-        for text, message in [("horizon 2\n1 c=1\n0 c=0\n", "non-monotonic"),
-                              ("horizon 2\n0 c=1 c=0\n", "line 2: duplicate assignment to 'c'\n")]:
+        for text, message in [("horizon 2\n1 c=1\n0 c=0\n", "line 3: non-monotonic tick 0\n"),
+                              ("horizon 2\n0 c=1 c=0\n", "line 2: duplicate assignment to 'c'\n"),
+                              ("horizon 2\n0 c=2\n", "line 2: bit value must be 0 or 1, got '2'\n")]:
             stim = tmp_path / "bad.stim"
             stim.write_text(text)
             assert main(["simulate", ITLC, str(stim)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.count("\n") == 1
-            assert message in captured.err
+            assert capsys.readouterr() == ("", message)
+
+    def test_a_spec_over_other_inputs_exits_2_with_one_line(self, tmp_path, capsys):
+        # A valid spec, but not over the traffic controller's inputs.
+        fsm = write(tmp_path, "plain.fsm", GAP_SPEC.replace("when a", "when 1"))
+        assert main(["simulate", fsm, STIM]) == 2
+        assert capsys.readouterr() == (
+            "", "closed-loop simulation needs inputs exactly ['c', 'reset', 'tl', 'ts'], "
+                "spec 'gappy' has ['a']\n")
 
     @settings(max_examples=500, derandomize=True, deadline=None)
     @given(text=near_valid_stimuli())
@@ -369,7 +394,12 @@ class TestEmit:
         # Every module that `emit` writes has a clk input port.
         ("clk C9 input\n", 0, 'NET "clk" LOC = "C9";\n', ""),
         ("clk C9 output\n", 2, "", "pin kind disagrees with spec 'itlc' for signals: clk\n"),
-    ], ids=["one-row", "absent-signal", "wrong-kind", "bom", "clk-row", "clk-as-output"])
+        ("c N17 inout\n", 2, "", "pin 'c': kind must be input or output, got 'inout'\n"),
+        ("c N-17 input\n", 2, "",
+         "pin 'c': location must be ASCII letters, digits or '_', got 'N-17'\n"),
+        ("c N17\n", 2, "", "pin file line 1: expected '<signal> <pin> <input|output>'\n"),
+    ], ids=["one-row", "absent-signal", "wrong-kind", "bom", "clk-row", "clk-as-output",
+            "bad-kind", "bad-location", "short-line"])
     def test_custom_pin_file(self, tmp_path, capsys, rows, code, out, err):
         pins = tmp_path / "pins.txt"
         pins.write_text(rows)
@@ -456,9 +486,11 @@ class TestBench:
         ("service-rate", "service_rate must be >= 1, got 0"),
         ("inputs", "closed-loop simulation needs inputs exactly ['c', 'reset', 'tl', 'ts'], "
                    "spec 'gappy' has ['a']"),
+        ("timer", "short_ticks must be positive and < long_ticks (got short=16, long=4)"),
     ])
     def test_a_refused_run_exits_2_with_one_line(self, tmp_path, capsys, case, message):
         argv = {"horizon": [ITLC, "--horizon", "0"], "service-rate": [ITLC, "--service-rate", "0"],
+                "timer": [ITLC, "--short", "16", "--long", "4"],
                 # A valid spec, but not over the traffic controller's inputs.
                 "inputs": [write(tmp_path, "plain.fsm", GAP_SPEC.replace("when a", "when 1"))]}[case]
         assert main(["bench", *argv, "--arrival", "0.1"]) == 2
@@ -939,3 +971,87 @@ class TestUsage:
         encoding = next(a for a in sub.choices["emit"]._actions if a.dest == "encoding")
         assert encoding.choices == (emit.BINARY, emit.ONE_HOT)
         assert encoding.default == emit.BINARY
+
+
+# Near-valid inputs for every command: `.fsm` and pin text edited as
+# `edited` does, and each command's flags with values near their limits.
+# Numbers stay small (--horizon <= 100, --seeds <= 3, --long <= 64), so that
+# no run is long enough to dominate.
+FSM_TEXTS = [Path(ITLC).read_text(), GAP_SPEC, OVERLAP_SPEC, CLOSED_GAP_SPEC]
+FSM_TOKENS = sorted({token for text in FSM_TEXTS for token in text.split()})
+FSM_NOISE = (*STIM_NOISE, "(" * (MAX_GUARD_DEPTH + 1), "!", "&", "|", ")", "=", "{", "}", "->",
+             "2", "\t", "when", "emit")
+PIN_TEXT = "".join(f"{signal} {location} {kind}\n" for signal, location, kind
+                   in (*emit.DEFAULT_PIN_ROWS, ("clk", "C9", "input")))
+PIN_TOKENS = ("input", "output", "inout", "clk", "st", "reset", "P1", "N17")
+EDITS = ("repeat", "glue", "drop", "swap", "line")
+# Per flag, values it takes and values it refuses; a draw takes one of the
+# first three times as often.  "FILE" and "DIR" stand for an output path and
+# a directory, "PINS" for the pin file.
+FLAG_VALUES = {
+    "short": (("1", "2", "4", "16", "63"), ("0", "64", "-1", "x")),
+    "long": (("2", "4", "16", "64"), ("1", "0", "-1", "٣")),
+    "vcd": (("FILE",), ("DIR", "")),
+    "log": (("FILE",), ("DIR", "")),
+    "format": (("verilog", "ucf"), ("UCF",)),
+    "encoding": (("binary", "onehot"), ("gray",)),
+    "pins": (("PINS",), ("DIR", "", "missing")),
+    "output": (("FILE",), ("DIR", "")),
+    "arrival": (("0", "1", "0.5", "1e-320", "-0.0"), ("nan", "inf", "1.5", "x")),
+    "seeds": (("1", "2", "3"), ("0", "-1")),
+    "horizon": (("1", "2", "43", "100"), ("0", "-1")),
+    "service_rate": (("1", "2", "1" + "0" * 20), ("0",)),
+}
+FINDING_LINE = rf"({model.OVERLAP}|{model.GAP}|{model.STRUCTURAL}) \S+ .+"
+PARSE_KINDS = "|".join((dsl.SYNTAX, dsl.UNKNOWN_SIGNAL, dsl.DUPLICATE_NAME, dsl.BAD_BIT))
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """(argv, .fsm text, pin text, .stim text) for one command from
+    `cli.COMMANDS` over near-valid files, the argv naming them by "FSM",
+    "STIM" and the `FLAG_VALUES` stand-ins."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, positionals, flags = cli.COMMANDS[name]
+    argv = [name, *(draw(st.sampled_from((p.upper(),) * 18 + ("DIR", "missing")))
+                    for p in positionals)]
+    for spellings, dest, _, _, required, _ in flags:
+        if required or draw(st.booleans()):
+            good, bad = FLAG_VALUES[dest]
+            argv += [draw(st.sampled_from(spellings)), draw(st.sampled_from(good * 3 + bad))]
+    fsm = draw(st.sampled_from(FSM_TEXTS[:1] * 2 + FSM_TEXTS))  # itlc three times as often
+    fsm = fsm.rstrip("\n").split("\n")
+    return (argv, edited(draw, fsm, (*EDITS * 5, *FSM_NOISE), FSM_TOKENS, least=0),
+            edited(draw, PIN_TEXT.rstrip("\n").split("\n"), (*EDITS * 3, "#", "\x00"),
+                   PIN_TOKENS, least=0),
+            draw(near_valid_stimuli(max_horizon=100, least=0)))
+
+
+class TestFuzz:
+    @settings(max_examples=800, derandomize=True, deadline=None)
+    @given(run=fuzzed_runs())
+    def test_every_command_exits_0_1_or_2_with_its_documented_stderr(self, run,
+                                                                       tmp_path_factory):
+        argv, fsm_text, pin_text, stim_text = run
+        base = tmp_path_factory.getbasetemp() / "fuzz"
+        base.mkdir(exist_ok=True)
+        files = {"FSM": base / "m.fsm", "PINS": base / "m.pins", "STIM": base / "m.stim"}
+        for path, text in zip(files.values(), (fsm_text, pin_text, stim_text)):
+            path.write_text(text, encoding="utf-8")
+        paths = {**{key: str(path) for key, path in files.items()},
+                 "FILE": str(base / "out"), "DIR": str(base), "missing": str(base / "missing")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        with cpus(1):  # no worker processes: a run's cost stays in this one
+            code, out, err = in_process(argv)
+        out, err = out.decode(), err.decode()
+        assert "Traceback" not in err and code in (0, 1, 2), (argv, code, err)
+        if code == 0:
+            assert err == ""
+        elif code == 1:  # the findings, in `check`'s form
+            lines = (out if argv[0] == "check" else err).splitlines()
+            assert lines and all(re.fullmatch(FINDING_LINE, line) for line in lines), err
+        else:  # one line, or parse errors that are one line each
+            lines = err.split("\n")
+            assert lines.pop() == "" and lines, err
+            located = rf"{re.escape(paths['FSM'])}:\d+:\d+: ({PARSE_KINDS}): .+"
+            assert len(lines) == 1 or all(re.fullmatch(located, line) for line in lines), err

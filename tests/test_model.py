@@ -119,10 +119,10 @@ class TestValidate:
 
     def test_structural_findings(self):
         spec = FsmSpec(
-            name="m", inputs=("c", "c"), moore_outputs=("y",),
+            name="m", inputs=("c", "c"), moore_outputs=("y", "t", "f"),
             pulse_outputs=(),
             states=(
-                StateDef("A", {"nope": 1, "y": 2},
+                StateDef("A", {"nope": 1, "y": 2, "t": True, "f": 1.0},
                          (Transition(Var("x"), "B", frozenset({"zap"})),)),
                 StateDef("A", {}, (Transition(Const(1), "A"),)),
             ),
@@ -137,6 +137,8 @@ class TestValidate:
         assert "unknown input 'x'" in messages
         assert "unknown output 'nope'" in messages
         assert "output 'y' assigned non-bit value 2" in messages
+        assert "output 't' assigned non-bit value True" in messages
+        assert "output 'f' assigned non-bit value 1.0" in messages
         assert "transition emits unknown pulse 'zap'" in messages
 
     def test_reset_valuations_skipped_in_coverage(self):

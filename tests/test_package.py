@@ -38,6 +38,15 @@ def test_every_public_name_resolves():
     assert len(set(fsmkit.__all__)) == len(fsmkit.__all__)
 
 
+def test_every_public_exception_is_an_fsm_error():
+    # `cli.main` turns an FsmError into exit 2, so a refusal outside it
+    # would show as a traceback.
+    values = [getattr(fsmkit, name) for name in fsmkit.__all__]
+    errors = [v for v in values if isinstance(v, type) and issubclass(v, BaseException)]
+    assert {"SimError", "EmitError", "ParseFailure"} <= {e.__name__ for e in errors}
+    assert [e.__name__ for e in errors if not issubclass(e, fsmkit.FsmError)] == []
+
+
 def test_every_traced_layer_resolves():
     # The benchmark's traced run wraps these names; resolve each one the way
     # `tracing.installed` does, so that a rename fails here first.

@@ -534,10 +534,12 @@ class TestClosedLoopTable:
         with pytest.raises(StructuralError, match="unknown state 'GONE'"):
             run_env(spec, default_cfg, TrafficModel(1.0, horizon=2))
 
-    @pytest.mark.parametrize("c, reset", [(2, 0), (0, 2), (-1, 0), (1, 3)])
+    @pytest.mark.parametrize("c, reset", [
+        (2, 0), (0, 2), (-1, 0), (1, 3), (1.0, 0), (0, 0.0), (True, 0)])
     def test_non_bit_inputs_are_refused(self, c, reset):
-        # A non-bit would address a neighbouring cell of the table, so it
-        # cannot reach a run: the stimulus refuses it when built.
+        # A non-bit would address a neighbouring cell of the table, or no
+        # cell (a float key), so it cannot reach a run: the stimulus refuses
+        # it when built.  A Bit is the int 0 or 1, not a bool or a float.
         with pytest.raises(SimError, match="must be 0 or 1"):
             Stimulus(((c, reset, 1),))
 
@@ -677,11 +679,17 @@ class TestWriteVcd:
                             "state"]
 
     def test_a_repeated_input_name_keeps_one_code(self, itlc_spec, default_cfg):
-        # simulate compares input sets, so a spec may list an input twice.
-        # Both of its wires take the name's code, and every value line
-        # writes a declared code.
+        # simulate refuses a spec that lists an input twice, but write_vcd
+        # takes any trace.  Both of its wires take the name's code, and every
+        # value line writes a declared code.
         spec = itlc_spec._replace(inputs=(*itlc_spec.inputs, "c"))
-        lines = write_vcd(simulate(spec, default_cfg, repeated_runs(default_cfg))).splitlines()
+        with pytest.raises(SimError) as refused:
+            simulate(spec, default_cfg, repeated_runs(default_cfg))
+        assert str(refused.value) == (
+            "closed-loop simulation needs inputs exactly ['c', 'reset', 'tl', 'ts'], "
+            "spec 'itlc' has ['reset', 'c', 'ts', 'tl', 'c']")
+        records = simulate(itlc_spec, default_cfg, repeated_runs(default_cfg)).records
+        lines = write_vcd(Trace(spec, records)).splitlines()
         declared = {l.split()[4]: l.split()[3] for l in lines if l.startswith("$var")}
         assert [l.split()[3] for l in lines if l.endswith(" c $end")] == [declared["c"]] * 2
         values = [l for l in lines if l[:1] in "01"]
