@@ -86,7 +86,9 @@ class TestParse:
                "trans A -> B when !a\n")
         with pytest.raises(dsl.ParseFailure) as exc:
             dsl.parse(src)
-        assert len(exc.value.errors) >= 2
+        assert [str(e) for e in exc.value.errors] == [
+            "5:19: unknown-signal: 'zz' is not a declared input",
+            "6:12: unknown-signal: 'B' is not a declared state"]
 
     def test_line_endings_do_not_matter(self):
         lf = bundled_source()
@@ -162,6 +164,30 @@ _DIAGNOSTICS = {
             "6:12: unknown-signal: 'B' is not a declared state",
             "6:19: unknown-signal: 'b' is not a declared input",
             "6:26: unknown-signal: 'q' is not a declared pulse"]),
+    "expected open brace": ("fsm m\ninitial A\nstate A y=1 }\n", [
+        "3:9: syntax: expected '{'",
+        "2:9: unknown-signal: initial state 'A' is not declared"]),
+    "expected close brace": ("fsm m\noutputs y\ninitial A\nstate A { y=1\n", [
+        "4:14: syntax: expected '}'",
+        "3:9: unknown-signal: initial state 'A' is not declared"]),
+    "expected equals": ("fsm m\noutputs y\ninitial A\nstate A { y 1 }\n", [
+        "4:13: syntax: expected '='",
+        "3:9: unknown-signal: initial state 'A' is not declared"]),
+    "bad output name": ("fsm m\noutputs y\ninitial A\nstate A { 1=1 }\n", [
+        "4:11: syntax: expected output name",
+        "3:9: unknown-signal: initial state 'A' is not declared"]),
+    "missing source state": (_HEAD + "trans -> A when a\n", ["5:7: syntax: expected source state"]),
+    "reserved word as a destination": (_HEAD + "trans A -> when a\n", [
+        "5:12: syntax: 'when' is a reserved word, not a valid destination state"]),
+    "expected when": (_HEAD + "trans A -> A a\n", ["5:14: syntax: expected 'when'"]),
+    "bad reset name": ("fsm m\ninputs a\nreset 1\ninitial A\nstate A { }\n",
+                       ["3:7: syntax: expected input name"]),
+    "bare initial": ("fsm m\ninitial\nstate A { }\n", [
+        "2:8: syntax: expected state name",
+        "1:1: syntax: missing initial directive"]),
+    "missing state name": ("fsm m\ninitial A\nstate { }\n", [
+        "3:7: syntax: expected state name",
+        "2:9: unknown-signal: initial state 'A' is not declared"]),
 }
 
 
