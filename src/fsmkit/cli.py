@@ -24,7 +24,9 @@ from . import dsl
 from .model import Finding, FsmError, FsmSpec, validate
 from .timer import DEFAULT_LONG_TICKS, DEFAULT_SHORT_TICKS, TimerConfig
 
-_ONE_LINE = str.maketrans({"\n": "\\n"})  # a message quotes a newline as \n, staying one line
+# A message quotes each character that str.splitlines breaks a line at as its
+# repr escape (a newline as \n), so that it stays one line.
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 class _CliError(Exception):

@@ -13,16 +13,22 @@ Line-oriented grammar, `#` comments, one directive per line:
 
 Guard expressions use `!` (highest), `&`, `|` (lowest), parentheses, and the
 literals `0`/`1`.  Names match ``[A-Za-z_][A-Za-z0-9_]*`` and are
-case-sensitive; `when` and `emit` are reserved.  `parse` recovers per line
-so one pass reports as many errors as possible, and `serialize` emits a
-canonical form that `parse` maps back to a structurally equal spec.
+case-sensitive; `when` and `emit` are reserved.
+
+`parse` reads the text in one pass over its lines.  Each line, up to any
+`#`, becomes a list of token strings through one `findall`, and is checked
+against the grammar by token index.  A token's column is worked out only
+when a diagnostic needs its span, by scanning its line again.  An error ends
+only its own line, so one pass reports as many errors as possible; names
+that other lines declare are resolved once every line is read.  `serialize`
+emits a canonical form that `parse` maps back to a structurally equal spec.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from collections import namedtuple
-from collections.abc import Container
+from collections.abc import Container, Iterable
+from itertools import accumulate
 
 from .model import (
     MAX_INPUTS, And, Const, FsmError, FsmSpec, GuardExpr, Not, Or, StateDef, Transition,
@@ -40,13 +46,17 @@ BAD_BIT = "bad-bit"
 NAME_RESERVED = frozenset({"when", "emit"})
 
 # Cap on guard nesting, applied to parentheses and to the operators on any
-# root-to-leaf path.  Parsing recurses 4 frames per parenthesis, evaluation,
-# printing and emission 1 per operator: all stay under the default limit 1000.
+# root-to-leaf path.  Parsing recurses at most 2 frames per parenthesis,
+# evaluation, printing and emission 1 per operator: all stay under the
+# default limit 1000.
 MAX_GUARD_DEPTH = 100
 # `parse` also refuses more inputs than `model.MAX_INPUTS`, which validation caps.
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[0-9]+|[!&|(){}=]|\S")
+# A token of _TOKEN_RE is a name exactly when its first character is one of these.
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_BITS = {"0": 0, "1": 1}
 
 
 SourceSpan = value_type(namedtuple("SourceSpan", "line column length"))  # line, column 1-based
@@ -68,280 +78,254 @@ class ParseFailure(FsmError):
         super().__init__("; ".join(str(e) for e in errors))
 
 
-class _Token(namedtuple("_Token", "text line column")):
-    __slots__ = ()
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.text)))
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
-class _LineParser:
-    """Cursor over one line's tokens, at least one; errors abort only the
-    current line.  `guard_vars` collects the input names a guard reads."""
-
-    def __init__(self, tokens: list[_Token], errors: list[ParseError]):
-        self.tokens = tokens
-        self.pos = 0
-        self.errors = errors
-        self.guard_vars: list[_Token] = []
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def end_span(self) -> SourceSpan:
-        last = self.tokens[-1]
-        return SourceSpan(last.line, last.column + len(last.text), 1)
-
-    def fail(self, message: str, tok: _Token | None = None, kind: str = SYNTAX,
-             span: SourceSpan | None = None) -> None:
-        span = span or (tok.span if tok is not None else self.end_span())
-        self.errors.append(ParseError(span, kind, message))
-        raise _LineAbort()
-
-    def expect_name(self, what: str) -> _Token:
-        tok = self.next()
-        if tok is None or not _NAME_RE.fullmatch(tok.text):
-            self.fail(f"expected {what}", tok)
-        if tok.text in NAME_RESERVED:
-            self.fail(f"'{tok.text}' is a reserved word, not a valid {what}", tok)
-        return tok
-
-    def expect(self, literal: str) -> _Token:
-        tok = self.next()
-        if tok is None or tok.text != literal:
-            self.fail(f"expected '{literal}'", tok)
-        return tok
-
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            self.fail("unexpected trailing tokens", tok)
+class _LineError(Exception):
+    """A line's first error, which ends the line.  Its arguments are those of
+    `_error` after the line number: the token index it points at (past the
+    last token for the line's end), message, and optionally kind and stop."""
 
 
-class _LineAbort(Exception):
-    pass
+def _error(lines: list[str], lineno: int, index: int, message: str, kind: str = SYNTAX,
+           stop: int | None = None) -> ParseError:
+    """The diagnostic for a `_LineError` of line `lineno`, whose tokens are
+    found again, as `parse` found them, for their columns."""
+    bounds = [m.span() for m in _TOKEN_RE.finditer(lines[lineno - 1].split("#", 1)[0])]
+    if index >= len(bounds):
+        return ParseError(SourceSpan(lineno, bounds[-1][1] + 1, 1), kind, message)
+    start = bounds[index][0]
+    width = bounds[(stop or index + 1) - 1][1] - start
+    return ParseError(SourceSpan(lineno, start + 1, width), kind, message)
 
 
-def _parse_guard(p: _LineParser) -> GuardExpr:
-    """A guard, up to `emit` or the line's end, nested at most MAX_GUARD_DEPTH
-    deep.  Parentheses are counted first, since the parser recurses on them."""
-    toks = list(itertools.takewhile(lambda t: t.text != "emit", p.tokens[p.pos:]))
-    parens = itertools.accumulate({"(": 1, ")": -1}.get(t.text, 0) for t in toks)
-    if max(parens, default=0) <= MAX_GUARD_DEPTH:
-        guard, depth = _parse_binary(p)
+def _undeclared(lines: list[str], lineno: int, toks: list[str], indices: Iterable[int],
+                what: str, known: Container[str]) -> list[ParseError]:
+    """An error for each name not in `known` among `toks`, the tokens of line
+    `lineno`, at `indices`; a token there that is no name is skipped."""
+    return [_error(lines, lineno, i, f"'{toks[i]}' is not a declared {what}", UNKNOWN_SIGNAL)
+            for i in indices if toks[i][0] in _NAME_START and toks[i] not in known]
+
+
+def _name(toks: list[str], i: int, what: str) -> str:
+    """toks[i], if it is a name that is not reserved."""
+    if i < len(toks):
+        if toks[i] in NAME_RESERVED:
+            raise _LineError(i, f"'{toks[i]}' is a reserved word, not a valid {what}")
+        if toks[i][0] in _NAME_START:
+            return toks[i]
+    raise _LineError(i, f"expected {what}")
+
+
+def _names_end(toks: list[str], i: int) -> int:
+    """The index of the first token from toks[i] on that `_name` refuses, or
+    the line's length."""
+    for j in range(i, len(toks)):
+        if toks[j][0] not in _NAME_START or toks[j] in NAME_RESERVED:
+            return j
+    return len(toks)
+
+
+def _expect(toks: list[str], i: int, literal: str) -> None:
+    if i >= len(toks) or toks[i] != literal:
+        raise _LineError(i, f"expected '{literal}'")
+
+
+def _end(toks: list[str], i: int) -> None:
+    if i < len(toks):
+        raise _LineError(i, "unexpected trailing tokens")
+
+
+def _parse_guard(toks: list[str], leaves: dict[str, GuardExpr]) -> tuple[GuardExpr, int]:
+    """The guard from toks[5], after `trans A -> B when`, nested at most
+    MAX_GUARD_DEPTH deep, and the index past it.  Parentheses are counted
+    first, since `_guard` recurses on them."""
+    end = toks.index("emit") if "emit" in toks else len(toks)
+    if (toks.count("(") <= MAX_GUARD_DEPTH or max(
+            accumulate({"(": 1, ")": -1}.get(t, 0) for t in toks[5:end])) <= MAX_GUARD_DEPTH):
+        guard, depth, i = _guard(toks, 5, leaves)
         if depth <= MAX_GUARD_DEPTH:
-            return guard
-    width = toks[-1].column + len(toks[-1].text) - toks[0].column
-    p.fail(f"guard nests deeper than {MAX_GUARD_DEPTH} levels",
-           span=SourceSpan(toks[0].line, toks[0].column, width))
+            return guard, i
+    raise _LineError(5, f"guard nests deeper than {MAX_GUARD_DEPTH} levels", SYNTAX, end)
 
 
-_BINARY = (("|", Or), ("&", And))  # loosest first
+_BINARY = {"|": (1, Or), "&": (2, And)}  # operator -> (precedence, node)
 
 
-def _parse_binary(p: _LineParser, level: int = 0) -> tuple[GuardExpr, int]:
-    """An expression and the most operators on one of its root-to-leaf
-    paths; `_parse_unary` and `_parse_atom` return the same pair."""
-    if level == len(_BINARY):
-        return _parse_unary(p)
-    op, node = _BINARY[level]
-    expr, depth = _parse_binary(p, level + 1)
-    while (tok := p.peek()) is not None and tok.text == op:
-        p.next()
-        right, right_depth = _parse_binary(p, level + 1)
-        expr, depth = node(expr, right), 1 + max(depth, right_depth)
-    return expr, depth
-
-
-def _parse_unary(p: _LineParser) -> tuple[GuardExpr, int]:
-    nots = 0
-    while (tok := p.peek()) is not None and tok.text == "!":
-        p.next()
-        nots += 1
-    expr, depth = _parse_atom(p)
+def _guard(toks: list[str], i: int, leaves: dict[str, GuardExpr],
+           least: int = 1) -> tuple[GuardExpr, int, int]:
+    """The expression at toks[i] whose binary operators bind at least as
+    tightly as `least`, by precedence climbing: (expression, the most
+    operators on one of its root-to-leaf paths, the index past it).
+    `leaves` maps `0`, `1` and each input name read so far to its leaf."""
+    n = len(toks)
+    first = i
+    while i < n and toks[i] == "!":
+        i += 1
+    nots = i - first
+    if i < n and toks[i] == "(":
+        expr, depth, i = _guard(toks, i + 1, leaves)
+        _expect(toks, i, ")")
+    else:
+        expr = leaves.get(toks[i]) if i < n else None
+        if expr is None:
+            if i == n or toks[i][0] not in _NAME_START or toks[i] in NAME_RESERVED:
+                raise _LineError(i, "expected guard expression")
+            expr = leaves[toks[i]] = Var(toks[i])
+        depth = 0
+    i += 1
     for _ in range(nots):
         expr = Not(expr)
-    return expr, depth + nots
-
-
-def _parse_atom(p: _LineParser) -> tuple[GuardExpr, int]:
-    tok = p.next()
-    if tok is None:
-        p.fail("expected guard expression")
-    if tok.text == "(":
-        parsed = _parse_binary(p)
-        p.expect(")")
-        return parsed
-    if tok.text in ("0", "1"):
-        return Const(int(tok.text)), 0
-    if _NAME_RE.fullmatch(tok.text) and tok.text not in NAME_RESERVED:
-        p.guard_vars.append(tok)
-        return Var(tok.text), 0
-    p.fail("expected guard expression", tok)
-
-
-# source and destination are _Tokens; guard_vars and pulses are lists of them.
-_PendingTrans = namedtuple("_PendingTrans", "source destination guard guard_vars pulses")
+    depth += nots
+    while i < n and (op := _BINARY.get(toks[i])) is not None and op[0] >= least:
+        right, right_depth, i = _guard(toks, i + 1, leaves, op[0] + 1)
+        expr, depth = op[1](expr, right), 1 + max(depth, right_depth)
+    return expr, depth, i
 
 
 def parse(text: str) -> FsmSpec:
     """Parse `.fsm` source into a spec; raises ParseFailure listing every
     error found (with 1-based source spans) if the text is malformed."""
+    lines = text.split("\n")
     errors: list[ParseError] = []
     name: str | None = None
     inputs: list[str] = []
     outputs: list[str] = []
     pulses: list[str] = []
-    once: dict[str, _Token] = {}  # "initial" and "reset" -> the name each gives
+    declared = {"inputs": inputs, "outputs": outputs, "pulses": pulses}
+    signal_lines: list[tuple[int, list[str]]] = []  # (line number, the names it declares)
+    once: dict[str, tuple[int, str]] = {}  # "initial" and "reset" -> (line number, name)
     # state name -> {output name -> bit}, in declaration order
     states: dict[str, dict[str, int]] = {}
-    output_toks: list[_Token] = []  # the output of every state assignment
-    transitions: list[_PendingTrans] = []
-    signal_toks: list[_Token] = []
+    # (line number, tokens, assignments) of each state line, which an error may cut short
+    assignments: list[tuple[int, list[str], dict[str, int]]] = []
+    # (line number, tokens, guard, index of `emit` or the line's end)
+    transitions: list[tuple[int, list[str], GuardExpr, int]] = []
+    leaves: dict[str, GuardExpr] = {"0": Const(0), "1": Const(1)}
 
+    findall = _TOKEN_RE.findall
     saw_any = False
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         # The grammar has no string literals, so `#` always starts a comment.
-        tokens = [_Token(m.group(), lineno, m.start() + 1)
-                  for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
-        if not tokens:
+        toks = findall(line.split("#", 1)[0])
+        if not toks:
             continue
-        p = _LineParser(tokens, errors)
-        head = p.next()
+        head, n = toks[0], len(toks)
         try:
             if not saw_any:
                 saw_any = True
-                if head.text != "fsm":
-                    p.fail("missing fsm header", head)
-                name = p.expect_name("machine name").text
-                p.expect_end()
-                continue
-            if head.text == "fsm":
-                p.fail("duplicate fsm header", head)
-            elif head.text in ("inputs", "outputs", "pulses"):
-                target = {"inputs": inputs, "outputs": outputs, "pulses": pulses}[head.text]
-                while p.peek() is not None:
-                    tok = p.expect_name("signal name")
-                    target.append(tok.text)
-                    signal_toks.append(tok)
-                if target is inputs and len(inputs) > MAX_INPUTS:
-                    p.fail(f"{len(inputs)} inputs declared; at most {MAX_INPUTS} are supported", head)
-            elif head.text in ("initial", "reset"):
-                if head.text in once:
-                    p.fail(f"duplicate {head.text} directive", head)
-                once[head.text] = p.expect_name(
-                    "state name" if head.text == "initial" else "input name")
-                p.expect_end()
-            elif head.text == "state":
-                tok = p.expect_name("state name")
-                if tok.text in states:
-                    p.fail(f"duplicate state name '{tok.text}'", tok, DUPLICATE_NAME)
+                if head != "fsm":
+                    raise _LineError(0, "missing fsm header")
+                name = _name(toks, 1, "machine name")
+                _end(toks, 2)
+            elif head == "trans":
+                _name(toks, 1, "source state")
+                _expect(toks, 2, "->")
+                _name(toks, 3, "destination state")
+                _expect(toks, 4, "when")
+                guard, i = _parse_guard(toks, leaves)
+                if i < n:
+                    if toks[i] != "emit":
+                        raise _LineError(i, "expected 'emit' or end of line")
+                    if (j := _names_end(toks, i + 1)) < n:
+                        _name(toks, j, "pulse name")
+                    if j == i + 1:
+                        raise _LineError(n, "expected pulse name after 'emit'")
+                transitions.append((lineno, toks, guard, i))
+            elif head == "state":
+                sname = _name(toks, 1, "state name")
+                if sname in states:
+                    raise _LineError(1, f"duplicate state name '{sname}'", DUPLICATE_NAME)
+                _expect(toks, 2, "{")
                 assigns: dict[str, int] = {}
-                p.expect("{")
-                while (nxt := p.peek()) is not None and nxt.text != "}":
-                    out_tok = p.expect_name("output name")
-                    p.expect("=")
-                    bit_tok = p.next()
-                    if bit_tok is None:
-                        p.fail("expected bit value")
-                    if bit_tok.text not in ("0", "1"):
-                        p.fail(f"bit value must be 0 or 1, got '{bit_tok.text}'",
-                               bit_tok, BAD_BIT)
-                    if out_tok.text in assigns:
-                        p.fail(f"duplicate assignment to '{out_tok.text}'",
-                               out_tok, DUPLICATE_NAME)
-                    assigns[out_tok.text] = int(bit_tok.text)
-                    output_toks.append(out_tok)
-                p.expect("}")
-                p.expect_end()
-                states[tok.text] = assigns
-            elif head.text == "trans":
-                src = p.expect_name("source state")
-                p.expect("->")
-                dst = p.expect_name("destination state")
-                p.expect("when")
-                guard = _parse_guard(p)
-                emit_pulses: list[_Token] = []
-                if (nxt := p.peek()) is not None:
-                    if nxt.text != "emit":
-                        p.fail("expected 'emit' or end of line", nxt)
-                    p.next()
-                    while p.peek() is not None:
-                        emit_pulses.append(p.expect_name("pulse name"))
-                    if not emit_pulses:
-                        p.fail("expected pulse name after 'emit'")
-                transitions.append(_PendingTrans(src, dst, guard, p.guard_vars, emit_pulses))
+                assignments.append((lineno, toks, assigns))
+                i = 3
+                while i < n and toks[i] != "}":
+                    out = _name(toks, i, "output name")
+                    _expect(toks, i + 1, "=")
+                    if i + 2 == n:
+                        raise _LineError(n, "expected bit value")
+                    if (bit := _BITS.get(toks[i + 2])) is None:
+                        raise _LineError(i + 2, f"bit value must be 0 or 1, got '{toks[i + 2]}'",
+                                         BAD_BIT)
+                    if out in assigns:
+                        raise _LineError(i, f"duplicate assignment to '{out}'", DUPLICATE_NAME)
+                    assigns[out] = bit
+                    i += 3
+                _expect(toks, i, "}")
+                _end(toks, i + 1)
+                states[sname] = assigns
+            elif (target := declared.get(head)) is not None:
+                i = _names_end(toks, 1)
+                target += toks[1:i]
+                signal_lines.append((lineno, toks[1:i]))
+                if i < n:
+                    _name(toks, i, "signal name")
+                if target is inputs and len(inputs) > MAX_INPUTS:
+                    raise _LineError(
+                        0, f"{len(inputs)} inputs declared; at most {MAX_INPUTS} are supported")
+            elif head in ("initial", "reset"):
+                if head in once:
+                    raise _LineError(0, f"duplicate {head} directive")
+                once[head] = lineno, _name(
+                    toks, 1, "state name" if head == "initial" else "input name")
+                _end(toks, 2)
+            elif head == "fsm":
+                raise _LineError(0, "duplicate fsm header")
             else:
-                p.fail(f"unknown directive '{head.text}'", head)
-        except _LineAbort:
-            continue
+                raise _LineError(0, f"unknown directive '{head}'")
+        except _LineError as e:
+            errors.append(_error(lines, lineno, *e.args))
 
     if not saw_any:
         errors.append(ParseError(SourceSpan(1, 1, 1), SYNTAX, "missing fsm header"))
 
-    # Cross-line resolution.
-    declared_signals: set[str] = set()
-    for tok in signal_toks:
-        if tok.text in declared_signals:
-            errors.append(ParseError(
-                tok.span, DUPLICATE_NAME, f"duplicate signal name '{tok.text}'"))
-        declared_signals.add(tok.text)
-
-    def undeclared(toks: list[_Token], what: str, known: Container[str]) -> None:
-        errors.extend(ParseError(tok.span, UNKNOWN_SIGNAL, f"'{tok.text}' is not a declared {what}")
-                      for tok in toks if tok.text not in known)
-
-    known_inputs = set(inputs)
-    undeclared(output_toks, "output", outputs)
-    for t in transitions:
-        undeclared([t.source, t.destination], "state", states)
-        undeclared(t.guard_vars, "input", known_inputs)
-        undeclared(t.pulses, "pulse", pulses)
+    # Cross-line resolution, in source order within each kind of check.  A
+    # name's span is found only when it is a duplicate or undeclared.
+    seen: set[str] = set()
+    for lineno, names in signal_lines:
+        for i, signal in enumerate(names, start=1):
+            if signal in seen:
+                errors.append(_error(lines, lineno, i, f"duplicate signal name '{signal}'",
+                                     DUPLICATE_NAME))
+            seen.add(signal)
+    known_inputs, known_pulses = set(inputs), set(pulses)
+    for lineno, toks, assigns in assignments:
+        errors += _undeclared(lines, lineno, toks, range(3, 3 * len(assigns) + 1, 3), "output",
+                              outputs)
+    guards_read_inputs = leaves.keys() - _BITS.keys() <= known_inputs
+    by_source: dict[str, list[Transition]] = {s: [] for s in states}
+    for lineno, toks, guard, i in transitions:
+        src, dst, emitted = toks[1], toks[3], toks[i + 1:]
+        if src in states and dst in states and guards_read_inputs and known_pulses.issuperset(
+                emitted):
+            by_source[src].append(Transition(guard, dst, frozenset(emitted)))
+            continue
+        errors += _undeclared(lines, lineno, toks, (1, 3), "state", states)
+        errors += _undeclared(lines, lineno, toks, range(5, i), "input", known_inputs)
+        errors += _undeclared(lines, lineno, toks, range(i + 1, len(toks)), "pulse", known_pulses)
     initial, reset = once.get("initial"), once.get("reset")
     if name is not None:
         if initial is None:
-            errors.append(ParseError(
-                SourceSpan(1, 1, 1), SYNTAX, "missing initial directive"))
-        elif initial.text not in states:
-            errors.append(ParseError(
-                initial.span, UNKNOWN_SIGNAL,
-                f"initial state '{initial.text}' is not declared"))
-        if reset is not None and reset.text not in known_inputs:
-            errors.append(ParseError(
-                reset.span, UNKNOWN_SIGNAL,
-                f"reset input '{reset.text}' is not a declared input"))
+            errors.append(ParseError(SourceSpan(1, 1, 1), SYNTAX, "missing initial directive"))
+        elif initial[1] not in states:
+            errors.append(_error(lines, initial[0], 1, f"initial state '{initial[1]}' is not "
+                                 "declared", UNKNOWN_SIGNAL))
+        if reset is not None and reset[1] not in known_inputs:
+            errors.append(_error(lines, reset[0], 1, f"reset input '{reset[1]}' is not a "
+                                 "declared input", UNKNOWN_SIGNAL))
 
     if errors:
         raise ParseFailure(errors)
-    assert name is not None and initial is not None
-
-    by_source: dict[str, list[Transition]] = {s: [] for s in states}
-    for t in transitions:
-        by_source[t.source.text].append(Transition(
-            t.guard, t.destination.text, frozenset(tok.text for tok in t.pulses)))
-    state_defs = tuple(
-        StateDef(sname, assigns, tuple(by_source[sname]))
-        for sname, assigns in states.items()
-    )
     return FsmSpec(
         name=name,
         inputs=tuple(inputs),
         moore_outputs=tuple(outputs),
         pulse_outputs=tuple(pulses),
-        states=state_defs,
-        initial_state=initial.text,
-        reset_input=reset.text if reset is not None else None,
+        states=tuple(StateDef(s, assigns, tuple(by_source[s])) for s, assigns in states.items()),
+        initial_state=initial[1],
+        reset_input=reset[1] if reset is not None else None,
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from fsmkit import dsl
+from fsmkit.dsl import MAX_GUARD_DEPTH
 from fsmkit.model import (
     And, Const, FsmSpec, Not, Or, StateDef, Transition, Var, validate,
 )
@@ -167,3 +168,70 @@ def closed_loop_machines(draw, max_states=5, lights=("mg", "sg")):
 def timer_configs(draw, max_long=24):
     short = draw(st.integers(1, max_long - 1))
     return TimerConfig(short, draw(st.integers(short + 1, max_long)))
+
+
+GAP_SPEC = """fsm gappy
+inputs a
+initial A
+state A { }
+trans A -> A when a
+"""
+
+
+CLOSED_LOOP_HEADER = """fsm loop
+inputs reset c ts tl
+outputs mg
+pulses st
+initial S0
+reset reset
+state S0 { mg=1 }
+"""
+# Two guards overlap wherever c & tl holds.
+OVERLAP_SPEC = CLOSED_LOOP_HEADER + """trans S0 -> S0 when !c
+trans S0 -> S0 when c
+trans S0 -> S0 when c & tl emit st
+"""
+# No guard holds while c is low, which a stimulus holding c high never hits.
+CLOSED_GAP_SPEC = CLOSED_LOOP_HEADER + "trans S0 -> S0 when c\n"
+
+
+# What int() or str.split() take that the `.stim` format does not, or at its edges.
+STIM_NOISE = ("+", "-", "_", "\u0661", "\uff11", "\x00", "\r", "\ufeff", "#", "1" * 5000)
+
+
+def edited(draw, lines, edits, tokens=(), least=1):
+    """`lines` joined as text after `least` to three edits drawn from `edits`,
+    each to one space-separated field: the field repeated ("repeat"), a `#`
+    glued on ("glue"), the field dropped ("drop") or replaced by one of
+    `tokens` ("swap"), its line repeated ("line"), or else the edit put into
+    the field as noise."""
+    for _ in range(draw(st.integers(least, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(" ")
+        j = draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(edits))
+        if edit == "repeat":
+            fields.insert(j, fields[j])
+        elif edit == "glue":
+            fields[j] += "#"
+        elif edit == "drop":
+            del fields[j]
+        elif edit == "swap":
+            fields[j] = draw(st.sampled_from(tokens))
+        elif edit == "line":
+            lines.insert(i, lines[i])
+        else:
+            k = draw(st.integers(0, len(fields[j])))
+            fields[j] = fields[j][:k] + edit + fields[j][k:]
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+# `.fsm` texts to edit, and what `edited` may put into them: every token of
+# the texts, the `.stim` noise, a guard opened past the nesting cap, and each
+# operator and reserved word.
+FSM_TEXTS = [bundled_source(), GAP_SPEC, OVERLAP_SPEC, CLOSED_GAP_SPEC]
+FSM_TOKENS = sorted({token for text in FSM_TEXTS for token in text.split()})
+FSM_NOISE = (*STIM_NOISE, "(" * (MAX_GUARD_DEPTH + 1), "!", "&", "|", ")", "=", "{", "}", "->",
+             "2", "\t", "when", "emit")
+EDITS = ("repeat", "glue", "drop", "swap", "line")

@@ -6,7 +6,6 @@ import importlib.util
 import io
 import os
 import re
-import resource
 import shlex
 import signal
 import subprocess
@@ -15,10 +14,18 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import first_difference
+from conftest import (
+    CLOSED_GAP_SPEC, EDITS, FSM_NOISE, FSM_TEXTS, FSM_TOKENS, GAP_SPEC, OVERLAP_SPEC, STIM_NOISE,
+    edited, first_difference,
+)
 from fsmkit import cli, dsl, emit, env, model
 from fsmkit.cli import main
 from fsmkit.dsl import MAX_GUARD_DEPTH, MAX_INPUTS
@@ -29,30 +36,6 @@ ITLC = str(REPO / "designs" / "itlc.fsm")
 STIM = str(REPO / "designs" / "paper_fig7_10.stim")
 PERFBENCH = REPO / "perfbench"
 PERFBENCH_INPUTS = PERFBENCH / "inputs.py"
-
-GAP_SPEC = """fsm gappy
-inputs a
-initial A
-state A { }
-trans A -> A when a
-"""
-
-
-CLOSED_LOOP_HEADER = """fsm loop
-inputs reset c ts tl
-outputs mg
-pulses st
-initial S0
-reset reset
-state S0 { mg=1 }
-"""
-# Two guards overlap wherever c & tl holds.
-OVERLAP_SPEC = CLOSED_LOOP_HEADER + """trans S0 -> S0 when !c
-trans S0 -> S0 when c
-trans S0 -> S0 when c & tl emit st
-"""
-# No guard holds while c is low, which a stimulus holding c high never hits.
-CLOSED_GAP_SPEC = CLOSED_LOOP_HEADER + "trans S0 -> S0 when c\n"
 
 
 @pytest.fixture
@@ -108,17 +91,25 @@ class TestCheck:
             "cannot read machine description './no-such-file.fsm': "
             f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: './no-such-file.fsm'\n")
 
-    @pytest.mark.parametrize("case", ["unreadable", "unparseable"])
-    def test_a_path_holding_a_newline_is_quoted_on_one_line(self, tmp_path, capsys, case):
+    @pytest.mark.parametrize("case, brk", [
+        ("unreadable", "\n"), ("unparseable", "\n"), ("unreadable", "\r"), ("unparseable", "\r"),
+        ("unreadable", "\u2028"), ("unparseable", "\u2028"),
+    ], ids=["unreadable", "unparseable", "unreadable-return", "unparseable-return",
+            "unreadable-u2028", "unparseable-u2028"])
+    def test_a_path_holding_a_newline_is_quoted_on_one_line(self, tmp_path, capsys, case, brk):
+        quoted = repr(brk)[1:-1]  # as repr quotes it: `\n`, `\r`, `\u2028`
         if case == "unreadable":
-            assert main(["check", "a\nb"]) == 2
-            assert capsys.readouterr() == ("", "cannot read machine description 'a\\nb': "
-                                           f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'a\\nb'\n")
+            assert main(["check", f"a{brk}b"]) == 2
+            assert capsys.readouterr() == ("", f"cannot read machine description 'a{quoted}b': "
+                                           f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+                                           f"'a{quoted}b'\n")
         else:  # the transition names an undeclared state
-            fsm = write(tmp_path, "a\nb.fsm", GAP_SPEC.replace("-> A", "-> B"))
+            fsm = write(tmp_path, f"a{brk}b.fsm", GAP_SPEC.replace("-> A", "-> B"))
             assert main(["check", fsm]) == 2
-            assert capsys.readouterr() == ("", fsm.replace("\n", "\\n") +
-                                           ":5:12: unknown-signal: 'B' is not a declared state\n")
+            err = capsys.readouterr().err
+            assert err == (fsm.replace(brk, quoted) +
+                           ":5:12: unknown-signal: 'B' is not a declared state\n")
+            assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("text, code", [(Path(ITLC).read_text(), 0), (GAP_SPEC, 1)],
                              ids=["itlc", "gap"])
@@ -143,38 +134,6 @@ class TestCheck:
                                               inject=inject)
         assert main(["check", write(tmp_path, "g.fsm", design.fsm_text())]) == (1 if inject else 0)
         assert capsys.readouterr().out == design.findings()
-
-
-# What int() or str.split() take that the `.stim` format does not, or at its edges.
-STIM_NOISE = ("+", "-", "_", "\u0661", "\uff11", "\x00", "\r", "\ufeff", "#", "1" * 5000)
-
-
-def edited(draw, lines, edits, tokens=(), least=1):
-    """`lines` joined as text after `least` to three edits drawn from `edits`,
-    each to one space-separated field: the field repeated ("repeat"), a `#`
-    glued on ("glue"), the field dropped ("drop") or replaced by one of
-    `tokens` ("swap"), its line repeated ("line"), or else the edit put into
-    the field as noise."""
-    for _ in range(draw(st.integers(least, 3))):
-        i = draw(st.integers(0, len(lines) - 1))
-        fields = lines[i].split(" ")
-        j = draw(st.integers(0, len(fields) - 1))
-        edit = draw(st.sampled_from(edits))
-        if edit == "repeat":
-            fields.insert(j, fields[j])
-        elif edit == "glue":
-            fields[j] += "#"
-        elif edit == "drop":
-            del fields[j]
-        elif edit == "swap":
-            fields[j] = draw(st.sampled_from(tokens))
-        elif edit == "line":
-            lines.insert(i, lines[i])
-        else:
-            k = draw(st.integers(0, len(fields[j])))
-            fields[j] = fields[j][:k] + edit + fields[j][k:]
-        lines[i] = " ".join(fields)
-    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -670,6 +629,10 @@ def io_error_case(case, tmp_path):
         "pins-empty-path": ["emit", ITLC, "--format", "ucf", "--pins", ""],
         "fsm-path-newline": ["check", str(tmp_path / "a\nb")],
         "output-path-newline": ["emit", ITLC, "-o", str(tmp_path / "a\nb" / "out")],
+        "fsm-path-return": ["check", str(tmp_path / "a\rb")],
+        "output-path-return": ["emit", ITLC, "-o", str(tmp_path / "a\rb" / "out")],
+        "fsm-path-u2028": ["check", str(tmp_path / "a\u2028b")],
+        "output-path-u2028": ["emit", ITLC, "-o", str(tmp_path / "a\u2028b" / "out")],
     }[case]
 
 
@@ -678,7 +641,8 @@ class TestInputOutputErrors:
         "fsm-not-utf8", "stim-not-utf8", "pins-not-utf8",
         "vcd-unwritable", "log-unwritable", "output-unwritable",
         "vcd-empty-path", "log-empty-path", "output-empty-path", "pins-empty-path",
-        "fsm-path-newline", "output-path-newline",
+        "fsm-path-newline", "output-path-newline", "fsm-path-return", "output-path-return",
+        "fsm-path-u2028", "output-path-u2028",
     ])
     def test_exit_2_with_one_line_and_no_traceback(self, tmp_path, case):
         # A real process, so that an uncaught exception shows as a traceback.
@@ -690,6 +654,7 @@ class TestInputOutputErrors:
         assert result.stdout == "" or case in ("vcd-unwritable", "vcd-empty-path")
         assert "Traceback" not in result.stderr
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("cannot ")
+        assert len(result.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("command, unbuffered", [
         ("bench", False), ("simulate", False), ("simulate", True), ("check", True),
@@ -764,6 +729,7 @@ class TestInputOutputErrors:
             assert result.returncode == 2
             assert result.stderr == f"cannot write output: {os.strerror(errno.EBADF)}\n"
 
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
         # 10^11 table keys, one per tick, cannot be held; a 256 MB address-space limit on
         # the child alone makes it fail within seconds rather than swap.
@@ -922,8 +888,9 @@ class TestUsage:
                          "(choose from 'check', 'simulate', 'emit', 'bench')"),
         ([], "fsmkit: error: the following arguments are required: command"),
         (["check", ITLC, "b\nc"], "fsmkit: error: unrecognized arguments: b\\nc"),
+        (["check", ITLC, "b\rc\u2029d"], "fsmkit: error: unrecognized arguments: b\\rc\\u2029d"),
     ], ids=["missing-arrival", "bad-seeds", "bad-encoding", "unknown-command", "no-command",
-            "extra-argument-with-newline"])
+            "extra-argument-with-newline", "extra-argument-with-line-breaks"])
     def test_a_usage_error_is_one_line(self, argv, message):
         assert in_process(argv) == (2, b"", f"{message}\n".encode())
         done = child(["-m", "fsmkit.cli", *argv])
@@ -977,14 +944,9 @@ class TestUsage:
 # `edited` does, and each command's flags with values near their limits.
 # Numbers stay small (--horizon <= 100, --seeds <= 3, --long <= 64), so that
 # no run is long enough to dominate.
-FSM_TEXTS = [Path(ITLC).read_text(), GAP_SPEC, OVERLAP_SPEC, CLOSED_GAP_SPEC]
-FSM_TOKENS = sorted({token for text in FSM_TEXTS for token in text.split()})
-FSM_NOISE = (*STIM_NOISE, "(" * (MAX_GUARD_DEPTH + 1), "!", "&", "|", ")", "=", "{", "}", "->",
-             "2", "\t", "when", "emit")
 PIN_TEXT = "".join(f"{signal} {location} {kind}\n" for signal, location, kind
                    in (*emit.DEFAULT_PIN_ROWS, ("clk", "C9", "input")))
 PIN_TOKENS = ("input", "output", "inout", "clk", "st", "reset", "P1", "N17")
-EDITS = ("repeat", "glue", "drop", "swap", "line")
 # Per flag, values it takes and values it refuses; a draw takes one of the
 # first three times as often.  "FILE" and "DIR" stand for an output path and
 # a directory, "PINS" for the pin file.
@@ -1055,3 +1017,35 @@ class TestFuzz:
             assert lines.pop() == "" and lines, err
             located = rf"{re.escape(paths['FSM'])}:\d+:\d+: ({PARSE_KINDS}): .+"
             assert len(lines) == 1 or all(re.fullmatch(located, line) for line in lines), err
+
+
+OUT_OF_MEMORY = "out of memory: the input asks for more than this process can hold\n"
+MEMORY_LIMIT = 128 << 20  # bytes of address space
+
+
+def limited_child(argv):
+    """`python -m fsmkit.cli <argv>` as a child whose address space is capped at
+    MEMORY_LIMIT, so that running out of memory shows as a user would see it."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+    return child(["-m", "fsmkit.cli", *argv], preexec_fn=limit_memory, text=True)
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+class TestUnderAMemoryLimit:
+    def test_more_findings_than_fit_exit_2_with_one_line(self, tmp_path):
+        # No guard holds in either state for any of 2^16 valuations: 131,072 gap
+        # findings, which need more memory than the limit leaves.
+        inputs = " ".join(f"i{k}" for k in range(16))
+        fsm = write(tmp_path, "gaps.fsm",
+                    f"fsm m\ninputs {inputs}\ninitial A\nstate A {{ }}\nstate B {{ }}\n")
+        done = limited_child(["check", fsm])
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", OUT_OF_MEMORY)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", ITLC], ["emit", ITLC], ["simulate", ITLC, STIM],
+        ["bench", ITLC, "--arrival", "0.1", "--horizon", "100"],
+    ], ids=["check", "emit", "simulate", "bench"])
+    def test_the_bundled_design_runs_within_the_limit(self, argv):
+        done = limited_child(argv)
+        assert (done.returncode, done.stderr) == (0, "")

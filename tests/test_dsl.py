@@ -1,12 +1,15 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+import dsl_reference
 from fsmkit import dsl
 from fsmkit.model import Const, FsmSpec, StateDef, Transition, validate
 
-from conftest import bundled_source, valid_machines
+from conftest import (
+    EDITS, FSM_NOISE, FSM_TEXTS, FSM_TOKENS, bundled_source, edited, valid_machines,
+)
 
 
 class TestParse:
@@ -251,3 +254,28 @@ def test_corrupted_guard_token_span_overlaps(data):
     assert any(
         s.line == idx + 1 and s.column <= offset + 1 < s.column + s.length + 2
         for s in spans)
+
+
+@st.composite
+def near_valid_fsm_texts(draw):
+    """A text of `FSM_TEXTS` or a serialized random machine, edited as the
+    command-line fuzz edits `.fsm` text, with the text's own tokens to swap in."""
+    text = draw(st.one_of(st.sampled_from(FSM_TEXTS), valid_machines().map(dsl.serialize)))
+    tokens = sorted(set(FSM_TOKENS).union(text.split()))
+    return edited(draw, text.rstrip("\n").split("\n"), (*EDITS * 5, *FSM_NOISE), tokens, least=0)
+
+
+def parse_outcome(parse, text):
+    """The spec `parse` returns for `text`, or the errors it raises, as text."""
+    try:
+        return parse(text)
+    except dsl.ParseFailure as exc:
+        return [str(e) for e in exc.errors]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(near_valid_fsm_texts())
+def test_parse_agrees_with_the_reference_parser(text):
+    outcome = parse_outcome(dsl.parse, text)
+    event("raised" if isinstance(outcome, list) else "parsed")
+    assert outcome == parse_outcome(dsl_reference.parse, text)
