@@ -258,8 +258,9 @@ def parse(text: str) -> FsmSpec:
                 states[sname] = assigns
             elif (target := declared.get(head)) is not None:
                 i = _names_end(toks, 1)
-                target += toks[1:i]
-                signal_lines.append((lineno, toks[1:i]))
+                names = toks[1:i]
+                target += names
+                signal_lines.append((lineno, names))
                 if i < n:
                     _name(toks, i, "signal name")
                 if target is inputs and len(inputs) > MAX_INPUTS:
