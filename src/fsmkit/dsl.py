@@ -46,7 +46,7 @@ BAD_BIT = "bad-bit"
 NAME_RESERVED = frozenset({"when", "emit"})
 
 # Cap on guard nesting, applied to parentheses and to the operators on any
-# root-to-leaf path.  Parsing recurses at most 2 frames per parenthesis,
+# root-to-leaf path.  Parsing recurses at most 3 frames per parenthesis,
 # evaluation, printing and emission 1 per operator: all stay under the
 # default limit 1000.
 MAX_GUARD_DEPTH = 100
@@ -142,8 +142,8 @@ def _parse_guard(toks: list[str], leaves: dict[str, GuardExpr]) -> tuple[GuardEx
     MAX_GUARD_DEPTH deep, and the index past it.  Parentheses are counted
     first, since `_guard` recurses on them."""
     end = toks.index("emit") if "emit" in toks else len(toks)
-    if (toks.count("(") <= MAX_GUARD_DEPTH or max(
-            accumulate({"(": 1, ")": -1}.get(t, 0) for t in toks[5:end])) <= MAX_GUARD_DEPTH):
+    parens = accumulate({"(": 1, ")": -1}.get(t, 0) for t in toks[5:end])
+    if max(parens, default=0) <= MAX_GUARD_DEPTH:
         guard, depth, i = _guard(toks, 5, leaves)
         if depth <= MAX_GUARD_DEPTH:
             return guard, i
@@ -295,14 +295,7 @@ def parse(text: str) -> FsmSpec:
     for lineno, toks, assigns in assignments:
         errors += _undeclared(lines, lineno, toks, range(3, 3 * len(assigns) + 1, 3), "output",
                               outputs)
-    guards_read_inputs = leaves.keys() - _BITS.keys() <= known_inputs
-    by_source: dict[str, list[Transition]] = {s: [] for s in states}
     for lineno, toks, guard, i in transitions:
-        src, dst, emitted = toks[1], toks[3], toks[i + 1:]
-        if src in states and dst in states and guards_read_inputs and known_pulses.issuperset(
-                emitted):
-            by_source[src].append(Transition(guard, dst, frozenset(emitted)))
-            continue
         errors += _undeclared(lines, lineno, toks, (1, 3), "state", states)
         errors += _undeclared(lines, lineno, toks, range(5, i), "input", known_inputs)
         errors += _undeclared(lines, lineno, toks, range(i + 1, len(toks)), "pulse", known_pulses)
@@ -319,6 +312,9 @@ def parse(text: str) -> FsmSpec:
 
     if errors:
         raise ParseFailure(errors)
+    by_source: dict[str, list[Transition]] = {s: [] for s in states}
+    for lineno, toks, guard, i in transitions:
+        by_source[toks[1]].append(Transition(guard, toks[3], frozenset(toks[i + 1:])))
     return FsmSpec(
         name=name,
         inputs=tuple(inputs),

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -67,6 +68,23 @@ class TestParse:
         assert err.message == f"guard nests deeper than {dsl.MAX_GUARD_DEPTH} levels"
         line = text.split("\n")[5]
         assert line[err.span.column - 1:err.span.column - 1 + err.span.length] == guard
+
+    def test_guard_parentheses_at_the_cap_recurse_at_most_3_frames_each(self):
+        # Each `a | b & (` level climbs from `|` to `&` to the parenthesis.
+        text = ("fsm m\ninputs a b\ninitial A\nstate A { }\ntrans A -> A when "
+                + "a | b & (" * dsl.MAX_GUARD_DEPTH + "a" + ")" * dsl.MAX_GUARD_DEPTH + "\n")
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 3 * dsl.MAX_GUARD_DEPTH + 10)
+        try:
+            with pytest.raises(dsl.ParseFailure) as exc:
+                dsl.parse(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [str(e) for e in exc.value.errors] == [
+            f"5:19: syntax: guard nests deeper than {dsl.MAX_GUARD_DEPTH} levels"]
 
     def test_errors_are_type_sensitive_values(self):
         span = dsl.SourceSpan(2, 5, 1)
@@ -191,6 +209,10 @@ _DIAGNOSTICS = {
     "missing state name": ("fsm m\ninitial A\nstate { }\n", [
         "3:7: syntax: expected state name",
         "2:9: unknown-signal: initial state 'A' is not declared"]),
+    # The guard is empty, so the parentheses after `emit` are not counted.
+    "empty guard before deep parentheses": (
+        _HEAD + "trans A -> A when emit " + "(" * (dsl.MAX_GUARD_DEPTH + 1) + "\n",
+        ["5:19: syntax: expected guard expression"]),
 }
 
 
