@@ -14,9 +14,9 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "model": ("And", "Const", "ContractViolation", "Finding", "FsmError", "FsmSpec",
-              "GuardExpr", "Not", "Or", "StateDef", "StructuralError", "Transition", "Var",
-              "eval_guard", "moore_output", "step_spec", "validate"),
+    "model": ("And", "ConfigError", "Const", "ContractViolation", "Finding", "FsmError",
+              "FsmSpec", "GuardExpr", "Not", "Or", "StateDef", "StructuralError", "Transition",
+              "Var", "eval_guard", "moore_output", "step_spec", "validate"),
     "dsl": ("ParseError", "ParseFailure", "SourceSpan", "parse", "serialize"),
     "timer": ("TimerConfig", "timer_commit", "timer_outputs"),
     "kernel": ("SimError", "TickRecord"),

@@ -1,9 +1,8 @@
 """Command-line front end: check, simulate, emit, bench.
 
 Exit codes: 0 success, 1 validation/check failure, 2 usage or parse error,
-a refusal from the library (an `FsmError`, as `SimError`, `EmitError` and
-`ParseFailure` are, or `TimerConfig`'s and `TrafficModel`'s `ValueError`,
-each caught once, in `main`), or a stdout that cannot be written.
+a refusal from the library (an `FsmError`, as `ConfigError` and `SimError`
+are; a bare `ValueError` is a bug, shown as a traceback), or a stdout that cannot be written.
 Every subcommand is deterministic given its arguments and input files, and
 writes only to the paths named in its flags (or stdout).  Each one imports
 the modules it runs when it runs, so `check` never loads `sim`, `env` or
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Iterable
 from types import SimpleNamespace
 
 from . import dsl
@@ -31,8 +31,7 @@ _ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
+        self.code, self.message = code, message
         super().__init__(message)
 
 
@@ -45,23 +44,24 @@ def _read_text(path: str, what: str) -> str:
         raise _CliError(2, f"cannot read {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
 
 
-def _write_text(path: str | None, text: str, what: str) -> None:
-    """Write `text` to `path` (which may be "", unwritable), or to stdout for None."""
+def _write_text(path: str | None, chunks: Iterable[str], what: str) -> None:
+    """Write `chunks` in order to `path` (which may be "", unwritable), or to stdout for None."""
     if path is None:
         out = getattr(sys.stdout, "buffer", None)
         if out is None:  # an in-memory stdout, which has no byte layer
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             return
         # Unbuffered, the byte layer may take part of a write and the text layer
         # would drop the rest unraised: loop, so a closed pipe raises on the next.
         sys.stdout.flush()
-        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-        while data:
-            data = data[out.write(data):]
+        for text in chunks:
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[out.write(data):]
         return
     try:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(chunks)
     except OSError as exc:
         raise _CliError(2, f"cannot write {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
 
@@ -87,7 +87,7 @@ def _require_valid(findings: tuple[Finding, ...]) -> None:
 
 def cmd_check(args) -> int:
     findings = validate(_load_spec(args.fsm))
-    _write_text(None, _findings_text(findings), "findings")
+    _write_text(None, (_findings_text(findings),), "findings")
     return 1 if findings else 0
 
 
@@ -102,7 +102,7 @@ def cmd_simulate(args) -> int:
     lengths = [n for _, _, n in stim.runs]
     _write_text(args.log, sim.render_log(records, paths, lengths), "log")
     if args.vcd is not None:
-        _write_text(args.vcd, sim.render_vcd(spec, records, paths, lengths), "VCD")
+        _write_text(args.vcd, (sim.render_vcd(spec, records, paths, lengths),), "VCD")
     return 0
 
 
@@ -120,7 +120,7 @@ def cmd_emit(args) -> int:
             text = emit_mod.emit_ucf(spec, pins)
     except emit_mod.InvalidSpecError as exc:
         _require_valid(exc.findings)
-    _write_text(args.output, text, "output")
+    _write_text(args.output, (text,), "output")
     return 0
 
 
@@ -224,7 +224,7 @@ def build_parser():
     class _Parser(argparse.ArgumentParser):  # the subparsers take this class too
         def print_help(self, file=None) -> None:  # argparse passes no file
             # argparse's own printer drops a failed write; `_write_text` raises it.
-            _write_text(None, self.format_help(), "help")
+            _write_text(None, (self.format_help(),), "help")
 
         def error(self, message: str):  # one line, even for an argument holding "\n"
             self.exit(2, f"{self.prog}: error: {message.translate(_ONE_LINE)}\n")
@@ -260,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except (FsmError, ValueError) as exc:  # a refusal from the library
+    except FsmError as exc:  # a refusal from the library
         print(exc, file=sys.stderr)
         return 2
     except OSError as exc:

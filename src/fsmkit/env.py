@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .kernel import _ClosedLoop
-from .model import FsmSpec, moore_output, value_type
+from .model import ConfigError, FsmSpec, moore_output, value_type
 from .timer import TimerConfig
 
 _MASK64 = (1 << 64) - 1
@@ -114,11 +114,11 @@ class TrafficModel(namedtuple("TrafficModel", "arrival_prob seed horizon service
     def __new__(cls, arrival_prob: float, seed: int = 0, horizon: int = 1000,
                 service_rate: int = 1) -> TrafficModel:
         if not 0.0 <= arrival_prob <= 1.0:
-            raise ValueError(f"arrival_prob must be in [0, 1], got {arrival_prob}")
+            raise ConfigError(f"arrival_prob must be in [0, 1], got {arrival_prob}")
         if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+            raise ConfigError(f"horizon must be >= 1, got {horizon}")
         if service_rate < 1:
-            raise ValueError(f"service_rate must be >= 1, got {service_rate}")
+            raise ConfigError(f"service_rate must be >= 1, got {service_rate}")
         return super().__new__(cls, arrival_prob, seed, horizon, service_rate)
 
 

@@ -21,6 +21,11 @@ class FsmError(Exception):
     """Base of every error fsmkit raises for input it refuses."""
 
 
+class ConfigError(FsmError, ValueError):
+    """A configuration field out of range, as a timer threshold or a traffic
+    rate; also a `ValueError`, so that callers catching that still catch it."""
+
+
 class StructuralError(FsmError):
     """A name or reference does not resolve against the spec."""
 

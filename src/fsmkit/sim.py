@@ -2,15 +2,17 @@
 `kernel`.  A `Stimulus` holds the kernel's step 1, the external inputs, as
 (c, reset, n) runs, one per `.stim` line, so it grows with the text, not the
 horizon.  A run is rendered from `_ClosedLoop.walk`'s record per table cell
-and path per stimulus run: the log once per record, and the VCD once per
-change of what it shows, so no renderer builds a string per tick.  The runs
-from one first key share its path, so the VCD scans each path once and
-replays its changes for every later run from that key.
+and path per stimulus run, and no renderer builds a string per tick.  The
+runs from one first key share its path.  The log formats each record's line
+once and each path's lines once, as a list that every run from it slices,
+and yields one string per 1000-tick block, which `fsmkit simulate` writes as
+it comes.  The VCD formats each change of what it shows once, scans each
+path once and replays its changes for every later run from that key.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 from itertools import chain, islice
 
 from .kernel import SimError, TickRecord, _ClosedLoop
@@ -143,30 +145,40 @@ LIGHT_ORDER = ("mg", "my", "mr", "sg", "sy", "sr")
 
 
 def render_log(records: Mapping[Hashable, TickRecord], paths: list[list[Hashable]],
-               lengths: Sequence[int]) -> str:
+               lengths: Sequence[int]) -> Iterator[str]:
     """`fsmkit simulate`'s log of the runs whose run r has the keys
-    `paths[r][:lengths[r]]`, formatted once per key.  No string is made
-    per tick number: below tick 1000 it is one of the shared "0".."999"; from
-    1000 on, its 1000-tick block's shared prefix `str(t // 1000)`, then one of
-    the shared "000".."999".  Its per-tick list is freed on return, before
-    `fsmkit simulate` renders the VCD."""
+    `paths[r][:lengths[r]]`, yielded as one string per 1000-tick block of
+    tick numbers, so that memory does not grow with the horizon.  Each key's
+    line less its tick number is formatted once, and each path's lines once,
+    as a list that every run from it slices.  No string is made per tick
+    number: below tick 1000 it is one of the shared "0".."999"; from 1000
+    on, its block's shared prefix `str(t // 1000)`, then one of the shared
+    "000".."999"."""
     bodies = {}  # a key's line, less its tick number
     for k, r in records.items():
         lights = "".join(str(r.moore.get(name, 0)) for name in LIGHT_ORDER)
         bodies[k] = (f" {r.state} c={r.inputs['c']} ts={r.inputs['ts']} "
                      f"tl={r.inputs['tl']} st={r.st} {lights}\n")
+    # First key -> its path's bodies.  `walk` hands each path over at its final
+    # length, the longest run from it, so one list serves every run from it.
+    lines = {}
+    for path in paths:
+        if path[0] not in lines:
+            lines[path[0]] = list(map(bodies.__getitem__, path))
+    ticks = chain.from_iterable(lines[path[0]][:n] for path, n in zip(paths, lengths))
     n = sum(lengths)
-    log = [""] * (3 * n)  # per tick: block prefix, last digits, body
     digits = list(map(str, range(min(n, 1000))))  # "0".."999", only those used
-    log[1:3000:3] = digits
-    if n > 1000:
-        padded = [d.zfill(3) for d in digits]  # "000".."999"
-        for b in range(1000, n, 1000):
-            m = min(n - b, 1000)
-            log[3 * b:3 * (b + m):3] = [str(b // 1000)] * m
-            log[3 * b + 1:3 * (b + m):3] = padded[:m]
-    log[2::3] = map(bodies.__getitem__, chain.from_iterable(map(islice, paths, lengths)))
-    return "".join(log)
+    chunk = [""] * (3 * len(digits))  # per tick: block prefix, last digits, body
+    chunk[1::3] = digits
+    for b in range(0, n, 1000):
+        m = min(n - b, 1000)
+        del chunk[3 * m:]  # the last block may be shorter
+        if b == 1000:
+            chunk[1::3] = [d.zfill(3) for d in digits[:m]]  # "000".."999" from here on
+        if b:
+            chunk[0::3] = [str(b // 1000)] * m
+        chunk[2::3] = islice(ticks, m)
+        yield "".join(chunk)
 
 
 def _vcd_id(index: int) -> str:

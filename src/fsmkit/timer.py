@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import value_type
+from .model import ConfigError, value_type
 
 DEFAULT_SHORT_TICKS = 4
 DEFAULT_LONG_TICKS = 16
@@ -25,7 +25,7 @@ class TimerConfig(namedtuple("TimerConfig", "short_ticks long_ticks")):
     def __new__(cls, short_ticks: int = DEFAULT_SHORT_TICKS,
                 long_ticks: int = DEFAULT_LONG_TICKS) -> TimerConfig:
         if not 0 < short_ticks < long_ticks:
-            raise ValueError(
+            raise ConfigError(
                 f"short_ticks must be positive and < long_ticks "
                 f"(got short={short_ticks}, long={long_ticks})")
         return super().__new__(cls, short_ticks, long_ticks)

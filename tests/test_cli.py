@@ -455,6 +455,16 @@ class TestBench:
         assert main(["bench", *argv, "--arrival", "0.1"]) == 2
         assert capsys.readouterr() == ("", message + "\n")
 
+    @pytest.mark.parametrize("command", ["check", "emit", "simulate", "bench"])
+    def test_a_bare_value_error_is_a_bug_and_propagates(self, monkeypatch, command):
+        # Only an FsmError is a refusal.  Any other error inside a command leaves
+        # `main`, so a process shows it as a traceback, which the fuzz catches.
+        def parse(text):
+            raise ValueError("max() arg is an empty sequence")
+        monkeypatch.setattr(dsl, "parse", parse)
+        with pytest.raises(ValueError, match="empty sequence"):
+            main([command, ITLC, *COMMAND_ARGS[command]])
+
     def test_memory_does_not_grow_with_the_seed_count(self):
         def peak(seeds):
             args = ["bench", ITLC, "--arrival", "0.1", "--seeds", str(seeds), "--horizon", "1"]
@@ -508,7 +518,7 @@ class TestBenchProcesses:
         assert_no_child_left()
 
     @pytest.mark.parametrize("failing_seed", [4, 3], ids=["parent", "worker"])
-    @pytest.mark.parametrize("error", [ValueError, SimError, MemoryError])
+    @pytest.mark.parametrize("error", [model.ConfigError, SimError, MemoryError])
     def test_an_error_at_a_seed_reads_as_on_one_cpu(self, monkeypatch, failing_seed, error):
         # On two CPUs this process runs the even seeds and a worker the odd ones.
         real = env.run_env
@@ -633,7 +643,13 @@ def io_error_case(case, tmp_path):
         "output-path-return": ["emit", ITLC, "-o", str(tmp_path / "a\rb" / "out")],
         "fsm-path-u2028": ["check", str(tmp_path / "a\u2028b")],
         "output-path-u2028": ["emit", ITLC, "-o", str(tmp_path / "a\u2028b" / "out")],
+        # Opened, but every write fails with ENOSPC.
+        "log-full": ["simulate", ITLC, STIM, "--log", "/dev/full"],
+        "vcd-full": ["simulate", ITLC, STIM, "--vcd", "/dev/full"],
     }[case]
+
+
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 
 
 class TestInputOutputErrors:
@@ -643,6 +659,7 @@ class TestInputOutputErrors:
         "vcd-empty-path", "log-empty-path", "output-empty-path", "pins-empty-path",
         "fsm-path-newline", "output-path-newline", "fsm-path-return", "output-path-return",
         "fsm-path-u2028", "output-path-u2028",
+        pytest.param("log-full", marks=NO_DEV_FULL), pytest.param("vcd-full", marks=NO_DEV_FULL),
     ])
     def test_exit_2_with_one_line_and_no_traceback(self, tmp_path, case):
         # A real process, so that an uncaught exception shows as a traceback.
@@ -651,10 +668,13 @@ class TestInputOutputErrors:
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 2
         # The log goes out before the VCD.
-        assert result.stdout == "" or case in ("vcd-unwritable", "vcd-empty-path")
+        assert result.stdout == "" or case in ("vcd-unwritable", "vcd-empty-path", "vcd-full")
         assert "Traceback" not in result.stderr
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("cannot ")
         assert len(result.stderr.splitlines()) == 1
+        if case.endswith("-full"):
+            what = {"log-full": "log", "vcd-full": "VCD"}[case]
+            assert result.stderr.startswith(f"cannot write {what} '/dev/full': ")
 
     @pytest.mark.parametrize("command, unbuffered", [
         ("bench", False), ("simulate", False), ("simulate", True), ("check", True),
@@ -1049,3 +1069,14 @@ class TestUnderAMemoryLimit:
     def test_the_bundled_design_runs_within_the_limit(self, argv):
         done = limited_child(argv)
         assert (done.returncode, done.stderr) == (0, "")
+
+    def test_a_long_hold_streams_its_log_within_the_limit(self, tmp_path):
+        # 2,000,000 log lines, about 73 MB: held whole, as one string, they
+        # would not fit, but the log is written a 1000-tick block at a time.
+        stim = write(tmp_path, "hold.stim", "horizon 2000000\n0 c=1\n")
+        log = tmp_path / "hold.log"
+        done = limited_child(["simulate", ITLC, stim, "--log", str(log)])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        with open(log, "rb") as f:
+            lines = sum(block.count(b"\n") for block in iter(lambda: f.read(1 << 20), b""))
+        assert lines == 2_000_000

@@ -13,6 +13,7 @@ from fsmkit.env import (
     BLOCK_TICKS, Metrics, SplitMix64, TrafficModel, TrafficTable, arrival_blocks, run_env,
 )
 from fsmkit.kernel import _ClosedLoop, closed_loop_tick
+from fsmkit.model import ConfigError, FsmError
 from fsmkit.timer import TimerConfig
 
 # Frozen analytic worst-case wait for cfg {short, long}: a vehicle can at
@@ -283,6 +284,7 @@ class TestTrafficModel:
             with pytest.raises(ValueError) as exc:
                 build()
             assert str(exc.value) == message
+            assert type(exc.value) is ConfigError and isinstance(exc.value, FsmError)
 
     def test_replace_allocates_like_the_constructor(self):
         # `_replace` builds through `_make`.  Unpacking an iterator there would

@@ -433,6 +433,18 @@ class TestClosedLoopTable:
     @example(spec=bundled_spec(), cfg=TimerConfig(4, 16), stim=constant_stim(5000, c=1))
     @example(spec=bundled_spec(), cfg=TimerConfig(8, 64), stim=constant_stim(5000, c=1))
     @example(spec=bundled_spec(), cfg=TimerConfig(1, 2), stim=constant_stim(5000, c=1))
+    # The log is written a 1000-tick block at a time: horizons at and next to
+    # the block edges, a run that crosses an edge, and a 1,500-tick run that
+    # outlasts the 300-tick run from its first key and crosses an edge.
+    @example(spec=bundled_spec(), cfg=TimerConfig(), stim=constant_stim(1, c=1))
+    @example(spec=bundled_spec(), cfg=TimerConfig(), stim=constant_stim(999, c=1))
+    @example(spec=bundled_spec(), cfg=TimerConfig(), stim=constant_stim(1000, c=1))
+    @example(spec=bundled_spec(), cfg=TimerConfig(), stim=constant_stim(1001, c=1))
+    @example(spec=bundled_spec(), cfg=TimerConfig(), stim=constant_stim(2001, c=1))
+    @example(spec=bundled_spec(), cfg=TimerConfig(),
+             stim=Stimulus(((0, 0, 997), (1, 0, 7), (0, 1, 3))))
+    @example(spec=bundled_spec(), cfg=TimerConfig(4, 16),
+             stim=repeated_runs(TimerConfig(4, 16), lengths=(300, 1500)))
     def test_long_runs_render_like_the_per_tick_formatters(self, spec, cfg, stim,
                                                            tmp_path_factory):
         reference = reference_simulate(spec, cfg, stim)
@@ -461,7 +473,9 @@ class TestClosedLoopTable:
     def test_simulate_memory_at_50k_ticks(self, tmp_path):
         # c toggles after 1-80 ticks; reset is high for 1-3 ticks about once
         # per 4,000.  The peak was 5.8 MB while the log made a string per
-        # tick number and the VCD a tuple per change; it is 4.0 MB without.
+        # tick number and the VCD a tuple per change, and 4.0 MB without.
+        # Written a 1000-tick block at a time, the 1.7 MB log is never held
+        # whole, and the peak is about 1.0 MB.
         rnd, lines, tick, c = random.Random(50_000), ["horizon 50000"], 0, 0
         while tick < 50_000 - 85:
             tick += rnd.randint(1, 80)
@@ -484,6 +498,7 @@ class TestClosedLoopTable:
             tracemalloc.stop()
         assert (tmp_path / "long.log").read_text().count("\n") == 50_000
         assert peak < 4_650_000
+        assert peak < (tmp_path / "long.log").stat().st_size
 
     def test_exploration_fills_every_cell(self, itlc_spec, default_cfg, tables, kernel_calls):
         reached = explore_reachable(itlc_spec, default_cfg)

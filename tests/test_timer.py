@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from fsmkit.model import ConfigError, FsmError
 from fsmkit.timer import TimerConfig, timer_commit, timer_outputs
 
 CFG = TimerConfig(short_ticks=4, long_ticks=16)
@@ -22,6 +23,13 @@ class TestConfig:
             TimerConfig(5, 5)
         with pytest.raises(ValueError, match=message):
             CFG._replace(short_ticks=5, long_ticks=5)
+
+    def test_a_refusal_is_an_fsm_error_and_a_value_error(self):
+        # `fsmkit.cli.main` turns an FsmError into exit 2; callers that catch
+        # ValueError, as they did before, still catch it.
+        with pytest.raises(ConfigError) as exc:
+            TimerConfig(5, 5)
+        assert isinstance(exc.value, FsmError) and isinstance(exc.value, ValueError)
 
     def test_is_an_immutable_value(self):
         assert CFG._replace(long_ticks=20) == TimerConfig(4, 20)
