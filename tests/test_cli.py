@@ -1079,4 +1079,5 @@ class TestUnderAMemoryLimit:
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
         with open(log, "rb") as f:
             lines = sum(block.count(b"\n") for block in iter(lambda: f.read(1 << 20), b""))
+        log.unlink()  # pytest keeps the temporary folders of recent runs
         assert lines == 2_000_000
