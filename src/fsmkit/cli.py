@@ -130,23 +130,19 @@ def cmd_bench(args) -> int:
     spec = _load_spec(args.fsm)
     _require_valid(validate(spec))
     cfg = TimerConfig(args.short, args.long)
-    if not 0.0 <= args.arrival <= 1.0:
-        raise _CliError(2, f"--arrival must be in [0, 1], got {args.arrival}")
-    if args.seeds < 1:
-        raise _CliError(2, f"--seeds must be >= 1, got {args.seeds}")
     model = env_mod.TrafficModel(args.arrival, 0, args.horizon, args.service_rate)
-    runs = env_mod.run_seeds(spec, cfg, model, args.seeds)
+    runs = env_mod.run_seeds(spec, cfg, model, args.seeds)  # refuses --seeds < 1 on first read
 
     def printed():  # each seed's line once its run is in, so memory stays flat in --seeds
         for seed, metrics in enumerate(runs):
-            print(metrics.as_record(prefix=f"seed={seed} "))
+            _write_text(None, (metrics.as_record(prefix=f"seed={seed} ") + "\n",), "output")
             yield metrics
 
     try:
         aggregate = env_mod.Metrics.aggregate(printed())
     finally:
         runs.close()  # kills and reaps its worker processes, on every path
-    print(aggregate.as_record(prefix="aggregate "))
+    _write_text(None, (aggregate.as_record(prefix="aggregate ") + "\n",), "output")
     return 0
 
 

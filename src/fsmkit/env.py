@@ -113,6 +113,12 @@ class TrafficModel(namedtuple("TrafficModel", "arrival_prob seed horizon service
 
     def __new__(cls, arrival_prob: float, seed: int = 0, horizon: int = 1000,
                 service_rate: int = 1) -> TrafficModel:
+        # `__class__` refuses a bool, and a float for an int, as `Stimulus` does for its bits.
+        if arrival_prob.__class__ not in (int, float):
+            raise ConfigError(f"arrival_prob must be an int or a float, got {arrival_prob!r}")
+        for name, value in ("seed", seed), ("horizon", horizon), ("service_rate", service_rate):
+            if value.__class__ is not int:
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if not 0.0 <= arrival_prob <= 1.0:
             raise ConfigError(f"arrival_prob must be in [0, 1], got {arrival_prob}")
         if horizon < 1:
@@ -137,7 +143,8 @@ class Metrics(namedtuple("Metrics", "mean_side_wait max_side_wait main_green_sha
     @classmethod
     def aggregate(cls, runs: Iterable[Metrics]) -> Metrics:
         """Across runs: means of means and shares, maximum of maxima, sums of
-        counts.  One pass, summing in run order, so `runs` may be a generator."""
+        counts.  One pass, summing in run order, so `runs` may be a generator;
+        no runs at all is a `ConfigError`."""
         k = wait = worst = share = served = cycles = 0
         for m in runs:
             k += 1
@@ -146,6 +153,8 @@ class Metrics(namedtuple("Metrics", "mean_side_wait max_side_wait main_green_sha
             share += m.main_green_share
             served += m.side_vehicles_served
             cycles += m.cycles_completed
+        if not k:
+            raise ConfigError("aggregate needs at least one run, got none")
         return cls(
             mean_side_wait=wait / k,
             max_side_wait=worst,
@@ -258,13 +267,17 @@ def run_seeds(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
     seed order, from J = min(seeds, usable CPUs) processes: forked worker j
     (0 < j < J) runs seeds j, j + J, ..., and this process runs seeds 0, J, ...
     and reads each other seed's from its worker when that seed's turn comes.
-    A bad spec raises here, before any fork.  A worker that stops early (an
-    error in a run, or killed), or gets no pipe or process, leaves the rest of
-    its seeds to this process, so a run's error raises here as in a
-    one-process run.  J is 1 where there is no fork.  Workers are forked, not
-    spawned: a fresh interpreter costs more than the runs it would take over,
-    and fsmkit starts no threads.  Closing the iterator, or running it to its
-    end, reaps every worker, killing it first if it still runs."""
+    On the first `next()`, a seed count below 1 raises `ConfigError` before
+    a table is built, and a bad spec raises before any fork.  A worker that
+    stops early (an error in a run, or killed), or gets no pipe or process,
+    leaves the rest of its seeds to this process, so a run's error raises
+    here as in a one-process run.  J is 1 where there is no fork.  Workers
+    are forked, not spawned: a fresh interpreter costs more than the runs it
+    would take over, and fsmkit starts no threads.  Closing the iterator, or
+    running it to its end, reaps every worker, killing it first if it still
+    runs."""
+    if seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {seeds}")
     table = TrafficTable(spec, cfg)
     _lanes(min(model.horizon, BLOCK_TICKS))  # built once, shared with the workers
 

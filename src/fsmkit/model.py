@@ -22,8 +22,9 @@ class FsmError(Exception):
 
 
 class ConfigError(FsmError, ValueError):
-    """A configuration field out of range, as a timer threshold or a traffic
-    rate; also a `ValueError`, so that callers catching that still catch it."""
+    """A configuration value out of range or of the wrong type, as a timer
+    threshold, a traffic rate or a seed count; also a `ValueError`, so that
+    callers catching that still catch it."""
 
 
 class StructuralError(FsmError):

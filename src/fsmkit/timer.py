@@ -24,6 +24,10 @@ class TimerConfig(namedtuple("TimerConfig", "short_ticks long_ticks")):
 
     def __new__(cls, short_ticks: int = DEFAULT_SHORT_TICKS,
                 long_ticks: int = DEFAULT_LONG_TICKS) -> TimerConfig:
+        # `__class__` refuses a bool or a float, as `Stimulus` does for its bits.
+        if short_ticks.__class__ is not int or long_ticks.__class__ is not int:
+            raise ConfigError(f"short_ticks and long_ticks must be ints "
+                              f"(got short={short_ticks!r}, long={long_ticks!r})")
         if not 0 < short_ticks < long_ticks:
             raise ConfigError(
                 f"short_ticks must be positive and < long_ticks "

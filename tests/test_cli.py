@@ -446,13 +446,23 @@ class TestBench:
         ("inputs", "closed-loop simulation needs inputs exactly ['c', 'reset', 'tl', 'ts'], "
                    "spec 'gappy' has ['a']"),
         ("timer", "short_ticks must be positive and < long_ticks (got short=16, long=4)"),
+        ("arrival", "arrival_prob must be in [0, 1], got 1.5"),
+        ("arrival-nan", "arrival_prob must be in [0, 1], got nan"),
+        ("seeds", "seeds must be >= 1, got 0"),
+        ("seeds-negative", "seeds must be >= 1, got -1"),
+        # The model, and with it the horizon, is refused before the runs start.
+        ("seeds-and-horizon", "horizon must be >= 1, got 0"),
     ])
     def test_a_refused_run_exits_2_with_one_line(self, tmp_path, capsys, case, message):
         argv = {"horizon": [ITLC, "--horizon", "0"], "service-rate": [ITLC, "--service-rate", "0"],
                 "timer": [ITLC, "--short", "16", "--long", "4"],
+                "arrival": [ITLC, "--arrival", "1.5"], "arrival-nan": [ITLC, "--arrival", "nan"],
+                "seeds": [ITLC, "--seeds", "0"], "seeds-negative": [ITLC, "--seeds", "-1"],
+                "seeds-and-horizon": [ITLC, "--seeds", "0", "--horizon", "0"],
                 # A valid spec, but not over the traffic controller's inputs.
                 "inputs": [write(tmp_path, "plain.fsm", GAP_SPEC.replace("when a", "when 1"))]}[case]
-        assert main(["bench", *argv, "--arrival", "0.1"]) == 2
+        # Every case runs at --arrival 0.1 unless it gives its own, later, which wins.
+        assert main(["bench", "--arrival", "0.1", *argv]) == 2
         assert capsys.readouterr() == ("", message + "\n")
 
     @pytest.mark.parametrize("command", ["check", "emit", "simulate", "bench"])
@@ -677,8 +687,8 @@ class TestInputOutputErrors:
             assert result.stderr.startswith(f"cannot write {what} '/dev/full': ")
 
     @pytest.mark.parametrize("command, unbuffered", [
-        ("bench", False), ("simulate", False), ("simulate", True), ("check", True),
-    ], ids=["bench", "simulate", "simulate-unbuffered", "check-unbuffered"])
+        ("bench", False), ("simulate", False), ("simulate", True), ("check", True), ("bench", True),
+    ], ids=["bench", "simulate", "simulate-unbuffered", "check-unbuffered", "bench-unbuffered"])
     def test_stdout_closed_early_exits_2_with_one_line(self, tmp_path, command, unbuffered):
         if command == "bench":
             argv = ["bench", ITLC, "--arrival", "0.1", "--seeds", "3000", "--horizon", "1"]

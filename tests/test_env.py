@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bundled_spec, closed_loop_machines, timer_configs
+from fsmkit import env
 from fsmkit.env import (
     BLOCK_TICKS, Metrics, SplitMix64, TrafficModel, TrafficTable, arrival_blocks, run_env,
+    run_seeds,
 )
 from fsmkit.kernel import _ClosedLoop, closed_loop_tick
 from fsmkit.model import ConfigError, FsmError
@@ -276,6 +278,15 @@ class TestTrafficModel:
         ({"arrival_prob": 1.5}, "arrival_prob must be in [0, 1], got 1.5"),
         ({"horizon": 0}, "horizon must be >= 1, got 0"),
         ({"service_rate": -2}, "service_rate must be >= 1, got -2"),
+        # A field of the wrong type is refused before any range check.
+        ({"arrival_prob": "0.1"}, "arrival_prob must be an int or a float, got '0.1'"),
+        ({"arrival_prob": True}, "arrival_prob must be an int or a float, got True"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"seed": False}, "seed must be an int, got False"),
+        ({"horizon": 1.5}, "horizon must be an int, got 1.5"),
+        ({"horizon": "10"}, "horizon must be an int, got '10'"),
+        ({"service_rate": 1.5}, "service_rate must be an int, got 1.5"),
+        ({"service_rate": True}, "service_rate must be an int, got True"),
     ])
     def test_rejection_messages_also_through_replace(self, kwargs, message):
         good = TrafficModel(0.5, seed=3, horizon=10)
@@ -430,3 +441,23 @@ class TestMetricsSerialization:
         assert self.METRICS.as_record(prefix="seed=0 ") == (
             "seed=0 mean_side_wait=12.500 max_side_wait=27 "
             "main_green_share=0.600 side_vehicles_served=42 cycles_completed=7")
+
+
+class TestAggregate:
+    def test_no_runs_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^aggregate needs at least one run, got none$"):
+            Metrics.aggregate(iter(()))
+
+
+class TestRunSeeds:
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_a_seed_count_below_1_is_refused_before_a_table_or_a_fork(
+            self, monkeypatch, itlc_spec, default_cfg, seeds):
+        def unreached(*args):
+            raise AssertionError("reached")
+        monkeypatch.setattr(env, "TrafficTable", unreached)
+        monkeypatch.setattr(os, "fork", unreached)
+        runs = run_seeds(itlc_spec, default_cfg, TrafficModel(0.1), seeds)
+        with pytest.raises(ConfigError) as exc:
+            next(runs)
+        assert str(exc.value) == f"seeds must be >= 1, got {seeds}"

@@ -12,9 +12,11 @@ class TestConfig:
         cfg = TimerConfig()
         assert (cfg.short_ticks, cfg.long_ticks) == (4, 16)
 
-    @pytest.mark.parametrize("short,long", [(16, 4), (4, 4), (0, 16), (-1, 3)])
+    # Also a threshold that is not an int: a float, a string or a bool.
+    @pytest.mark.parametrize("short,long", [(16, 4), (4, 4), (0, 16), (-1, 3), (4, 16.5),
+                                            (4.0, 16), ("4", 16), (4, "16"), (True, 16), (4, True)])
     def test_rejects_bad_thresholds(self, short, long):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TimerConfig(short_ticks=short, long_ticks=long)
 
     def test_rejection_message(self):
