@@ -1,17 +1,17 @@
 """Command-line front end: check, simulate, emit, bench.
 
-Exit codes: 0 success, 1 validation/check failure, 2 usage or parse error,
-a refusal from the library (an `FsmError`, as `ConfigError` and `SimError`
-are; a bare `ValueError` is a bug, shown as a traceback), or a stdout that cannot be written.
+Exit codes: 0 success, 1 validation/check failure (`_Findings`), 2 usage or
+parse error, any other refusal (an `FsmError`, as `ConfigError` and `SimError`
+are; a bare `ValueError` is a bug, shown as a traceback), or a stdout that
+cannot be written.  `_say` writes every line fsmkit itself puts on stderr.
 Every subcommand is deterministic given its arguments and input files, and
-writes only to the paths named in its flags (or stdout).  Each one imports
-the modules it runs when it runs, so `check` never loads `sim`, `env` or
-`emit`.  Every subcommand and flag is declared once, in `COMMANDS`: `main`
-matches a valid argv against it directly, and only `--help` and usage
-errors build argparse's parser from it (so only they import argparse), which
-writes every help text and every one-line usage error.  `main(argv)` returns
-the exit code; `run()`, the process entry, flushes and then ends the process
-at once, skipping interpreter teardown.
+writes only to the paths named in its flags (or stdout).  Each one imports the
+modules it runs when it runs, so `check` never loads `sim`, `env` or `emit`.
+Every subcommand and flag is declared once, in `COMMANDS`: `main` matches a
+valid argv against it directly, and only `--help` and usage errors build
+argparse's parser from it (so only they import argparse), which writes every
+help text and every one-line usage error.  `main(argv)` returns the exit code;
+`run()`, the process entry, flushes and ends the process, skipping teardown.
 """
 from __future__ import annotations
 
@@ -29,10 +29,8 @@ from .timer import DEFAULT_LONG_TICKS, DEFAULT_SHORT_TICKS, TimerConfig
 _ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code, self.message = code, message
-        super().__init__(message)
+class _Findings(FsmError):
+    """A machine's findings, in `check`'s format: the one refusal that exits 1."""
 
 
 def _read_text(path: str, what: str) -> str:
@@ -41,7 +39,7 @@ def _read_text(path: str, what: str) -> str:
             # Skips a leading byte-order mark; the "utf-8-sig" codec would cost an import.
             return f.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(2, f"cannot read {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
+        raise FsmError(f"cannot read {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
 
 
 def _write_text(path: str | None, chunks: Iterable[str], what: str) -> None:
@@ -63,7 +61,7 @@ def _write_text(path: str | None, chunks: Iterable[str], what: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.writelines(chunks)
     except OSError as exc:
-        raise _CliError(2, f"cannot write {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
+        raise FsmError(f"cannot write {what} '{path.translate(_ONE_LINE)}': {exc}") from exc
 
 
 def _load_spec(path: str) -> FsmSpec:
@@ -72,7 +70,7 @@ def _load_spec(path: str) -> FsmSpec:
         return dsl.parse(text)
     except dsl.ParseFailure as exc:
         detail = "\n".join(f"{path.translate(_ONE_LINE)}:{e}" for e in exc.errors)
-        raise _CliError(2, detail) from exc
+        raise FsmError(detail) from exc
 
 
 def _findings_text(findings: tuple[Finding, ...]) -> str:
@@ -80,9 +78,8 @@ def _findings_text(findings: tuple[Finding, ...]) -> str:
 
 
 def _require_valid(findings: tuple[Finding, ...]) -> None:
-    """Exit 1 with every finding on stderr, in `check`'s format."""
     if findings:
-        raise _CliError(1, _findings_text(findings).rstrip("\n"))
+        raise _Findings(_findings_text(findings).rstrip("\n"))
 
 
 def cmd_check(args) -> int:
@@ -246,45 +243,49 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  An argv that `_match`
     refuses goes to argparse, which raises SystemExit for `--help` and for
     usage errors; nothing here ends the process."""
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = _match(argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except _CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
-    except FsmError as exc:  # a refusal from the library
-        print(exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # Writing stdout failed; every other OSError is already a _CliError.
+    except FsmError as exc:  # a refusal, from the library or from this module
+        _say(str(exc))
+        return 1 if isinstance(exc, _Findings) else 2
+    except OSError as exc:  # writing stdout failed; any other OSError is an FsmError
         return _output_failed(exc)
     except MemoryError:
-        print("out of memory: the input asks for more than this process can hold", file=sys.stderr)
+        _say("out of memory: the input asks for more than this process can hold")
         return 2
+
+
+def _say(text: str) -> None:
+    """Write `text` and a newline to stderr; a closed or full one loses it, not the exit code."""
+    try:
+        sys.stderr.write(text + "\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 def _output_failed(exc: OSError) -> int:
-    """Exit 2 with one line for a stdout that cannot be written (a closed
-    reader, a full device).  Stdout then points at devnull, so that a later
-    flush cannot fail a second time."""
+    """Exit 2 with one line for an unwritable stdout (a closed reader, a full
+    device), which then points at devnull, so that a flush cannot fail twice."""
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     why = "standard output was closed" if isinstance(exc, BrokenPipeError) else exc.strerror
-    print(f"cannot write output: {why}", file=sys.stderr)
+    _say(f"cannot write output: {why}")
     return 2
 
 
 def run() -> None:
     """The process entry, for `python -m fsmkit.cli` and the `fsmkit` script.
-    After `main`, it flushes stdout and stderr and ends with `os._exit`:
-    interpreter teardown (atexit handlers, freeing every module) does nothing
-    a command needs, and costs about 11 ms (Python 3.11, 2 vCPUs), more than
-    `check` spends parsing and validating a 16-state design."""
+    After `main`, it flushes stdout and ends with `os._exit`: teardown (atexit
+    handlers, freeing every module) does nothing a command needs, and costs
+    about 11 ms (Python 3.11, 2 vCPUs), more than a 16-state `check` takes."""
     if sys.stdout is None:  # started with fd 1 closed: writes to a read-only fd fail alike
         sys.stdout = open(os.open(os.devnull, os.O_RDONLY), "w")
+    if sys.stderr is None:  # fd 2 closed: its lines are lost, and no file opened later takes fd 2
+        sys.stderr = open(os.devnull, "w")
     try:
         code = main()
     except SystemExit as exc:  # argparse: --help or a usage error
@@ -293,7 +294,6 @@ def run() -> None:
         sys.stdout.flush()
     except OSError as exc:
         code = _output_failed(exc)
-    sys.stderr.flush()
     os._exit(code)
 
 

@@ -267,8 +267,9 @@ def run_seeds(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
     seed order, from J = min(seeds, usable CPUs) processes: forked worker j
     (0 < j < J) runs seeds j, j + J, ..., and this process runs seeds 0, J, ...
     and reads each other seed's from its worker when that seed's turn comes.
-    On the first `next()`, a seed count below 1 raises `ConfigError` before
-    a table is built, and a bad spec raises before any fork.  A worker that
+    On the first `next()`, a seed count that is not an int (a bool is not)
+    or is below 1 raises `ConfigError` before a table is built, and a bad
+    spec raises before any fork.  A worker that
     stops early (an error in a run, or killed), or gets no pipe or process,
     leaves the rest of its seeds to this process, so a run's error raises
     here as in a one-process run.  J is 1 where there is no fork.  Workers
@@ -276,6 +277,8 @@ def run_seeds(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
     would take over, and fsmkit starts no threads.  Closing the iterator, or
     running it to its end, reaps every worker, killing it first if it still
     runs."""
+    if seeds.__class__ is not int:  # as `TrafficModel` checks its int fields
+        raise ConfigError(f"seeds must be an int, got {seeds!r}")
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
     table = TrafficTable(spec, cfg)

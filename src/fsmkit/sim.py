@@ -37,7 +37,7 @@ class Stimulus(namedtuple("Stimulus", "runs")):
             if (c.__class__ is not int or reset.__class__ is not int
                     or c not in (0, 1) or reset not in (0, 1)):
                 raise SimError(f"c and reset must be 0 or 1, got c={c!r} reset={reset!r}")
-            if not isinstance(n, int) or n < 1:
+            if n.__class__ is not int or n < 1:
                 raise SimError(f"a run must last an int number of ticks >= 1, got {n!r}")
         return super().__new__(cls, runs)
 

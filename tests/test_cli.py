@@ -774,6 +774,37 @@ class TestInputOutputErrors:
         assert result.stderr == "out of memory: the input asks for more than this process can hold\n"
 
 
+class TestUnwritableStderr:
+    @pytest.mark.parametrize("stderr", ["closed", pytest.param("full", marks=NO_DEV_FULL)])
+    @pytest.mark.parametrize("case, code", [
+        ("check-clean", 0), ("check-missing", 2), ("usage", 2), ("check-findings", 1),
+        ("emit-findings", 1), ("bench", 0)])
+    def test_a_lost_stderr_keeps_the_exit_code_and_stdout(self, tmp_path, gap_fsm, stderr,
+                                                          case, code):
+        argv = {"check-clean": ["check", ITLC],
+                "check-missing": ["check", str(tmp_path / "missing.fsm")],
+                "usage": ["bench", ITLC],  # no --arrival
+                "check-findings": ["check", gap_fsm],  # findings on stdout
+                "emit-findings": ["emit", gap_fsm],  # findings on stderr only
+                "bench": ["bench", ITLC, "--arrival", "0.1", "--seeds", "2", "--horizon", "50"],
+                }[case]
+        command = [sys.executable, "-m", "fsmkit.cli", *argv]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        seen = subprocess.run(command, capture_output=True, timeout=60, env=env)
+        if stderr == "closed":  # started as `fsmkit ... 2>&-`: the process has no fd 2 at all
+            lost = subprocess.run(command, stdout=subprocess.PIPE, timeout=60, env=env,
+                                  preexec_fn=lambda: os.close(2))
+        else:  # every write to stderr fails with ENOSPC
+            with open("/dev/full", "w") as full:
+                lost = subprocess.run(command, stdout=subprocess.PIPE, stderr=full, timeout=60,
+                                      env=env)
+        assert seen.returncode == lost.returncode == code
+        assert lost.stdout == seen.stdout
+        # A refusal has a line to lose; only check's findings and bench write stdout.
+        assert (seen.stderr != b"") == (case in ("check-missing", "usage", "emit-findings"))
+        assert (seen.stdout != b"") == (case in ("check-findings", "bench"))
+
+
 def in_process(argv):
     """(exit code, stdout bytes, stderr bytes) of `main(argv)` with redirected streams."""
     out, err = io.StringIO(), io.StringIO()

@@ -450,7 +450,7 @@ class TestAggregate:
 
 
 class TestRunSeeds:
-    @pytest.mark.parametrize("seeds", [0, -1])
+    @pytest.mark.parametrize("seeds", [0, -1, 2.5, "2", True])
     def test_a_seed_count_below_1_is_refused_before_a_table_or_a_fork(
             self, monkeypatch, itlc_spec, default_cfg, seeds):
         def unreached(*args):
@@ -460,4 +460,7 @@ class TestRunSeeds:
         runs = run_seeds(itlc_spec, default_cfg, TrafficModel(0.1), seeds)
         with pytest.raises(ConfigError) as exc:
             next(runs)
-        assert str(exc.value) == f"seeds must be >= 1, got {seeds}"
+        if seeds.__class__ is int:
+            assert str(exc.value) == f"seeds must be >= 1, got {seeds}"
+        else:  # checked before the range, so "2" raises no TypeError and True is not one seed
+            assert str(exc.value) == f"seeds must be an int, got {seeds!r}"

@@ -564,6 +564,7 @@ class TestClosedLoopTable:
         (((0, 0, -2),), "a run must last an int number of ticks >= 1, got -2"),
         (((1, 0, 2.0),), "a run must last an int number of ticks >= 1, got 2.0"),
         (((1, 0, "2"),), "a run must last an int number of ticks >= 1, got '2'"),
+        (((1, 0, True),), "a run must last an int number of ticks >= 1, got True"),
     ])
     def test_empty_or_bad_length_runs_are_refused(self, runs, message):
         with pytest.raises(SimError) as exc:
@@ -577,6 +578,7 @@ class TestValueTypes:
         (((1, 2, 1),), "c and reset must be 0 or 1, got c=1 reset=2"),
         (((0, 0, 3), (1, 0, 0)), "a run must last an int number of ticks >= 1, got 0"),
         (((1, 0, "2"),), "a run must last an int number of ticks >= 1, got '2'"),
+        (((1, 0, True),), "a run must last an int number of ticks >= 1, got True"),
     ])
     def test_a_stimulus_refuses_bad_runs_also_through_replace(self, runs, message):
         good = constant_stim(3)
