@@ -22,7 +22,7 @@ _EXPORTS = {
     "kernel": ("SimError", "TickRecord"),
     "sim": ("Stimulus", "StimulusError", "Trace", "explore_reachable", "parse_stimulus",
             "simulate", "write_vcd"),
-    "env": ("Metrics", "TrafficModel", "run_env"),
+    "env": ("Metrics", "TrafficModel", "TrafficTable", "run_env"),
     "emit": ("EmitError", "emit_ucf", "emit_verilog", "parse_pin_file"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

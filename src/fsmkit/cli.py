@@ -264,7 +264,7 @@ def _say(text: str) -> None:
     try:
         sys.stderr.write(text + "\n")
         sys.stderr.flush()
-    except OSError:
+    except (OSError, AttributeError):  # sys.stderr is None where fd 2 was closed
         pass
 
 

@@ -82,14 +82,19 @@ def parse_pin_file(text: str) -> tuple[tuple[str, str, str], ...]:
 
 def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
     """UCF constraint text, one NET/LOC line per pin in map order.  First
-    checks, row by row, each row's kind, that its location is one or more
+    checks, row by row, that each row is a tuple or list of three strings
+    (signal, location, kind), its kind, that its location is one or more
     ASCII letters, digits or `_` (so it cannot close the quoted LOC value),
     and that its signal is new; then that every signal is a port of the
     module `emit_verilog` writes (`clk` or a signal `spec` declares), then
     that each kind matches its port's direction; `EmitError` names the
     offenders."""
     seen: set[str] = set()
-    for signal, location, kind in pins:
+    for row in pins:
+        if (not isinstance(row, (tuple, list)) or len(row) != 3
+                or not all(isinstance(field, str) for field in row)):
+            raise EmitError(f"pin row must be three strings (signal, location, kind), got {row!r}")
+        signal, location, kind = row
         if kind not in ("input", "output"):
             raise EmitError(f"pin '{signal}': kind must be input or output, got '{kind}'")
         if not re.fullmatch(r"\w+", location, re.ASCII):

@@ -206,17 +206,12 @@ class TrafficTable:
         return cell
 
 
-def run_env(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
-            table: TrafficTable | None = None) -> Metrics:
-    """Metrics of one run against the traffic model; builds no trace.  Per
-    tick: arrivals (north drawn before south), sensor read, the kernel tick,
-    then side-green service, which cannot change c.  Deterministic for fixed
-    (seed, model, cfg).  Runs given one `TrafficTable(spec, cfg)` fill each of
-    its cells once."""
-    if table is None:
-        table = TrafficTable(spec, cfg)
-    elif table.loop.spec is not spec or table.loop.cfg != cfg:
-        raise ValueError("the traffic table was built for another spec or timer config")
+def run_env(table: TrafficTable, model: TrafficModel) -> Metrics:
+    """Metrics of one run against the traffic model, stepping the spec and
+    timer config of `table`; builds no trace.  Per tick: arrivals (north drawn
+    before south), sensor read, the kernel tick, then side-green service,
+    which cannot change c.  Deterministic for fixed (table, model).  Runs
+    given one table fill each of its cells once."""
     cells, fill = table.cells, table.fill
     horizon, rate = model.horizon, model.service_rate
     at = 0  # 4 * product state
@@ -285,7 +280,7 @@ def run_seeds(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
     _lanes(min(model.horizon, BLOCK_TICKS))  # built once, shared with the workers
 
     def run(seed: int) -> Metrics:
-        return run_env(spec, cfg, model._replace(seed=seed), table)
+        return run_env(table, model._replace(seed=seed))
 
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1

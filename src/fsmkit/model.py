@@ -91,14 +91,17 @@ def eval_guard(expr: GuardExpr, valuation: Mapping[str, int], full: int = 1) -> 
 
 
 def guard_variables(expr: GuardExpr) -> set[str]:
-    """Names of all inputs referenced by a guard."""
-    if isinstance(expr, Var):
+    """Names of all inputs referenced by a guard; a node that is not a `Var`
+    naming a str, a `Not`, an `And`, an `Or` or a `Const` is a `StructuralError`."""
+    if isinstance(expr, Var) and isinstance(expr.name, str):
         return {expr.name}
     if isinstance(expr, Not):
         return guard_variables(expr.operand)
     if isinstance(expr, (And, Or)):
         return guard_variables(expr.left) | guard_variables(expr.right)
-    return set()
+    if isinstance(expr, Const):
+        return set()
+    raise StructuralError(f"not a guard expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +194,12 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
             for p in t.pulses:
                 if p not in spec.pulse_outputs:
                     structural(f"transition emits unknown pulse '{p}'", s.name)
-            unknown = guard_variables(t.guard) - inputs
+            try:
+                unknown = guard_variables(t.guard) - inputs
+            except StructuralError:
+                broken_guard_states.add(s.name)
+                structural(f"transition guard is not a guard expression: {t.guard!r}", s.name)
+                continue
             if unknown:
                 broken_guard_states.add(s.name)
                 for name in sorted(unknown):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from fsmkit import dsl
 from fsmkit.emit import DEFAULT_PIN_ROWS, emit_ucf, emit_verilog
-from fsmkit.env import TrafficModel, run_env
+from fsmkit.env import TrafficModel, TrafficTable, run_env
 from fsmkit.model import moore_output, step_spec, validate
 from fsmkit.sim import explore_reachable, parse_stimulus, simulate, write_vcd
 from fsmkit.timer import TimerConfig
@@ -82,7 +82,7 @@ def test_scenario_ordering():
 
 def test_idle_prioritization():
     metrics = run_env(
-        bundled_spec(), CFG, TrafficModel(0.0, seed=0, horizon=10_000))
+        TrafficTable(bundled_spec(), CFG), TrafficModel(0.0, seed=0, horizon=10_000))
     assert metrics.main_green_share == 1.0
     assert metrics.cycles_completed == 0
     _report("idle prioritization: main road green 100% with no side traffic")
@@ -93,7 +93,7 @@ def test_bounded_side_road_wait():
     spec = bundled_spec()
     for seed in range(20):
         metrics = run_env(
-            spec, CFG, TrafficModel(1.0, seed=seed, horizon=10_000))
+            TrafficTable(spec, CFG), TrafficModel(1.0, seed=seed, horizon=10_000))
         assert metrics.max_side_wait <= WAIT_BOUND, (seed, metrics.max_side_wait)
     assert time.perf_counter() - start < 5.0
     _report(f"bounded side-road wait under saturation (max <= {WAIT_BOUND}, 20 seeds)")
@@ -107,7 +107,7 @@ def test_determinism_and_golden_files():
     assert simulate(spec, CFG, stim) == trace
 
     model = TrafficModel(0.2, seed=5, horizon=2000)
-    assert run_env(spec, CFG, model) == run_env(spec, CFG, model)
+    assert run_env(TrafficTable(spec, CFG), model) == run_env(TrafficTable(spec, CFG), model)
 
     vcd = write_vcd(trace)
     assert write_vcd(trace) == vcd

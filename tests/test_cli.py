@@ -532,10 +532,10 @@ class TestBenchProcesses:
     def test_an_error_at_a_seed_reads_as_on_one_cpu(self, monkeypatch, failing_seed, error):
         # On two CPUs this process runs the even seeds and a worker the odd ones.
         real = env.run_env
-        def run_env(spec, cfg, model, table=None):
+        def run_env(table, model):
             if model.seed == failing_seed:
                 raise error(f"seed {model.seed} refused")
-            return real(spec, cfg, model, table)
+            return real(table, model)
         monkeypatch.setattr(env, "run_env", run_env)
         argv = ["bench", ITLC, "--arrival", "0.1", "--seeds", "7", "--horizon", "300"]
         with cpus(1):
@@ -556,10 +556,10 @@ class TestBenchProcesses:
             monkeypatch.setattr(os, "pipe", mock.Mock(side_effect=OSError(errno.EMFILE, "no")))
         else:
             real = env.run_env
-            def run_env(spec, cfg, model, table=None):
+            def run_env(table, model):
                 if os.getpid() != parent and model.seed > 2:
                     os._exit(1)
-                return real(spec, cfg, model, table)
+                return real(table, model)
             monkeypatch.setattr(env, "run_env", run_env)
         argv = ["bench", ITLC, "--arrival", "0.2", "--seeds", "9", "--horizon", "500"]
         with cpus(1):
@@ -803,6 +803,19 @@ class TestUnwritableStderr:
         # A refusal has a line to lose; only check's findings and bench write stdout.
         assert (seen.stderr != b"") == (case in ("check-missing", "usage", "emit-findings"))
         assert (seen.stdout != b"") == (case in ("check-findings", "bench"))
+
+    @pytest.mark.parametrize("case, code", [
+        ("check-missing", 2), ("check-findings", 1), ("emit-findings", 1)])
+    def test_no_stderr_object_keeps_the_exit_code(self, monkeypatch, tmp_path, gap_fsm, case,
+                                                  code):
+        # In-process, as after `run()` was bypassed with fd 2 closed: sys.stderr is None.
+        argv = {"check-missing": ["check", str(tmp_path / "missing.fsm")],
+                "check-findings": ["check", gap_fsm],
+                "emit-findings": ["emit", gap_fsm],
+                }[case]
+        monkeypatch.setattr(sys, "stderr", None)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == code
 
 
 def in_process(argv):

@@ -57,6 +57,15 @@ class TestEmitUcf:
         assert str(exc.value) == (
             f"pin 'c': location must be ASCII letters, digits or '_', got '{location}'")
 
+    @pytest.mark.parametrize("row", [
+        ("c", "N17"), ("c", "N17", "input", "x"), ("c", 5, "input"), (1, "N17", "input")])
+    def test_a_row_that_is_not_three_strings_is_refused_in_the_first_pass(self, itlc_spec, row):
+        # Row by row, before the later row's bad kind.
+        pins = (("c", "N17", "input"), row, ("ts", "H18", "sideways"))
+        with pytest.raises(EmitError) as exc:
+            emit_ucf(itlc_spec, pins)
+        assert str(exc.value) == f"pin row must be three strings (signal, location, kind), got {row!r}"
+
     def test_board_and_benchmark_locations_pass(self, itlc_spec):
         pins = tuple(("c", loc, "input") for loc in ("P1", "P208", "_", "io_L01P_3"))
         for row in pins + DEFAULT_PIN_ROWS[1:]:

@@ -83,7 +83,8 @@ class TestTabulatedRun:
            horizon=st.integers(1, 400))
     def test_matches_the_untabulated_kernel(self, spec, cfg, seed, p, service_rate, horizon):
         model = TrafficModel(p, seed=seed, horizon=horizon, service_rate=service_rate)
-        assert run_env(spec, cfg, model) == reference_run_env(spec, cfg, model).metrics
+        assert run_env(TrafficTable(spec, cfg), model) == \
+            reference_run_env(spec, cfg, model).metrics
 
     @settings(max_examples=100, deadline=None)
     @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
@@ -95,7 +96,7 @@ class TestTabulatedRun:
                                                                  horizon):
         table = TrafficTable(spec, cfg)
         for seed in seeds:
-            run_env(spec, cfg, TrafficModel(p, seed=seed, horizon=horizon), table)
+            run_env(table, TrafficModel(p, seed=seed, horizon=horizon))
         configs = table.loop.configs
         filled = [(k, cell) for k, cell in enumerate(table.cells) if cell is not None]
         assert filled
@@ -136,7 +137,7 @@ class TestGreenAccounting:
     def test_machines_lacking_a_light_match_the_reference(self, spec, cfg, seed, p,
                                                           service_rate, horizon):
         model = TrafficModel(p, seed=seed, horizon=horizon, service_rate=service_rate)
-        metrics = run_env(spec, cfg, model)
+        metrics = run_env(TrafficTable(spec, cfg), model)
         assert metrics == reference_run_env(spec, cfg, model).metrics
         if "mg" not in spec.moore_outputs:
             assert metrics.main_green_share == 0.0
@@ -146,7 +147,8 @@ class TestGreenAccounting:
         for horizon in range(1, 160):
             model = TrafficModel(0.3, seed=9, horizon=horizon)
             reference = reference_run_env(itlc_spec, default_cfg, model)
-            assert run_env(itlc_spec, default_cfg, model) == reference.metrics, horizon
+            assert run_env(TrafficTable(itlc_spec, default_cfg), model) == reference.metrics, \
+                horizon
             share = reference.metrics.main_green_share
             endings.add((reference.records[-1].moore["mg"], 0 < share < 1))
         # Both endings occur after green has already fallen at least once.
@@ -165,23 +167,15 @@ class TestSharedTable:
         table = TrafficTable(spec, cfg)
         for seed in seeds:
             model = TrafficModel(p, seed=seed, horizon=horizon)
-            assert run_env(spec, cfg, model, table) == reference_run_env(spec, cfg, model).metrics
+            assert run_env(table, model) == reference_run_env(spec, cfg, model).metrics
 
     def test_a_filled_table_is_not_refilled(self, itlc_spec, default_cfg):
         table = TrafficTable(itlc_spec, default_cfg)
         model = TrafficModel(0.3, seed=5, horizon=2000)
-        run_env(itlc_spec, default_cfg, model, table)
+        run_env(table, model)
         filled = sum(cell is not None for cell in table.cells)
-        run_env(itlc_spec, default_cfg, model, table)
+        run_env(table, model)
         assert sum(cell is not None for cell in table.cells) == filled
-
-    def test_a_table_of_another_spec_or_config_is_refused(self, itlc_spec, default_cfg):
-        table = TrafficTable(itlc_spec, default_cfg)
-        model = TrafficModel(0.3, horizon=10)
-        with pytest.raises(ValueError, match="another spec or timer config"):
-            run_env(itlc_spec, TimerConfig(4, 20), model, table)
-        with pytest.raises(ValueError, match="another spec or timer config"):
-            run_env(itlc_spec._replace(name="twin"), default_cfg, model, table)
 
 
 class TestBlockEdges:
@@ -195,7 +189,7 @@ class TestBlockEdges:
     def test_matches_the_untabulated_kernel(self, itlc_spec, default_cfg, horizon, p, seed,
                                             service_rate):
         model = TrafficModel(p, seed=seed, horizon=horizon, service_rate=service_rate)
-        assert run_env(itlc_spec, default_cfg, model) == \
+        assert run_env(TrafficTable(itlc_spec, default_cfg), model) == \
             reference_run_env(itlc_spec, default_cfg, model).metrics
 
     @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0 ** -53, 0.1, 0.5, 1 - 2.0 ** -53, 1.0])
@@ -219,7 +213,8 @@ class TestBlockEdges:
         # Drawing a 200,000-tick horizon at once would take 6.4 MB of lanes.
         tracemalloc.start()
         try:
-            run_env(itlc_spec, default_cfg, TrafficModel(0.1, seed=0, horizon=200_000))
+            run_env(TrafficTable(itlc_spec, default_cfg),
+                    TrafficModel(0.1, seed=0, horizon=200_000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -350,7 +345,7 @@ class TestSplitMix64:
 class TestRunEnv:
     def test_no_side_traffic_keeps_main_green(self, itlc_spec, default_cfg):
         model = TrafficModel(0.0, seed=1, horizon=2000)
-        metrics = run_env(itlc_spec, default_cfg, model)
+        metrics = run_env(TrafficTable(itlc_spec, default_cfg), model)
         assert metrics.main_green_share == 1.0
         assert metrics.side_vehicles_served == 0
         assert metrics.cycles_completed == 0
@@ -362,14 +357,15 @@ class TestRunEnv:
         bound = worst_case_wait_bound(default_cfg)
         for seed in range(5):
             metrics = run_env(
-                itlc_spec, default_cfg,
+                TrafficTable(itlc_spec, default_cfg),
                 TrafficModel(1.0, seed=seed, horizon=2000))
             assert metrics.cycles_completed >= 1
             assert metrics.max_side_wait <= bound
 
     def test_determinism_for_fixed_seed(self, itlc_spec, default_cfg):
         model = TrafficModel(0.3, seed=42, horizon=1500)
-        assert run_env(itlc_spec, default_cfg, model) == run_env(itlc_spec, default_cfg, model)
+        assert run_env(TrafficTable(itlc_spec, default_cfg), model) == \
+            run_env(TrafficTable(itlc_spec, default_cfg), model)
 
     def test_conservation(self, itlc_spec, default_cfg):
         r = reference_run_env(
@@ -410,9 +406,9 @@ class TestRunEnv:
         assert seen == {False, True}  # both directions are exercised
 
     def test_pressure_endpoints(self, itlc_spec, default_cfg):
-        idle = run_env(itlc_spec, default_cfg,
+        idle = run_env(TrafficTable(itlc_spec, default_cfg),
                        TrafficModel(0.0, seed=3, horizon=2000))
-        jammed = run_env(itlc_spec, default_cfg,
+        jammed = run_env(TrafficTable(itlc_spec, default_cfg),
                          TrafficModel(1.0, seed=3, horizon=2000))
         assert idle.main_green_share == 1.0
         assert jammed.main_green_share < idle.main_green_share

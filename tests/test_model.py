@@ -141,6 +141,13 @@ class TestValidate:
         assert "output 'f' assigned non-bit value 1.0" in messages
         assert "transition emits unknown pulse 'zap'" in messages
 
+    @pytest.mark.parametrize("guard", ["c", And(Var("c"), "x"), None, Var(5)])
+    def test_a_guard_that_is_not_an_expression_is_one_structural_finding(self, guard):
+        # The state's coverage is not checked: Var("c") alone would leave a gap at c=0.
+        spec = _single_state_spec([Transition(guard, "A"), Transition(Var("c"), "A")])
+        assert validate(spec) == (Finding(
+            STRUCTURAL, "A", None, f"transition guard is not a guard expression: {guard!r}"),)
+
     def test_reset_valuations_skipped_in_coverage(self):
         # Guards ignore reset entirely; with reset declared the spec is
         # still exhaustive because reset=1 valuations are overridden.

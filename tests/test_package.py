@@ -47,6 +47,43 @@ def test_every_public_exception_is_an_fsm_error():
     assert [e.__name__ for e in errors if not issubclass(e, fsmkit.FsmError)] == []
 
 
+def _library_refusals():
+    """(id, call) pairs: each call is refused by the library."""
+    spec = fsmkit.parse(Path(ITLC).read_text())
+    open_loop = spec._replace(inputs=("c",))  # no reset, ts or tl
+    cfg = fsmkit.TimerConfig()
+    rows = [("c", "N17"), ("c", "N17", "input", "x"), ("c", 5, "input"), (1, "N17", "input")]
+    return [
+        *((f"emit_ucf-{row!r}", lambda row=row: fsmkit.emit_ucf(spec, (row,))) for row in rows),
+        ("TrafficTable-open-loop", lambda: fsmkit.TrafficTable(open_loop, cfg)),
+        ("explore_reachable-open-loop", lambda: fsmkit.explore_reachable(open_loop, cfg)),
+        ("Stimulus-bad-c", lambda: fsmkit.Stimulus(((2, 0, 1),))),
+        ("TimerConfig-str", lambda: fsmkit.TimerConfig("4", 16)),
+        ("TrafficModel-str", lambda: fsmkit.TrafficModel("0.1")),
+        ("run_seeds-float", lambda: next(fsmkit.env.run_seeds(
+            spec, cfg, fsmkit.TrafficModel(0.1), 2.5))),
+        ("aggregate-empty", lambda: fsmkit.Metrics.aggregate([])),
+        ("step_spec-unknown-state", lambda: fsmkit.step_spec(spec, "GONE", {})),
+        ("write_vcd-empty", lambda: fsmkit.write_vcd(fsmkit.Trace(spec, ()))),
+    ]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in _library_refusals()])
+def test_every_library_refusal_is_an_fsm_error(call):
+    # README: every error fsmkit raises for input it refuses is an FsmError.
+    with pytest.raises(fsmkit.FsmError):
+        call()
+
+
+@pytest.mark.parametrize("guard", ["c", fsmkit.And(fsmkit.Var("c"), "x"), None])
+def test_validate_reports_a_non_guard_rather_than_raising(guard):
+    spec = fsmkit.parse(Path(ITLC).read_text())
+    s0 = spec.states[0]
+    bad = s0._replace(transitions=(fsmkit.Transition(guard, "S1"), *s0.transitions))
+    findings = fsmkit.validate(spec._replace(states=(bad, *spec.states[1:])))
+    assert [(f.kind, f.state) for f in findings] == [("structural", s0.name)]
+
+
 def test_every_traced_layer_resolves():
     # The benchmark's traced run wraps these names; resolve each one the way
     # `tracing.installed` does, so that a rename fails here first.

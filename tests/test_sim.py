@@ -12,7 +12,7 @@ from conftest import (
 )
 from fsmkit import dsl, kernel
 from fsmkit.cli import main
-from fsmkit.env import TrafficModel, run_env
+from fsmkit.env import TrafficModel, TrafficTable, run_env
 from fsmkit.model import (
     ContractViolation, FsmSpec, Not, StateDef, StructuralError, Transition, Var,
     moore_output,
@@ -362,8 +362,10 @@ class TestClosedLoopTable:
                                               kernel_calls):
         runs = [
             lambda: simulate(itlc_spec, default_cfg, stim_of("0110" * 1000)),
-            lambda: run_env(itlc_spec, default_cfg, TrafficModel(0.2, seed=3, horizon=4000)),
-            lambda: run_env(itlc_spec, default_cfg, TrafficModel(0.5, seed=4, horizon=4000)),
+            lambda: run_env(TrafficTable(itlc_spec, default_cfg),
+                            TrafficModel(0.2, seed=3, horizon=4000)),
+            lambda: run_env(TrafficTable(itlc_spec, default_cfg),
+                            TrafficModel(0.5, seed=4, horizon=4000)),
         ]
         for run in runs:
             kernel_calls[0] = 0
@@ -508,7 +510,7 @@ class TestClosedLoopTable:
     def test_no_table_in_proportion_to_the_timer_threshold(self, itlc_spec, tables):
         cfg = TimerConfig(4, 10**9)
         simulate(itlc_spec, cfg, constant_stim(300, c=1))
-        run_env(itlc_spec, cfg, TrafficModel(1.0, seed=0, horizon=300))
+        run_env(TrafficTable(itlc_spec, cfg), TrafficModel(1.0, seed=0, horizon=300))
         assert len(tables) == 2
         for table in tables:
             assert len(table.configs) <= 301
@@ -545,9 +547,10 @@ class TestClosedLoopTable:
         with pytest.raises(StructuralError, match="unknown state 'GONE'"):
             simulate(spec, default_cfg, stim_of("00010"))
         # The traffic run sees c=1 on tick 0 at arrival probability 1.
-        assert run_env(spec, default_cfg, TrafficModel(1.0, horizon=1)).cycles_completed == 0
+        metrics = run_env(TrafficTable(spec, default_cfg), TrafficModel(1.0, horizon=1))
+        assert metrics.cycles_completed == 0
         with pytest.raises(StructuralError, match="unknown state 'GONE'"):
-            run_env(spec, default_cfg, TrafficModel(1.0, horizon=2))
+            run_env(TrafficTable(spec, default_cfg), TrafficModel(1.0, horizon=2))
 
     @pytest.mark.parametrize("c, reset", [
         (2, 0), (0, 2), (-1, 0), (1, 3), (1.0, 0), (0, 0.0), (True, 0)])
