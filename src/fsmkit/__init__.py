@@ -20,8 +20,8 @@ _EXPORTS = {
     "dsl": ("ParseError", "ParseFailure", "SourceSpan", "parse", "serialize"),
     "timer": ("TimerConfig", "timer_commit", "timer_outputs"),
     "kernel": ("SimError", "TickRecord"),
-    "sim": ("Stimulus", "StimulusError", "Trace", "explore_reachable", "parse_stimulus",
-            "simulate", "write_vcd"),
+    "sim": ("Stimulus", "StimulusError", "explore_reachable", "parse_stimulus", "simulate",
+            "write_vcd"),
     "env": ("Metrics", "TrafficModel", "TrafficTable", "run_env"),
     "emit": ("EmitError", "emit_ucf", "emit_verilog", "parse_pin_file"),
 }

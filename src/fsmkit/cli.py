@@ -128,7 +128,8 @@ def cmd_bench(args) -> int:
     _require_valid(validate(spec))
     cfg = TimerConfig(args.short, args.long)
     model = env_mod.TrafficModel(args.arrival, 0, args.horizon, args.service_rate)
-    runs = env_mod.run_seeds(spec, cfg, model, args.seeds)  # refuses --seeds < 1 on first read
+    table = env_mod.TrafficTable(spec, cfg)
+    runs = env_mod.run_seeds(table, model, args.seeds)  # refuses --seeds < 1 on first read
 
     def printed():  # each seed's line once its run is in, so memory stays flat in --seeds
         for seed, metrics in enumerate(runs):

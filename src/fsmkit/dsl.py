@@ -31,8 +31,8 @@ from collections.abc import Container, Iterable
 from itertools import accumulate
 
 from .model import (
-    MAX_INPUTS, And, Const, FsmError, FsmSpec, GuardExpr, Not, Or, StateDef, Transition,
-    Var, value_type,
+    MAX_INPUTS, And, Const, FsmError, FsmSpec, GuardExpr, Not, Or, StateDef, StructuralError,
+    Transition, Var, value_type,
 )
 
 SYNTAX = "syntax"
@@ -52,7 +52,6 @@ NAME_RESERVED = frozenset({"when", "emit"})
 MAX_GUARD_DEPTH = 100
 # `parse` also refuses more inputs than `model.MAX_INPUTS`, which validation caps.
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[0-9]+|[!&|(){}=]|\S")
 # A token of _TOKEN_RE is a name exactly when its first character is one of these.
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -343,7 +342,7 @@ def format_guard(expr: GuardExpr, literals: tuple[str, str] = ("0", "1"),
         return literals[1 if expr.value else 0]
     prec = _PREC.get(type(expr))
     if prec is None:
-        raise TypeError(f"not a guard expression: {expr!r}")
+        raise StructuralError(f"not a guard expression: {expr!r}")
     if isinstance(expr, Not):
         text = "!" + format_guard(expr.operand, literals, prec)
     else:

@@ -2,7 +2,7 @@
 and UCF pin-constraint text for board bring-up.
 
 Both emitters are pure text functions; tests pin their output byte-for-byte
-against golden files.  A pin map is a sequence of (signal, location, kind)
+against golden files.  A pin map is an iterable of (signal, location, kind)
 rows, which `emit_ucf` checks against the spec before rendering;
 `DEFAULT_PIN_ROWS` is the board's map for the bundled controller.  Generated
 HDL uses a synchronous dominant reset and registered state, matching the
@@ -12,10 +12,9 @@ toolchain by hand; no synthesis is attempted here.
 """
 from __future__ import annotations
 
-import re
-from collections.abc import Sequence
+from collections.abc import Iterable
 
-from .dsl import _NAME_RE, format_guard
+from .dsl import format_guard
 from .model import Finding, FsmError, FsmSpec, validate
 
 BINARY = "binary"
@@ -80,7 +79,7 @@ def parse_pin_file(text: str) -> tuple[tuple[str, str, str], ...]:
     return tuple(rows)
 
 
-def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
+def emit_ucf(spec: FsmSpec, pins: Iterable[tuple[str, str, str]]) -> str:
     """UCF constraint text, one NET/LOC line per pin in map order.  First
     checks, row by row, that each row is a tuple or list of three strings
     (signal, location, kind), its kind, that its location is one or more
@@ -89,6 +88,7 @@ def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
     module `emit_verilog` writes (`clk` or a signal `spec` declares), then
     that each kind matches its port's direction; `EmitError` names the
     offenders."""
+    pins = tuple(pins)  # one pass, so an iterator is checked and rendered alike
     seen: set[str] = set()
     for row in pins:
         if (not isinstance(row, (tuple, list)) or len(row) != 3
@@ -97,7 +97,7 @@ def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
         signal, location, kind = row
         if kind not in ("input", "output"):
             raise EmitError(f"pin '{signal}': kind must be input or output, got '{kind}'")
-        if not re.fullmatch(r"\w+", location, re.ASCII):
+        if not (location.isascii() and location.replace("_", "0").isalnum()):
             raise EmitError(
                 f"pin '{signal}': location must be ASCII letters, digits or '_', got '{location}'")
         if signal in seen:
@@ -118,8 +118,8 @@ def emit_ucf(spec: FsmSpec, pins: Sequence[tuple[str, str, str]]) -> str:
 # Verilog
 # ---------------------------------------------------------------------------
 
-def _usable(name: str) -> bool:
-    return bool(_NAME_RE.fullmatch(name)) and name not in _VERILOG_KEYWORDS
+def _usable(name: str) -> bool:  # an ASCII identifier is [A-Za-z_][A-Za-z0-9_]*
+    return name.isascii() and name.isidentifier() and name not in _VERILOG_KEYWORDS
 
 
 def _ports(spec: FsmSpec) -> list[tuple[str, str]]:

@@ -22,9 +22,10 @@ an event code.  Arrival ticks, waits, cycle counts and main-green ticks
 change only on event ticks, main green where mg rises or falls; every other
 tick is one lookup.  This module loads `kernel`, not `sim`.
 
-`run_seeds`, what `fsmkit bench` runs, spreads one model's seeds round-robin
-over the usable CPUs, in forked workers with a table each, and yields their
-`Metrics` in seed order, equal to a one-process run's.
+`run_seeds`, what `fsmkit bench` runs, spreads one model's seeds on one
+table round-robin over the usable CPUs, in forked workers that each fill
+their own copy of it, and yields their `Metrics` in seed order, equal to a
+one-process run's.
 """
 from __future__ import annotations
 
@@ -256,27 +257,23 @@ def run_env(table: TrafficTable, model: TrafficModel) -> Metrics:
     )
 
 
-def run_seeds(spec: FsmSpec, cfg: TimerConfig, model: TrafficModel,
-              seeds: int) -> Iterator[Metrics]:
-    """The Metrics of seeds 0 .. seeds-1 of `model` (its own seed unused), in
-    seed order, from J = min(seeds, usable CPUs) processes: forked worker j
-    (0 < j < J) runs seeds j, j + J, ..., and this process runs seeds 0, J, ...
-    and reads each other seed's from its worker when that seed's turn comes.
-    On the first `next()`, a seed count that is not an int (a bool is not)
-    or is below 1 raises `ConfigError` before a table is built, and a bad
-    spec raises before any fork.  A worker that
+def run_seeds(table: TrafficTable, model: TrafficModel, seeds: int) -> Iterator[Metrics]:
+    """The Metrics of seeds 0 .. seeds-1 of `model` (its own seed unused) on
+    `table`, in seed order, from J = min(seeds, usable CPUs) processes: forked
+    worker j (0 < j < J) runs seeds j, j + J, ..., and this process runs seeds
+    0, J, ... and reads each other seed's from its worker when that seed's turn
+    comes.  On the first `next()`, a seed count that is not an int (a bool is
+    not) or is below 1 raises `ConfigError` before any fork.  A worker that
     stops early (an error in a run, or killed), or gets no pipe or process,
-    leaves the rest of its seeds to this process, so a run's error raises
-    here as in a one-process run.  J is 1 where there is no fork.  Workers
-    are forked, not spawned: a fresh interpreter costs more than the runs it
-    would take over, and fsmkit starts no threads.  Closing the iterator, or
-    running it to its end, reaps every worker, killing it first if it still
-    runs."""
+    leaves the rest of its seeds to this process, so a run's error raises here
+    as in a one-process run.  J is 1 where there is no fork.  Workers are
+    forked, not spawned: a fresh interpreter costs more than the runs it would
+    take over, and fsmkit starts no threads.  Closing the iterator, or running
+    it to its end, reaps every worker, killing it first if it still runs."""
     if seeds.__class__ is not int:  # as `TrafficModel` checks its int fields
         raise ConfigError(f"seeds must be an int, got {seeds!r}")
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
-    table = TrafficTable(spec, cfg)
     _lanes(min(model.horizon, BLOCK_TICKS))  # built once, shared with the workers
 
     def run(seed: int) -> Metrics:

@@ -37,8 +37,8 @@ class SimError(FsmError):
 
 @value_type
 class TickRecord(namedtuple("TickRecord", "state inputs moore pulses timer_count")):
-    """One clock of a run; its tick is its index in `Trace.records`.  `inputs`
-    and `moore` map signal names to Bits, `pulses` is a frozenset of names."""
+    """One clock of a run; its tick is its index in what `sim.simulate` returns.
+    `inputs` and `moore` map signal names to Bits, `pulses` a frozenset of names."""
     __slots__ = ()
 
     @property

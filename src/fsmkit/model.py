@@ -87,7 +87,7 @@ def eval_guard(expr: GuardExpr, valuation: Mapping[str, int], full: int = 1) -> 
         return eval_guard(expr.left, valuation, full) | eval_guard(expr.right, valuation, full)
     if isinstance(expr, Const):
         return full if expr.value else 0
-    raise TypeError(f"not a guard expression: {expr!r}")
+    raise StructuralError(f"not a guard expression: {expr!r}")
 
 
 def guard_variables(expr: GuardExpr) -> set[str]:

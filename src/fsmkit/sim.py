@@ -1,13 +1,15 @@
 """Stimulus-driven runs, reachability and the log and VCD renderers over
 `kernel`.  A `Stimulus` holds the kernel's step 1, the external inputs, as
 (c, reset, n) runs, one per `.stim` line, so it grows with the text, not the
-horizon.  A run is rendered from `_ClosedLoop.walk`'s record per table cell
-and path per stimulus run, and no renderer builds a string per tick.  The
-runs from one first key share its path.  The log formats each record's line
-once and each path's lines once, as a list that every run from it slices,
-and yields one string per 1000-tick block, which `fsmkit simulate` writes as
-it comes.  The VCD formats each change of what it shows once, scans each
-path once and replays its changes for every later run from that key.
+horizon.  `simulate` returns one `TickRecord` per tick, which `write_vcd`
+renders under the spec it is given.  The CLI renders a run from
+`_ClosedLoop.walk`'s record per table cell and path per stimulus run, and no
+renderer builds a string per tick; the runs from one first key share its
+path.  The log formats each record's line once and each path's lines once,
+as a list that every run from it slices, and yields one string per 1000-tick
+block, which `fsmkit simulate` writes as it comes.  The VCD formats each
+change of what it shows once, scans each path once and replays its changes
+for every later run from that key.
 """
 from __future__ import annotations
 
@@ -32,7 +34,11 @@ class Stimulus(namedtuple("Stimulus", "runs")):
     def __new__(cls, runs: tuple[tuple[Bit, Bit, int], ...]) -> Stimulus:
         if not runs:
             raise SimError("stimulus must cover at least one tick")
-        for c, reset, n in runs:
+        for run in runs:
+            try:
+                c, reset, n = run
+            except (TypeError, ValueError):  # not iterable, or not three values
+                raise SimError(f"a run must be three values (c, reset, n), got {run!r}") from None
             # `__class__` reads faster than `type()`, and refuses a bool or a float alike.
             if (c.__class__ is not int or reset.__class__ is not int
                     or c not in (0, 1) or reset not in (0, 1)):
@@ -44,11 +50,6 @@ class Stimulus(namedtuple("Stimulus", "runs")):
     @property
     def horizon(self) -> int:
         return sum(n for _, _, n in self.runs)
-
-
-# A run's records, a tuple of TickRecords; its spec names the module, the pulses
-# and the states.
-Trace = value_type(namedtuple("Trace", "spec records"))
 
 
 # Every well-formed field of a tick line, as (signal, bit).
@@ -114,12 +115,12 @@ def parse_stimulus(text: str) -> Stimulus:
     return Stimulus((*runs, (c, reset, horizon - start)))
 
 
-def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> Trace:
-    """Closed-loop run over the stimulus horizon.  Pure: identical arguments
-    give identical traces."""
+def simulate(spec: FsmSpec, cfg: TimerConfig, stim: Stimulus) -> tuple[TickRecord, ...]:
+    """Closed-loop run over the stimulus horizon: one `TickRecord` per tick.
+    Pure: identical arguments give equal records."""
     records, paths = _ClosedLoop(spec, cfg).walk(stim.runs)
     keys = chain.from_iterable(map(islice, paths, (n for _, _, n in stim.runs)))
-    return Trace(spec, tuple(map(records.__getitem__, keys)))
+    return tuple(map(records.__getitem__, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +192,19 @@ def _vcd_id(index: int) -> str:
     return chars
 
 
-def write_vcd(trace: Trace) -> str:
-    """Render a trace as minimal standard VCD text (1 tick = 1 ns).
+def write_vcd(spec: FsmSpec, records: Sequence[TickRecord]) -> str:
+    """Render one record per tick as minimal standard VCD text (1 tick = 1 ns).
 
     Declares one wire per input, pulse, and Moore output plus a vector
     `state` variable; dumps initial values at #0 and afterwards only the
-    signals that changed.  Byte-identical for equal traces.
+    signals that changed.  Byte-identical for equal arguments.
     """
-    if not trace.records:
+    if not records:
         raise SimError("cannot write VCD for an empty trace")
     # Records of one table cell are one object.  Every keyed record lives in
-    # `trace.records` until we return, so its id cannot be reused for another.
-    ids = list(map(id, trace.records))
-    return render_vcd(trace.spec, dict(zip(ids, trace.records)), [ids], [len(ids)])
+    # `records` until we return, so its id cannot be reused for another.
+    ids = list(map(id, records))
+    return render_vcd(spec, dict(zip(ids, records)), [ids], [len(ids)])
 
 
 def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],

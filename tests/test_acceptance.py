@@ -65,14 +65,14 @@ def test_safety_model_check():
 
 def test_scenario_ordering():
     spec = bundled_spec()
-    trace = simulate(spec, CFG, parse_stimulus(bundled_stimulus_source()))
-    phases = [k for k, _ in itertools.groupby(r.state for r in trace.records)]
+    records = simulate(spec, CFG, parse_stimulus(bundled_stimulus_source()))
+    phases = [k for k, _ in itertools.groupby(r.state for r in records)]
     assert phases == ["S0", "S1", "S2", "S3", "S0"]
     expected_lights = {
         "S0": {"mg": 1, "sr": 1}, "S1": {"my": 1, "sr": 1},
         "S2": {"mr": 1, "sg": 1}, "S3": {"mr": 1, "sy": 1},
     }
-    for tick, r in enumerate(trace.records):
+    for tick, r in enumerate(records):
         want = expected_lights[r.state]
         for name in ("mg", "my", "mr", "sg", "sy", "sr"):
             assert r.moore[name] == want.get(name, 0), (tick, name)
@@ -103,14 +103,14 @@ def test_determinism_and_golden_files():
     spec = bundled_spec()
     stim = parse_stimulus(bundled_stimulus_source())
 
-    trace = simulate(spec, CFG, stim)
-    assert simulate(spec, CFG, stim) == trace
+    records = simulate(spec, CFG, stim)
+    assert simulate(spec, CFG, stim) == records
 
     model = TrafficModel(0.2, seed=5, horizon=2000)
     assert run_env(TrafficTable(spec, CFG), model) == run_env(TrafficTable(spec, CFG), model)
 
-    vcd = write_vcd(trace)
-    assert write_vcd(trace) == vcd
+    vcd = write_vcd(spec, records)
+    assert write_vcd(spec, records) == vcd
     assert vcd.encode() == (REPO / "golden" / "itlc_scenario.vcd").read_bytes()
 
     verilog = emit_verilog(spec)

@@ -16,6 +16,8 @@ from fsmkit.model import Const, FsmSpec, StateDef, Transition, Var
 from conftest import valid_machines
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+# Strings on both sides of the rules for a module name and a pin location.
+NAME_BOUNDARY = ["_a1", "a1", "1a", "", "a-b", "é", "aé", "N17", "P_1", "N 17"]
 
 
 class TestEmitUcf:
@@ -65,6 +67,23 @@ class TestEmitUcf:
         with pytest.raises(EmitError) as exc:
             emit_ucf(itlc_spec, pins)
         assert str(exc.value) == f"pin row must be three strings (signal, location, kind), got {row!r}"
+
+    def test_an_iterator_of_rows_is_read_once(self, itlc_spec):
+        assert emit_ucf(itlc_spec, iter(DEFAULT_PIN_ROWS)) == emit_ucf(itlc_spec, DEFAULT_PIN_ROWS)
+        # Each row passes the first check; each map fails a later one.
+        with pytest.raises(EmitError, match="^pin map names signals absent from spec 'itlc': nope$"):
+            emit_ucf(itlc_spec, iter((("c", "N17", "input"), ("nope", "A1", "input"))))
+        with pytest.raises(EmitError, match="^pin kind disagrees with spec 'itlc' for signals: c$"):
+            emit_ucf(itlc_spec, iter((("c", "N17", "output"),)))
+
+    @pytest.mark.parametrize("location", NAME_BOUNDARY)
+    def test_a_location_is_ascii_word_characters(self, itlc_spec, location):
+        if re.fullmatch(r"\w+", location, re.ASCII):
+            assert emit_ucf(itlc_spec, (("c", location, "input"),)) == (
+                f'NET "c" LOC = "{location}";\n')
+        else:
+            with pytest.raises(EmitError, match="location must be ASCII letters"):
+                emit_ucf(itlc_spec, (("c", location, "input"),))
 
     def test_board_and_benchmark_locations_pass(self, itlc_spec):
         pins = tuple(("c", loc, "input") for loc in ("P1", "P208", "_", "io_L01P_3"))
@@ -194,6 +213,15 @@ class TestEmitVerilog:
             initial_state="A")
         with pytest.raises(EmitError, match="state"):
             emit_verilog(spec)
+
+    @pytest.mark.parametrize("name", NAME_BOUNDARY)
+    def test_a_module_name_is_an_ascii_identifier(self, itlc_spec, name):
+        spec = itlc_spec._replace(name=name)
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            assert f"\nmodule {name} (\n" in emit_verilog(spec)
+        else:
+            with pytest.raises(EmitError, match="is not a valid HDL module name$"):
+                emit_verilog(spec)
 
     def test_bad_module_name(self):
         spec = FsmSpec(

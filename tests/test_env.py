@@ -447,16 +447,24 @@ class TestAggregate:
 
 class TestRunSeeds:
     @pytest.mark.parametrize("seeds", [0, -1, 2.5, "2", True])
-    def test_a_seed_count_below_1_is_refused_before_a_table_or_a_fork(
+    def test_a_seed_count_below_1_is_refused_before_a_fork(
             self, monkeypatch, itlc_spec, default_cfg, seeds):
         def unreached(*args):
             raise AssertionError("reached")
-        monkeypatch.setattr(env, "TrafficTable", unreached)
         monkeypatch.setattr(os, "fork", unreached)
-        runs = run_seeds(itlc_spec, default_cfg, TrafficModel(0.1), seeds)
+        runs = run_seeds(TrafficTable(itlc_spec, default_cfg), TrafficModel(0.1), seeds)
         with pytest.raises(ConfigError) as exc:
             next(runs)
         if seeds.__class__ is int:
             assert str(exc.value) == f"seeds must be >= 1, got {seeds}"
         else:  # checked before the range, so "2" raises no TypeError and True is not one seed
             assert str(exc.value) == f"seeds must be an int, got {seeds!r}"
+
+    def test_sweeps_sharing_a_table_match_fresh_tables(self, itlc_spec, default_cfg):
+        # A sweep over arrival probabilities keeps one table's cells.
+        table = TrafficTable(itlc_spec, default_cfg)
+        for p in (0.1, 0.3):
+            model = TrafficModel(p, horizon=2000)
+            fresh = [run_env(TrafficTable(itlc_spec, default_cfg), model._replace(seed=seed))
+                     for seed in range(3)]
+            assert list(run_seeds(table, model, 3)) == fresh

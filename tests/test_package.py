@@ -51,6 +51,9 @@ def _library_refusals():
     """(id, call) pairs: each call is refused by the library."""
     spec = fsmkit.parse(Path(ITLC).read_text())
     open_loop = spec._replace(inputs=("c",))  # no reset, ts or tl
+    s0 = spec.states[0]
+    non_guard = spec._replace(states=(s0._replace(transitions=(fsmkit.Transition("c", "S1"),)),
+                                      *spec.states[1:]))
     cfg = fsmkit.TimerConfig()
     rows = [("c", "N17"), ("c", "N17", "input", "x"), ("c", 5, "input"), (1, "N17", "input")]
     return [
@@ -58,13 +61,20 @@ def _library_refusals():
         ("TrafficTable-open-loop", lambda: fsmkit.TrafficTable(open_loop, cfg)),
         ("explore_reachable-open-loop", lambda: fsmkit.explore_reachable(open_loop, cfg)),
         ("Stimulus-bad-c", lambda: fsmkit.Stimulus(((2, 0, 1),))),
+        *((f"Stimulus-{runs!r}", lambda runs=runs: fsmkit.Stimulus(runs))
+          for runs in (((0, 1),), ((0, 0, 1, 1),), (5,))),
+        ("simulate-non-guard", lambda: fsmkit.simulate(
+            non_guard, cfg, fsmkit.Stimulus(((0, 0, 3),)))),
+        ("step_spec-non-guard", lambda: fsmkit.step_spec(
+            non_guard, "S0", {"reset": 0, "c": 1, "ts": 0, "tl": 0})),
+        ("serialize-non-guard", lambda: fsmkit.serialize(non_guard)),
         ("TimerConfig-str", lambda: fsmkit.TimerConfig("4", 16)),
         ("TrafficModel-str", lambda: fsmkit.TrafficModel("0.1")),
         ("run_seeds-float", lambda: next(fsmkit.env.run_seeds(
-            spec, cfg, fsmkit.TrafficModel(0.1), 2.5))),
+            fsmkit.TrafficTable(spec, cfg), fsmkit.TrafficModel(0.1), 2.5))),
         ("aggregate-empty", lambda: fsmkit.Metrics.aggregate([])),
         ("step_spec-unknown-state", lambda: fsmkit.step_spec(spec, "GONE", {})),
-        ("write_vcd-empty", lambda: fsmkit.write_vcd(fsmkit.Trace(spec, ()))),
+        ("write_vcd-empty", lambda: fsmkit.write_vcd(spec, ())),
     ]
 
 
@@ -82,6 +92,26 @@ def test_validate_reports_a_non_guard_rather_than_raising(guard):
     bad = s0._replace(transitions=(fsmkit.Transition(guard, "S1"), *s0.transitions))
     findings = fsmkit.validate(spec._replace(states=(bad, *spec.states[1:])))
     assert [(f.kind, f.state) for f in findings] == [("structural", s0.name)]
+
+
+def test_no_module_imports_another_modules_private_name():
+    # `kernel._ClosedLoop` is the one private name that other modules share.
+    found = []
+    for path in sorted((REPO / "src" / "fsmkit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the fsmkit module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:  # `from . import env as env_mod`
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.append((path.stem, node.module, alias.name))
+        found += [(path.stem, modules[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    assert [f for f in found if f[1:] != ("kernel", "_ClosedLoop")] == []
+    assert ("cli", "kernel", "_ClosedLoop") in found  # the check sees attribute access
 
 
 def test_every_traced_layer_resolves():
@@ -243,7 +273,7 @@ def public_values():
             f.Finding("gap", "A", {"a": 0}, "no guard"), f.SourceSpan(1, 2, 3),
             f.ParseError(f.SourceSpan(1, 1, 1), "syntax", "bad"), f.TimerConfig(),
             f.Stimulus(((0, 0, 5),)), f.TickRecord("S0", {"c": 0}, {"mg": 1}, frozenset(), 0),
-            f.Trace(spec, ()), f.TrafficModel(0.1), f.Metrics(1.5, 3, 0.5, 2, 1)]
+            f.TrafficModel(0.1), f.Metrics(1.5, 3, 0.5, 2, 1)]
 
 
 def test_every_public_value_type_is_a_slotted_namedtuple():

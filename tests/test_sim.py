@@ -19,7 +19,7 @@ from fsmkit.model import (
 )
 from fsmkit.kernel import SimError, closed_loop_tick
 from fsmkit.sim import (
-    Stimulus, StimulusError, Trace, parse_stimulus, simulate, write_vcd, explore_reachable,
+    Stimulus, StimulusError, parse_stimulus, simulate, write_vcd, explore_reachable,
 )
 from fsmkit.timer import TimerConfig, timer_outputs
 
@@ -54,7 +54,7 @@ def reference_simulate(spec, cfg, stim):
     for c, reset in per_tick(stim.runs):
         record, state, count = closed_loop_tick(spec, cfg, state, count, c, reset)
         records.append(record)
-    return Trace(spec, tuple(records))
+    return tuple(records)
 
 
 def read_stim_per_tick(text):
@@ -69,27 +69,26 @@ def read_stim_per_tick(text):
     return ticks
 
 
-def with_distinct_records(trace):
-    """The same trace with every record a distinct object."""
-    distinct = trace._replace(records=tuple(r._replace() for r in trace.records))
-    assert len({id(r) for r in distinct.records}) == len(trace.records)
+def with_distinct_records(records):
+    """The same records, every one a distinct object."""
+    distinct = tuple(r._replace() for r in records)
+    assert len({id(r) for r in distinct}) == len(records)
     return distinct
 
 
-def per_tick_log(trace):
+def per_tick_log(records):
     """`fsmkit simulate`'s log, formatted afresh on every tick."""
     return "".join(
         f"{tick} {r.state} c={r.inputs['c']} ts={r.inputs['ts']} tl={r.inputs['tl']} "
         f"st={r.st} " + "".join(str(r.moore.get(n, 0)) for n in ("mg", "my", "mr", "sg", "sy", "sr"))
-        + "\n" for tick, r in enumerate(trace.records))
+        + "\n" for tick, r in enumerate(records))
 
 
-def per_tick_vcd(trace):
+def per_tick_vcd(spec, records):
     """`write_vcd`'s text from README's rules, formatted afresh on every tick:
     a wire per input, pulse and Moore output in spec order, then the state
     vector; `#0` dumps every value, and each later tick whose shown values
     differ from the previous tick's writes the ones that changed."""
-    spec = trace.spec
     signals = [*spec.inputs, *spec.pulse_outputs, *spec.moore_outputs]
     printable = [chr(c) for c in range(33, 127)]  # codes '!'..'~', then '!!', '!"', ...
     id_codes = ("".join(p) for width in itertools.count(1)
@@ -101,7 +100,7 @@ def per_tick_vcd(trace):
              *(f"$var wire 1 {i} {name} $end" for i, name in zip(ids, signals)),
              f"$var wire {width} {ids[-1]} state $end", "$upscope $end", "$enddefinitions $end"]
     before = None
-    for tick, r in enumerate(trace.records):
+    for tick, r in enumerate(records):
         values = {**r.inputs, **{p: int(p in r.pulses) for p in spec.pulse_outputs}, **r.moore}
         shown = [f"{values[name]}{i}" for name, i in zip(signals, ids)]
         shown.append(f"b{code[r.state]:0{width}b} {ids[-1]}")
@@ -293,24 +292,24 @@ class TestParseStimulus:
 
 class TestSimulate:
     def test_idle_stays_in_initial_state(self, itlc_spec, default_cfg):
-        trace = simulate(itlc_spec, default_cfg, constant_stim(64))
-        assert len(trace.records) == 64
-        for r in trace.records:
+        records = simulate(itlc_spec, default_cfg, constant_stim(64))
+        assert len(records) == 64
+        for r in records:
             assert r.state == "S0"
             assert r.moore["mg"] == 1 and r.moore["sr"] == 1
 
     def test_hand_verified_closed_loop_trace(self, itlc_spec, default_cfg):
-        trace = simulate(itlc_spec, default_cfg, constant_stim(44, c=1))
+        records = simulate(itlc_spec, default_cfg, constant_stim(44, c=1))
         runs = [(k, len(list(g)))
-                for k, g in itertools.groupby(r.state for r in trace.records)]
+                for k, g in itertools.groupby(r.state for r in records)]
         assert runs == [("S0", 17), ("S1", 5), ("S2", 17), ("S3", 5)]
-        assert [t for t, r in enumerate(trace.records) if r.st] == [16, 21, 38, 43]
+        assert [t for t, r in enumerate(records) if r.st] == [16, 21, 38, 43]
 
     def test_reset_forces_initial_state_next_tick(self, itlc_spec, default_cfg):
-        trace = simulate(itlc_spec, default_cfg, Stimulus(((1, 0, 20), (1, 1, 1), (1, 0, 9))))
-        assert trace.records[20].state != "S0"  # mid-cycle when reset hits
-        assert trace.records[21].state == "S0"
-        assert trace.records[20].st == 0  # reset does not pulse the timer
+        records = simulate(itlc_spec, default_cfg, Stimulus(((1, 0, 20), (1, 1, 1), (1, 0, 9))))
+        assert records[20].state != "S0"  # mid-cycle when reset hits
+        assert records[21].state == "S0"
+        assert records[20].st == 0  # reset does not pulse the timer
 
     def test_wrong_input_set_rejected_before_tick_zero(self, default_cfg):
         from fsmkit import dsl
@@ -320,15 +319,15 @@ class TestSimulate:
             simulate(other, default_cfg, constant_stim(4))
 
     def test_record_consistency(self, itlc_spec, default_cfg):
-        trace = simulate(itlc_spec, default_cfg, constant_stim(44, c=1))
-        for r in trace.records:
+        records = simulate(itlc_spec, default_cfg, constant_stim(44, c=1))
+        for r in records:
             assert dict(r.moore) == moore_output(itlc_spec, r.state)
             ts, tl = timer_outputs(default_cfg, r.timer_count)
             assert (r.inputs["ts"], r.inputs["tl"]) == (ts, tl)
 
     def test_closed_loop_pulse_law(self, itlc_spec, default_cfg):
-        trace = simulate(itlc_spec, default_cfg, constant_stim(100, c=1))
-        for a, b in zip(trace.records, trace.records[1:]):
+        records = simulate(itlc_spec, default_cfg, constant_stim(100, c=1))
+        for a, b in zip(records, records[1:]):
             assert a.st == (1 if b.state != a.state else 0)
 
     @pytest.mark.parametrize("cfg", [TimerConfig(4, 16), TimerConfig(8, 64)])
@@ -379,10 +378,10 @@ class TestClosedLoopTable:
         repeated_runs(TimerConfig(4, 16)),
     ], ids=["bits", "repeated-runs"])
     def test_no_record_is_built_per_tick(self, itlc_spec, default_cfg, tables, stim):
-        trace = simulate(itlc_spec, default_cfg, stim)
+        records = simulate(itlc_spec, default_cfg, stim)
         filled = sum(cell is not None for cell in tables[0].cells)
-        assert len(trace.records) == stim.horizon
-        assert len({id(r) for r in trace.records}) <= filled
+        assert len(records) == stim.horizon
+        assert len({id(r) for r in records}) <= filled
         # `walk` hands over each hit cell's own record once, keyed by cell,
         # and one path per first key, no longer than the longest run from it.
         loop = kernel._ClosedLoop(itlc_spec, default_cfg)
@@ -404,15 +403,15 @@ class TestClosedLoopTable:
     @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
            cfg=timer_configs(), stim=stimuli)
     def test_shared_records_render_like_distinct_ones(self, spec, cfg, stim, tmp_path_factory):
-        trace = simulate(spec, cfg, stim)
-        vcd = write_vcd(with_distinct_records(trace))
-        assert write_vcd(trace) == vcd
+        records = simulate(spec, cfg, stim)
+        vcd = write_vcd(spec, with_distinct_records(records))
+        assert write_vcd(spec, records) == vcd
         # The CLI, which renders per table cell, against per-tick formatters
         # over the untabulated run and against write_vcd over distinct records.
         log, cli_vcd = cli_outputs(spec, cfg, stim, tmp_path_factory.mktemp("log"))
         reference = reference_simulate(spec, cfg, stim)
         assert log == per_tick_log(reference)
-        assert cli_vcd == vcd == per_tick_vcd(reference)
+        assert cli_vcd == vcd == per_tick_vcd(spec, reference)
 
     @settings(max_examples=15, deadline=None)
     @given(spec=st.one_of(st.just(bundled_spec()), closed_loop_machines()),
@@ -452,8 +451,8 @@ class TestClosedLoopTable:
         reference = reference_simulate(spec, cfg, stim)
         log, vcd = cli_outputs(spec, cfg, stim, tmp_path_factory.mktemp("long"))
         assert first_difference(log, per_tick_log(reference)) is None
-        assert first_difference(vcd, per_tick_vcd(reference)) is None
-        assert write_vcd(simulate(spec, cfg, stim)) == vcd
+        assert first_difference(vcd, per_tick_vcd(spec, reference)) is None
+        assert write_vcd(spec, simulate(spec, cfg, stim)) == vcd
 
     @pytest.mark.parametrize("horizon", [1, 2, 999, 1000, 1001, 1999, 2000, 2001,
                                          9999, 10000, 10001, 100001])
@@ -470,7 +469,7 @@ class TestClosedLoopTable:
         reference = reference_simulate(itlc_spec, default_cfg, stim)
         log, vcd = cli_outputs(itlc_spec, default_cfg, stim, tmp_path)
         assert first_difference(log, per_tick_log(reference)) is None
-        assert first_difference(vcd, per_tick_vcd(reference)) is None
+        assert first_difference(vcd, per_tick_vcd(itlc_spec, reference)) is None
 
     def test_simulate_memory_at_50k_ticks(self, tmp_path):
         # c toggles after 1-80 ticks; reset is high for 1-3 ticks about once
@@ -526,7 +525,7 @@ class TestClosedLoopTable:
     def test_unvalidated_guards_fail_at_the_first_bad_tick(self, source, bits, k, message,
                                                           default_cfg):
         spec = dsl.parse(source)
-        assert len(simulate(spec, default_cfg, stim_of(bits[:k])).records) == k
+        assert len(simulate(spec, default_cfg, stim_of(bits[:k]))) == k
         for run in (simulate, reference_simulate):
             with pytest.raises(ContractViolation) as exc:
                 run(spec, default_cfg, stim_of(bits[:k + 1]))
@@ -541,9 +540,9 @@ class TestClosedLoopTable:
 
     def test_undeclared_state_fails_on_the_next_tick(self, default_cfg):
         spec = into_undeclared_state()
-        trace = simulate(spec, default_cfg, stim_of("0001"))  # fires on the final tick
-        assert [r.state for r in trace.records] == ["S0"] * 4
-        assert trace == reference_simulate(spec, default_cfg, stim_of("0001"))
+        records = simulate(spec, default_cfg, stim_of("0001"))  # fires on the final tick
+        assert [r.state for r in records] == ["S0"] * 4
+        assert records == reference_simulate(spec, default_cfg, stim_of("0001"))
         with pytest.raises(StructuralError, match="unknown state 'GONE'"):
             simulate(spec, default_cfg, stim_of("00010"))
         # The traffic run sees c=1 on tick 0 at arrival probability 1.
@@ -568,6 +567,9 @@ class TestClosedLoopTable:
         (((1, 0, 2.0),), "a run must last an int number of ticks >= 1, got 2.0"),
         (((1, 0, "2"),), "a run must last an int number of ticks >= 1, got '2'"),
         (((1, 0, True),), "a run must last an int number of ticks >= 1, got True"),
+        (((0, 1),), "a run must be three values (c, reset, n), got (0, 1)"),
+        (((0, 0, 1, 1),), "a run must be three values (c, reset, n), got (0, 0, 1, 1)"),
+        ((5,), "a run must be three values (c, reset, n), got 5"),
     ])
     def test_empty_or_bad_length_runs_are_refused(self, runs, message):
         with pytest.raises(SimError) as exc:
@@ -582,6 +584,9 @@ class TestValueTypes:
         (((0, 0, 3), (1, 0, 0)), "a run must last an int number of ticks >= 1, got 0"),
         (((1, 0, "2"),), "a run must last an int number of ticks >= 1, got '2'"),
         (((1, 0, True),), "a run must last an int number of ticks >= 1, got True"),
+        (((0, 1),), "a run must be three values (c, reset, n), got (0, 1)"),
+        (((0, 0, 1, 1),), "a run must be three values (c, reset, n), got (0, 0, 1, 1)"),
+        ((5,), "a run must be three values (c, reset, n), got 5"),
     ])
     def test_a_stimulus_refuses_bad_runs_also_through_replace(self, runs, message):
         good = constant_stim(3)
@@ -600,17 +605,16 @@ class TestValueTypes:
             stim.runs = ()
 
     def test_records_and_traces_equal_only_their_own_type(self, itlc_spec, default_cfg):
-        trace = simulate(itlc_spec, default_cfg, constant_stim(20, c=1))
-        record = trace.records[16]  # S0 leaves on tl & c: the first st
+        records = simulate(itlc_spec, default_cfg, constant_stim(20, c=1))
+        record = records[16]  # S0 leaves on tl & c: the first st
         assert record.st == 1 and record._replace(pulses=frozenset()).st == 0
         assert record._replace() == record and record._replace() is not record
         assert record != tuple(record) and tuple(record) != record
-        assert trace == Trace(itlc_spec, trace.records) and trace != tuple(trace)
-        assert with_distinct_records(trace) == trace
+        assert with_distinct_records(records) == records
         with pytest.raises(AttributeError):
             record.state = "S1"
-        with pytest.raises(AttributeError):
-            trace.records = ()
+        with pytest.raises(TypeError):
+            records[16] = record._replace()
 
 
 class TestReachability:
@@ -636,24 +640,24 @@ class TestReachability:
 class TestWriteVcd:
     def test_an_empty_trace_is_refused(self, itlc_spec):
         with pytest.raises(SimError, match="^cannot write VCD for an empty trace$"):
-            write_vcd(Trace(itlc_spec, ()))
+            write_vcd(itlc_spec, ())
 
     def test_open_loop_constant_trace_has_single_section(self, itlc_spec, default_cfg):
         # One record repeated as distinct objects: every (previous, current)
         # pair misses write_vcd's cache and is rendered afresh.
-        record = simulate(itlc_spec, default_cfg, constant_stim(1)).records[0]
-        vcd = write_vcd(with_distinct_records(Trace(itlc_spec, (record,) * 64)))
+        record = simulate(itlc_spec, default_cfg, constant_stim(1))[0]
+        vcd = write_vcd(itlc_spec, with_distinct_records((record,) * 64))
         sections = [l for l in vcd.splitlines() if l.startswith("#")]
         assert sections == ["#0"]
 
     def test_closed_loop_idle_changes_only_timer_levels(self, itlc_spec, default_cfg):
-        vcd = write_vcd(simulate(itlc_spec, default_cfg, constant_stim(64)))
+        vcd = write_vcd(itlc_spec, simulate(itlc_spec, default_cfg, constant_stim(64)))
         sections = [l for l in vcd.splitlines() if l.startswith("#")]
         # ts rises at short expiry, tl at long expiry; nothing else moves.
         assert sections == ["#0", "#4", "#16"]
 
     def test_main_amber_first_appears_at_tick_17(self, itlc_spec, default_cfg):
-        vcd = write_vcd(simulate(itlc_spec, default_cfg, constant_stim(44, c=1)))
+        vcd = write_vcd(itlc_spec, simulate(itlc_spec, default_cfg, constant_stim(44, c=1)))
         lines = vcd.splitlines()
         my_id = next(
             l.split()[3] for l in lines if l.startswith("$var") and " my " in l)
@@ -668,22 +672,22 @@ class TestWriteVcd:
 
     def test_byte_identical_across_runs(self, itlc_spec, default_cfg):
         stim = parse_stimulus(bundled_stimulus_source())
-        a = write_vcd(simulate(itlc_spec, default_cfg, stim))
-        b = write_vcd(simulate(itlc_spec, default_cfg, stim))
+        a = write_vcd(itlc_spec, simulate(itlc_spec, default_cfg, stim))
+        b = write_vcd(itlc_spec, simulate(itlc_spec, default_cfg, stim))
         assert a == b
 
     def test_golden_scenario_vcd(self, itlc_spec, default_cfg):
         stim = parse_stimulus(bundled_stimulus_source())
-        vcd = write_vcd(simulate(itlc_spec, default_cfg, stim))
+        vcd = write_vcd(itlc_spec, simulate(itlc_spec, default_cfg, stim))
         assert vcd.encode() == (GOLDEN / "itlc_scenario.vcd").read_bytes()
 
     def test_per_tick_rules_give_the_golden_scenario_vcd(self, itlc_spec, default_cfg):
         stim = parse_stimulus(bundled_stimulus_source())
-        vcd = per_tick_vcd(reference_simulate(itlc_spec, default_cfg, stim))
+        vcd = per_tick_vcd(itlc_spec, reference_simulate(itlc_spec, default_cfg, stim))
         assert vcd.encode() == (GOLDEN / "itlc_scenario.vcd").read_bytes()
 
     def test_declares_every_signal_and_state_vector(self, itlc_spec, default_cfg):
-        vcd = write_vcd(simulate(itlc_spec, default_cfg, constant_stim(4)))
+        vcd = write_vcd(itlc_spec, simulate(itlc_spec, default_cfg, constant_stim(4)))
         for name in ("reset", "c", "ts", "tl", "st",
                      "mg", "my", "mr", "sg", "sy", "sr"):
             assert f" {name} $end" in vcd
@@ -693,14 +697,14 @@ class TestWriteVcd:
 
     def test_inputs_are_declared_in_spec_order(self, itlc_spec, default_cfg):
         spec = itlc_spec._replace(inputs=("tl", "ts", "c", "reset"))
-        vcd = write_vcd(simulate(spec, default_cfg, constant_stim(40, c=1)))
+        vcd = write_vcd(spec, simulate(spec, default_cfg, constant_stim(40, c=1)))
         declared = [l.split()[4] for l in vcd.splitlines() if l.startswith("$var")]
         assert declared == ["tl", "ts", "c", "reset", "st", "mg", "my", "mr", "sg", "sy", "sr",
                             "state"]
 
     def test_a_repeated_input_name_keeps_one_code(self, itlc_spec, default_cfg):
         # simulate refuses a spec that lists an input twice, but write_vcd
-        # takes any trace.  Both of its wires take the name's code, and every
+        # takes any spec with any records.  Both of its wires take the name's code, and every
         # value line writes a declared code.
         spec = itlc_spec._replace(inputs=(*itlc_spec.inputs, "c"))
         with pytest.raises(SimError) as refused:
@@ -708,8 +712,8 @@ class TestWriteVcd:
         assert str(refused.value) == (
             "closed-loop simulation needs inputs exactly ['c', 'reset', 'tl', 'ts'], "
             "spec 'itlc' has ['reset', 'c', 'ts', 'tl', 'c']")
-        records = simulate(itlc_spec, default_cfg, repeated_runs(default_cfg)).records
-        lines = write_vcd(Trace(spec, records)).splitlines()
+        records = simulate(itlc_spec, default_cfg, repeated_runs(default_cfg))
+        lines = write_vcd(spec, records).splitlines()
         declared = {l.split()[4]: l.split()[3] for l in lines if l.startswith("$var")}
         assert [l.split()[3] for l in lines if l.endswith(" c $end")] == [declared["c"]] * 2
         values = [l for l in lines if l[:1] in "01"]
@@ -720,12 +724,12 @@ class TestWriteVcd:
 class TestScenarioOrdering:
     def test_bundled_stimulus_walks_the_full_cycle(self, itlc_spec, default_cfg):
         stim = parse_stimulus(bundled_stimulus_source())
-        trace = simulate(itlc_spec, default_cfg, stim)
-        phases = [k for k, _ in itertools.groupby(r.state for r in trace.records)]
+        records = simulate(itlc_spec, default_cfg, stim)
+        phases = [k for k, _ in itertools.groupby(r.state for r in records)]
         assert phases == ["S0", "S1", "S2", "S3", "S0"]
         patterns = {r.state: (r.moore["mg"], r.moore["my"], r.moore["mr"],
                               r.moore["sg"], r.moore["sy"], r.moore["sr"])
-                    for r in trace.records}
+                    for r in records}
         assert patterns["S0"] == (1, 0, 0, 0, 0, 1)
         assert patterns["S1"] == (0, 1, 0, 0, 0, 1)
         assert patterns["S2"] == (0, 0, 1, 1, 0, 0)
