@@ -336,7 +336,7 @@ def format_guard(expr: GuardExpr, literals: tuple[str, str] = ("0", "1"),
                  _parent_prec: int = 0) -> str:
     """Canonical text of a guard, with minimal parentheses.  `literals`
     spells the constants 0 and 1, e.g. ("1'b0", "1'b1") for Verilog."""
-    if isinstance(expr, Var):
+    if isinstance(expr, Var) and isinstance(expr.name, str):
         return expr.name
     if isinstance(expr, Const):
         return literals[1 if expr.value else 0]

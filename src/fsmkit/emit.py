@@ -81,14 +81,19 @@ def parse_pin_file(text: str) -> tuple[tuple[str, str, str], ...]:
 
 def emit_ucf(spec: FsmSpec, pins: Iterable[tuple[str, str, str]]) -> str:
     """UCF constraint text, one NET/LOC line per pin in map order.  First
-    checks, row by row, that each row is a tuple or list of three strings
-    (signal, location, kind), its kind, that its location is one or more
-    ASCII letters, digits or `_` (so it cannot close the quoted LOC value),
-    and that its signal is new; then that every signal is a port of the
-    module `emit_verilog` writes (`clk` or a signal `spec` declares), then
-    that each kind matches its port's direction; `EmitError` names the
-    offenders."""
-    pins = tuple(pins)  # one pass, so an iterator is checked and rendered alike
+    checks that `pins` is iterable, then, row by row, that each row is a
+    tuple or list of three strings (signal, location, kind), its kind, that
+    its location is one or more ASCII letters, digits or `_` (so it cannot
+    close the quoted LOC value), and that its signal is new; then that every
+    signal is a port of the module `emit_verilog` writes (`clk` or a signal
+    `spec` declares), then that each kind matches its port's direction;
+    `EmitError` names the offenders."""
+    try:
+        rows = iter(pins)
+    except TypeError:
+        raise EmitError(
+            f"pins must be an iterable of (signal, location, kind) rows, got {pins!r}") from None
+    pins = tuple(rows)  # one pass, so an iterator is checked and rendered alike
     seen: set[str] = set()
     for row in pins:
         if (not isinstance(row, (tuple, list)) or len(row) != 3

@@ -40,17 +40,14 @@ def _same_type_eq(self, other: object) -> bool:
     return type(other) is type(self) and tuple.__eq__(self, other)
 
 
-def _same_type_ne(self, other: object) -> bool:
-    return not _same_type_eq(self, other)
-
-
 def value_type(cls):
     """Class decorator for a namedtuple: equal only to a value of the same type,
     since a plain tuple compares by its items alone (`And(a, b) == Or(a, b)`
     would hold), and hashed as its tuple, so equal values hash equal.  A class
     validating in `__new__` also validates what `_replace` builds via `_make`,
     which unpacks a list: an iterator's argument tuple is oversized, then shrunk."""
-    cls.__eq__, cls.__ne__, cls.__hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+    # tuple's own `__ne__` compares items; `object.__ne__` inverts `__eq__`.
+    cls.__eq__, cls.__ne__, cls.__hash__ = _same_type_eq, object.__ne__, tuple.__hash__
     if "__new__" in vars(cls):
         cls._make = classmethod(lambda cls, iterable: cls(*list(iterable)))
     return cls
@@ -60,7 +57,7 @@ def value_type(cls):
 # Guard expressions
 # ---------------------------------------------------------------------------
 
-# A Var names an input; a Const's value is a Bit; the other fields are GuardExprs.
+# A Var names an input, as a str; a Const's value is a Bit; the other fields are GuardExprs.
 Var = value_type(namedtuple("Var", "name"))
 Not = value_type(namedtuple("Not", "operand"))
 And = value_type(namedtuple("And", "left right"))
@@ -74,7 +71,7 @@ GuardExpr = Var | Not | And | Or | Const
 def eval_guard(expr: GuardExpr, valuation: Mapping[str, int], full: int = 1) -> int:
     """Evaluate a guard under an input valuation, returning 0 or 1; or, with each
     input mapped to its mask over N valuations and `full` = 2^N - 1, its truth table."""
-    if isinstance(expr, Var):
+    if isinstance(expr, Var) and isinstance(expr.name, str):
         try:
             return valuation[expr.name]
         except KeyError:
@@ -87,20 +84,6 @@ def eval_guard(expr: GuardExpr, valuation: Mapping[str, int], full: int = 1) -> 
         return eval_guard(expr.left, valuation, full) | eval_guard(expr.right, valuation, full)
     if isinstance(expr, Const):
         return full if expr.value else 0
-    raise StructuralError(f"not a guard expression: {expr!r}")
-
-
-def guard_variables(expr: GuardExpr) -> set[str]:
-    """Names of all inputs referenced by a guard; a node that is not a `Var`
-    naming a str, a `Not`, an `And`, an `Or` or a `Const` is a `StructuralError`."""
-    if isinstance(expr, Var) and isinstance(expr.name, str):
-        return {expr.name}
-    if isinstance(expr, Not):
-        return guard_variables(expr.operand)
-    if isinstance(expr, (And, Or)):
-        return guard_variables(expr.left) | guard_variables(expr.right)
-    if isinstance(expr, Const):
-        return set()
     raise StructuralError(f"not a guard expression: {expr!r}")
 
 
@@ -149,6 +132,14 @@ MAX_INPUTS = 16
 Finding = value_type(namedtuple("Finding", "kind state valuation message"))
 
 
+class _Reads(dict):
+    """The declared inputs at 0; reading any other name adds it to `unknown`."""
+
+    def __missing__(self, name: str) -> Bit:
+        self.unknown.add(name)
+        return 0
+
+
 def validate(spec: FsmSpec) -> tuple[Finding, ...]:
     """Check structure plus guard determinism and exhaustiveness; returns the
     findings, and an empty tuple means the spec is clean.
@@ -162,11 +153,11 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
     def structural(message: str, state: str | None = None) -> None:
         findings.append(Finding(STRUCTURAL, state, None, message))
 
-    seen_states: set[str] = set()
+    declared: set[str] = set()
     for s in spec.states:
-        if s.name in seen_states:
+        if s.name in declared:
             structural(f"duplicate state name '{s.name}'", s.name)
-        seen_states.add(s.name)
+        declared.add(s.name)
 
     seen_signals: set[str] = set()
     for sig in (*spec.inputs, *spec.moore_outputs, *spec.pulse_outputs):
@@ -174,13 +165,13 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
             structural(f"duplicate signal name '{sig}'")
         seen_signals.add(sig)
 
-    declared = set(spec.state_names())
     if spec.initial_state not in declared:
         structural(f"initial state '{spec.initial_state}' is not declared")
     if spec.reset_input is not None and spec.reset_input not in spec.inputs:
         structural(f"reset input '{spec.reset_input}' is not a declared input")
 
-    inputs = set(spec.inputs)
+    reads = _Reads.fromkeys(spec.inputs, 0)
+    unknown = reads.unknown = set()  # the undeclared names the current guard reads
     broken_guard_states: set[str] = set()
     for s in spec.states:
         for out, bit in s.moore_assignments.items():
@@ -195,15 +186,17 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
                 if p not in spec.pulse_outputs:
                     structural(f"transition emits unknown pulse '{p}'", s.name)
             try:
-                unknown = guard_variables(t.guard) - inputs
+                eval_guard(t.guard, reads)
             except StructuralError:
                 broken_guard_states.add(s.name)
                 structural(f"transition guard is not a guard expression: {t.guard!r}", s.name)
+                unknown.clear()
                 continue
             if unknown:
                 broken_guard_states.add(s.name)
                 for name in sorted(unknown):
                     structural(f"guard references unknown input '{name}'", s.name)
+                unknown.clear()
     n = len(spec.inputs)
     if n > MAX_INPUTS:
         structural(f"{n} inputs declared; at most {MAX_INPUTS} are supported")

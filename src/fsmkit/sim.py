@@ -28,17 +28,19 @@ class StimulusError(SimError):
 
 @value_type
 class Stimulus(namedtuple("Stimulus", "runs")):
-    """External inputs as runs: each (c, reset, n) holds for n ticks."""
+    """External inputs as runs, a tuple of (c, reset, n) tuples: each holds for n ticks."""
     __slots__ = ()
 
     def __new__(cls, runs: tuple[tuple[Bit, Bit, int], ...]) -> Stimulus:
+        # A list hashes not at all, and an iterator reads empty once checked.
+        if runs.__class__ is not tuple:
+            raise SimError(f"stimulus runs must be a tuple of (c, reset, n) tuples, got {runs!r}")
         if not runs:
             raise SimError("stimulus must cover at least one tick")
         for run in runs:
-            try:
-                c, reset, n = run
-            except (TypeError, ValueError):  # not iterable, or not three values
-                raise SimError(f"a run must be three values (c, reset, n), got {run!r}") from None
+            if run.__class__ is not tuple or len(run) != 3:
+                raise SimError(f"a run must be three values (c, reset, n), got {run!r}")
+            c, reset, n = run
             # `__class__` reads faster than `type()`, and refuses a bool or a float alike.
             if (c.__class__ is not int or reset.__class__ is not int
                     or c not in (0, 1) or reset not in (0, 1)):
@@ -197,14 +199,25 @@ def write_vcd(spec: FsmSpec, records: Sequence[TickRecord]) -> str:
 
     Declares one wire per input, pulse, and Moore output plus a vector
     `state` variable; dumps initial values at #0 and afterwards only the
-    signals that changed.  Byte-identical for equal arguments.
+    signals that changed.  Byte-identical for equal arguments.  An item that
+    is not a `TickRecord`, or a record in a state the spec does not declare
+    or without a value for each input and Moore output it declares, is a
+    `SimError`.
     """
     if not records:
         raise SimError("cannot write VCD for an empty trace")
-    # Records of one table cell are one object.  Every keyed record lives in
-    # `records` until we return, so its id cannot be reused for another.
+    # Records of one table cell are one object, so each is checked once.  Every
+    # keyed record lives in `records` until we return, so its id cannot be
+    # reused for another.
     ids = list(map(id, records))
-    return render_vcd(spec, dict(zip(ids, records)), [ids], [len(ids)])
+    keyed = dict(zip(ids, records))
+    states = spec.state_names()
+    for r in keyed.values():
+        if (r.__class__ is not TickRecord or r.state not in states
+                or not all(name in r.inputs for name in spec.inputs)
+                or not all(name in r.moore for name in spec.moore_outputs)):
+            raise SimError(f"spec '{spec.name}' does not describe the record {r!r}")
+    return render_vcd(spec, keyed, [ids], [len(ids)])
 
 
 def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],

@@ -141,12 +141,26 @@ class TestValidate:
         assert "output 'f' assigned non-bit value 1.0" in messages
         assert "transition emits unknown pulse 'zap'" in messages
 
-    @pytest.mark.parametrize("guard", ["c", And(Var("c"), "x"), None, Var(5)])
+    @pytest.mark.parametrize("guard", ["c", And(Var("c"), "x"), None, Var(5),
+                                       And(Var("ghost"), "x")])
     def test_a_guard_that_is_not_an_expression_is_one_structural_finding(self, guard):
         # The state's coverage is not checked: Var("c") alone would leave a gap at c=0.
+        # An unknown input read before the bad node is not reported, here or below.
         spec = _single_state_spec([Transition(guard, "A"), Transition(Var("c"), "A")])
         assert validate(spec) == (Finding(
             STRUCTURAL, "A", None, f"transition guard is not a guard expression: {guard!r}"),)
+
+    def test_each_unknown_input_of_a_guard_is_one_finding_in_name_order(self):
+        spec = _single_state_spec([Transition(Or(And(Var("zeta"), Var("c")), Var("alpha")), "A"),
+                                   Transition(Not(Var("c")), "A")])
+        assert [f.message for f in validate(spec)] == [
+            "guard references unknown input 'alpha'", "guard references unknown input 'zeta'"]
+
+    def test_each_transition_reading_an_unknown_input_has_its_own_finding(self):
+        spec = _single_state_spec([Transition(And(Var("x"), Var("c")), "A"),
+                                   Transition(Not(Var("x")), "A")])
+        assert validate(spec) == (Finding(
+            STRUCTURAL, "A", None, "guard references unknown input 'x'"),) * 2
 
     def test_reset_valuations_skipped_in_coverage(self):
         # Guards ignore reset entirely; with reset declared the spec is

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fsmkit
+from fsmkit.emit import InvalidSpecError
 
 REPO = Path(__file__).resolve().parent.parent
 TRACING = REPO / "perfbench" / "tracing.py"
@@ -55,14 +56,21 @@ def _library_refusals():
     non_guard = spec._replace(states=(s0._replace(transitions=(fsmkit.Transition("c", "S1"),)),
                                       *spec.states[1:]))
     cfg = fsmkit.TimerConfig()
+    records = fsmkit.simulate(spec, cfg, fsmkit.Stimulus(((1, 0, 30),)))  # visits S0-S2
+    undescribed = {"two-states": spec._replace(states=spec.states[:2]),
+                   "extra-moore": spec._replace(moore_outputs=(*spec.moore_outputs, "extra"))}
     rows = [("c", "N17"), ("c", "N17", "input", "x"), ("c", 5, "input"), (1, "N17", "input")]
     return [
         *((f"emit_ucf-{row!r}", lambda row=row: fsmkit.emit_ucf(spec, (row,))) for row in rows),
+        *((f"emit_ucf-pins-{pins!r}", lambda pins=pins: fsmkit.emit_ucf(spec, pins))
+          for pins in (None, 5)),
         ("TrafficTable-open-loop", lambda: fsmkit.TrafficTable(open_loop, cfg)),
         ("explore_reachable-open-loop", lambda: fsmkit.explore_reachable(open_loop, cfg)),
         ("Stimulus-bad-c", lambda: fsmkit.Stimulus(((2, 0, 1),))),
         *((f"Stimulus-{runs!r}", lambda runs=runs: fsmkit.Stimulus(runs))
-          for runs in (((0, 1),), ((0, 0, 1, 1),), (5,))),
+          for runs in (((0, 1),), ((0, 0, 1, 1),), (5,), ([0, 0, 3],),
+                       ({0: "x", 1: "y", 2: "z"},), [(0, 0, 3)], 5)),
+        ("Stimulus-iterator", lambda: fsmkit.Stimulus(iter([(0, 0, 3)]))),
         ("simulate-non-guard", lambda: fsmkit.simulate(
             non_guard, cfg, fsmkit.Stimulus(((0, 0, 3),)))),
         ("step_spec-non-guard", lambda: fsmkit.step_spec(
@@ -75,6 +83,9 @@ def _library_refusals():
         ("aggregate-empty", lambda: fsmkit.Metrics.aggregate([])),
         ("step_spec-unknown-state", lambda: fsmkit.step_spec(spec, "GONE", {})),
         ("write_vcd-empty", lambda: fsmkit.write_vcd(spec, ())),
+        *((f"write_vcd-{name}", lambda other=other: fsmkit.write_vcd(other, records))
+          for name, other in undescribed.items()),
+        ("write_vcd-not-records", lambda: fsmkit.write_vcd(spec, [1, 2])),
     ]
 
 
@@ -92,6 +103,31 @@ def test_validate_reports_a_non_guard_rather_than_raising(guard):
     bad = s0._replace(transitions=(fsmkit.Transition(guard, "S1"), *s0.transitions))
     findings = fsmkit.validate(spec._replace(states=(bad, *spec.states[1:])))
     assert [(f.kind, f.state) for f in findings] == [("structural", s0.name)]
+
+
+@pytest.mark.parametrize("guard", [
+    "c", None, fsmkit.And(fsmkit.Var("c"), "x"), fsmkit.Var(5), fsmkit.Var([1]),
+    fsmkit.Not(fsmkit.Var(("c",)))], ids=repr)
+def test_every_guard_reader_refuses_the_same_non_guards(guard):
+    # A Var names a str.  validate, every run, serialize and the emitter
+    # agree on that with the parser, each with its own kind of FsmError.
+    spec = fsmkit.parse(Path(ITLC).read_text())
+    s0 = spec.states[0]
+    spec = spec._replace(states=(s0._replace(transitions=(fsmkit.Transition(guard, "S1"),)),
+                                 *spec.states[1:]))
+    assert fsmkit.validate(spec) == (fsmkit.Finding(
+        "structural", "S0", None, f"transition guard is not a guard expression: {guard!r}"),)
+    cfg = fsmkit.TimerConfig()
+    for run in (lambda: fsmkit.step_spec(spec, "S0", {"reset": 0, "c": 1, "ts": 0, "tl": 0}),
+                lambda: fsmkit.simulate(spec, cfg, fsmkit.Stimulus(((0, 0, 3),))),
+                lambda: fsmkit.run_env(fsmkit.TrafficTable(spec, cfg),
+                                       fsmkit.TrafficModel(0.5, horizon=10)),
+                lambda: fsmkit.explore_reachable(spec, cfg),
+                lambda: fsmkit.serialize(spec)):
+        with pytest.raises(fsmkit.StructuralError):
+            run()
+    with pytest.raises(InvalidSpecError):
+        fsmkit.emit_verilog(spec)
 
 
 def test_no_module_imports_another_modules_private_name():

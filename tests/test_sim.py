@@ -30,6 +30,25 @@ def constant_stim(n, c=0, reset=0):
     return Stimulus(((c, reset, n),))
 
 
+# Runs that are not a tuple of tuples: a list or a dict does not hash, an
+# iterator would read empty once a check had used it up, and an int is no runs.
+_RUNS_ITERATOR = iter([(0, 0, 3)])
+NON_TUPLE_RUNS = [
+    pytest.param(([0, 0, 3],), "a run must be three values (c, reset, n), got [0, 0, 3]",
+                 id="list-run"),
+    pytest.param(({0: "x", 1: "y", 2: "z"},),
+                 "a run must be three values (c, reset, n), got {0: 'x', 1: 'y', 2: 'z'}",
+                 id="dict-run"),
+    pytest.param([(0, 0, 3)],
+                 "stimulus runs must be a tuple of (c, reset, n) tuples, got [(0, 0, 3)]",
+                 id="list-of-runs"),
+    pytest.param(_RUNS_ITERATOR, "stimulus runs must be a tuple of (c, reset, n) tuples, "
+                 f"got {_RUNS_ITERATOR!r}", id="iterator-of-runs"),
+    pytest.param(5, "stimulus runs must be a tuple of (c, reset, n) tuples, got 5",
+                 id="int-runs"),
+]
+
+
 def repeated_runs(cfg, lengths=(30, 5, 60)):
     """c=1 runs of `lengths` ticks, each after `reset` held for `long_ticks`
     ticks.  Reset does not restart the timer, so the hold saturates it and
@@ -570,6 +589,7 @@ class TestClosedLoopTable:
         (((0, 1),), "a run must be three values (c, reset, n), got (0, 1)"),
         (((0, 0, 1, 1),), "a run must be three values (c, reset, n), got (0, 0, 1, 1)"),
         ((5,), "a run must be three values (c, reset, n), got 5"),
+        *NON_TUPLE_RUNS,
     ])
     def test_empty_or_bad_length_runs_are_refused(self, runs, message):
         with pytest.raises(SimError) as exc:
@@ -587,6 +607,7 @@ class TestValueTypes:
         (((0, 1),), "a run must be three values (c, reset, n), got (0, 1)"),
         (((0, 0, 1, 1),), "a run must be three values (c, reset, n), got (0, 0, 1, 1)"),
         ((5,), "a run must be three values (c, reset, n), got 5"),
+        *NON_TUPLE_RUNS,
     ])
     def test_a_stimulus_refuses_bad_runs_also_through_replace(self, runs, message):
         good = constant_stim(3)
