@@ -31,8 +31,8 @@ from collections.abc import Container, Iterable
 from itertools import accumulate
 
 from .model import (
-    MAX_INPUTS, And, Const, FsmError, FsmSpec, GuardExpr, Not, Or, StateDef, StructuralError,
-    Transition, Var, value_type,
+    MAX_GUARD_DEPTH, MAX_INPUTS, And, Const, FsmError, FsmSpec, GuardExpr, Not, Or, StateDef,
+    Transition, Var, check_spec, value_type,
 )
 
 SYNTAX = "syntax"
@@ -45,12 +45,7 @@ BAD_BIT = "bad-bit"
 # named `reset`).  Only the in-line markers are truly ambiguous.
 NAME_RESERVED = frozenset({"when", "emit"})
 
-# Cap on guard nesting, applied to parentheses and to the operators on any
-# root-to-leaf path.  Parsing recurses at most 3 frames per parenthesis,
-# evaluation, printing and emission 1 per operator: all stay under the
-# default limit 1000.
-MAX_GUARD_DEPTH = 100
-# `parse` also refuses more inputs than `model.MAX_INPUTS`, which validation caps.
+# `parse` caps inputs at MAX_INPUTS, and a guard's parentheses and operators at MAX_GUARD_DEPTH.
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[0-9]+|[!&|(){}=]|\S")
 # A token of _TOKEN_RE is a name exactly when its first character is one of these.
@@ -336,13 +331,11 @@ def format_guard(expr: GuardExpr, literals: tuple[str, str] = ("0", "1"),
                  _parent_prec: int = 0) -> str:
     """Canonical text of a guard, with minimal parentheses.  `literals`
     spells the constants 0 and 1, e.g. ("1'b0", "1'b1") for Verilog."""
-    if isinstance(expr, Var) and isinstance(expr.name, str):
+    if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Const):
         return literals[1 if expr.value else 0]
-    prec = _PREC.get(type(expr))
-    if prec is None:
-        raise StructuralError(f"not a guard expression: {expr!r}")
+    prec = _PREC[type(expr)]
     if isinstance(expr, Not):
         text = "!" + format_guard(expr.operand, literals, prec)
     else:
@@ -356,6 +349,7 @@ def serialize(spec: FsmSpec) -> str:
     """Canonical `.fsm` text: fixed directive order, declaration-order states
     and transitions, assignments ordered by output declaration.  Byte-stable
     for equal specs, and a fixed point of parse-then-serialize."""
+    check_spec(spec)
     lines = [f"fsm {spec.name}"]
     if spec.inputs:
         lines.append("inputs " + " ".join(spec.inputs))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .dsl import format_guard
-from .model import Finding, FsmError, FsmSpec, validate
+from .model import Finding, FsmError, FsmSpec, check_spec, pin_rows, shown, validate
 
 BINARY = "binary"
 ONE_HOT = "onehot"
@@ -80,26 +80,12 @@ def parse_pin_file(text: str) -> tuple[tuple[str, str, str], ...]:
 
 
 def emit_ucf(spec: FsmSpec, pins: Iterable[tuple[str, str, str]]) -> str:
-    """UCF constraint text, one NET/LOC line per pin in map order.  First
-    checks that `pins` is iterable, then, row by row, that each row is a
-    tuple or list of three strings (signal, location, kind), its kind, that
-    its location is one or more ASCII letters, digits or `_` (so it cannot
-    close the quoted LOC value), and that its signal is new; then that every
-    signal is a port of the module `emit_verilog` writes (`clk` or a signal
-    `spec` declares), then that each kind matches its port's direction;
-    `EmitError` names the offenders."""
-    try:
-        rows = iter(pins)
-    except TypeError:
-        raise EmitError(
-            f"pins must be an iterable of (signal, location, kind) rows, got {pins!r}") from None
-    pins = tuple(rows)  # one pass, so an iterator is checked and rendered alike
+    """UCF constraint text, one NET/LOC line per pin in map order; README's
+    pins file section says which maps it refuses, with an `EmitError`."""
+    check_spec(spec)
+    pins = pin_rows(pins, EmitError)  # one pass, so an iterator is checked and rendered alike
     seen: set[str] = set()
-    for row in pins:
-        if (not isinstance(row, (tuple, list)) or len(row) != 3
-                or not all(isinstance(field, str) for field in row)):
-            raise EmitError(f"pin row must be three strings (signal, location, kind), got {row!r}")
-        signal, location, kind = row
+    for signal, location, kind in pins:
         if kind not in ("input", "output"):
             raise EmitError(f"pin '{signal}': kind must be input or output, got '{kind}'")
         if not (location.isascii() and location.replace("_", "0").isalnum()):
@@ -163,7 +149,7 @@ def emit_verilog(spec: FsmSpec, encoding: str = BINARY) -> str:
     findings = validate(spec)
     if findings:
         raise InvalidSpecError(
-            f"spec '{spec.name}' has {len(findings)} validation findings; "
+            f"spec {shown(spec.name)} has {len(findings)} validation findings; "
             "emit requires a clean spec", findings)
     _check_identifiers(spec, encoding)
 

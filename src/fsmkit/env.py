@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .kernel import _ClosedLoop
-from .model import ConfigError, FsmSpec, moore_output, value_type
+from .model import ConfigError, FsmSpec, is_int, is_number, shown, value_type
 from .timer import TimerConfig
 
 _MASK64 = (1 << 64) - 1
@@ -114,12 +114,11 @@ class TrafficModel(namedtuple("TrafficModel", "arrival_prob seed horizon service
 
     def __new__(cls, arrival_prob: float, seed: int = 0, horizon: int = 1000,
                 service_rate: int = 1) -> TrafficModel:
-        # `__class__` refuses a bool, and a float for an int, as `Stimulus` does for its bits.
-        if arrival_prob.__class__ not in (int, float):
-            raise ConfigError(f"arrival_prob must be an int or a float, got {arrival_prob!r}")
+        if not is_number(arrival_prob):
+            raise ConfigError(f"arrival_prob must be an int or a float, got {shown(arrival_prob)}")
         for name, value in ("seed", seed), ("horizon", horizon), ("service_rate", service_rate):
-            if value.__class__ is not int:
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an int, got {shown(value)}")
         if not 0.0 <= arrival_prob <= 1.0:
             raise ConfigError(f"arrival_prob must be in [0, 1], got {arrival_prob}")
         if horizon < 1:
@@ -145,9 +144,11 @@ class Metrics(namedtuple("Metrics", "mean_side_wait max_side_wait main_green_sha
     def aggregate(cls, runs: Iterable[Metrics]) -> Metrics:
         """Across runs: means of means and shares, maximum of maxima, sums of
         counts.  One pass, summing in run order, so `runs` may be a generator;
-        no runs at all is a `ConfigError`."""
+        no runs at all, or one that is no `Metrics` of numbers, is a `ConfigError`."""
         k = wait = worst = share = served = cycles = 0
         for m in runs:
+            if m.__class__ is not Metrics or not all(map(is_number, m)):
+                raise ConfigError("aggregate needs runs that are Metrics of numbers")
             k += 1
             wait += m.mean_side_wait
             worst = max(worst, m.max_side_wait)
@@ -182,10 +183,6 @@ class TrafficTable:
     def __init__(self, spec: FsmSpec, cfg: TimerConfig):
         self.loop = _ClosedLoop(spec, cfg)
         self.initial = spec.initial_state
-        # Whether each state shows mg.  An undeclared state reads as dark here;
-        # the kernel refuses it on the tick that starts in it.
-        self.main_green = {s.name: bool(moore_output(spec, s.name).get("mg"))
-                           for s in spec.states}
         self.cells: list[tuple[int, int] | None] = [None] * 16
 
     def fill(self, k: int) -> tuple[int, int]:
@@ -199,7 +196,7 @@ class TrafficTable:
         state = loop.configs[nxt][0]
         if record.state != self.initial and state == self.initial:
             event |= _CYCLE
-        green = self.main_green.get(state, False)
+        green = bool(loop.moore.get(state, {}).get("mg"))  # an undeclared state is dark
         if green != bool(record.moore.get("mg")):
             event |= _RISE if green else _FALL
         self.cells.extend((None,) * (16 * len(loop.configs) - len(self.cells)))
@@ -246,7 +243,7 @@ def run_env(table: TrafficTable, model: TrafficModel) -> Metrics:
                 green -= tick + 1
             elif event & _FALL:
                 green += tick + 1
-    if table.main_green.get(table.loop.configs[at >> 4][0]):
+    if table.loop.moore.get(table.loop.configs[at >> 4][0], {}).get("mg"):
         green += horizon  # the last stretch is still green
     return Metrics(
         mean_side_wait=(total / served) if served else 0.0,
@@ -262,16 +259,15 @@ def run_seeds(table: TrafficTable, model: TrafficModel, seeds: int) -> Iterator[
     `table`, in seed order, from J = min(seeds, usable CPUs) processes: forked
     worker j (0 < j < J) runs seeds j, j + J, ..., and this process runs seeds
     0, J, ... and reads each other seed's from its worker when that seed's turn
-    comes.  On the first `next()`, a seed count that is not an int (a bool is
-    not) or is below 1 raises `ConfigError` before any fork.  A worker that
-    stops early (an error in a run, or killed), or gets no pipe or process,
-    leaves the rest of its seeds to this process, so a run's error raises here
-    as in a one-process run.  J is 1 where there is no fork.  Workers are
+    comes.  A bad seed count raises on the first `next()`, before any fork.
+    A worker that stops early (an error in a run, or killed), or gets no pipe
+    or process, leaves the rest of its seeds to this process, so a run's error
+    raises here as in a one-process run.  J is 1 where there is no fork.  Workers are
     forked, not spawned: a fresh interpreter costs more than the runs it would
     take over, and fsmkit starts no threads.  Closing the iterator, or running
     it to its end, reaps every worker, killing it first if it still runs."""
-    if seeds.__class__ is not int:  # as `TrafficModel` checks its int fields
-        raise ConfigError(f"seeds must be an int, got {seeds!r}")
+    if not is_int(seeds):
+        raise ConfigError(f"seeds must be an int, got {shown(seeds)}")
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
     _lanes(min(model.horizon, BLOCK_TICKS))  # built once, shared with the workers

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import Bit, FsmError, FsmSpec, moore_output, step_spec, value_type
+from .model import Bit, FsmError, FsmSpec, check_spec, step_spec, value_type
 from .timer import TimerConfig, timer_commit, timer_outputs
 
 CLOSED_LOOP_INPUTS = frozenset({"reset", "c", "ts", "tl"})
@@ -46,36 +46,40 @@ class TickRecord(namedtuple("TickRecord", "state inputs moore pulses timer_count
         return 1 if START_PULSE in self.pulses else 0
 
 
-def closed_loop_tick(spec: FsmSpec, cfg: TimerConfig, state: str, count: int,
-                     c: Bit, reset: Bit) -> tuple[TickRecord, str, int]:
-    """One closed-loop clock, steps 2-5 above.  Returns the tick's record, the
-    next state and the next timer count."""
-    ts, tl = timer_outputs(cfg, count)
-    valuation = {"reset": reset, "c": c, "ts": ts, "tl": tl}
-    next_state, pulses = step_spec(spec, state, valuation)
-    record = TickRecord(state, valuation, moore_output(spec, state), pulses, count)
-    return record, next_state, timer_commit(cfg, count, record.st)
+def closed_loop_tick(loop: _ClosedLoop, state: str, count: int, c: Bit, reset: Bit
+                     ) -> tuple[TickRecord, str, int]:
+    """One closed-loop clock of `loop`'s spec and config, steps 2-5 above, on its
+    maps.  Returns the tick's record, the next state and the next timer count."""
+    ts, tl = timer_outputs(loop.cfg, count)
+    valuation = loop.valuations[reset, c, ts, tl]
+    next_state, pulses = step_spec(loop.spec, state, valuation)
+    record = TickRecord(state, valuation, loop.moore[state], pulses, count)
+    return record, next_state, timer_commit(loop.cfg, count, record.st)
 
 
 class _ClosedLoop:
     """Memo table over `closed_loop_tick` for one run.  Configuration i is the
     i-th (state, timer count) reached; cell 4*i + 2*c + reset holds (next id,
     kernel record), filled on its first hit.  `cells` only grows in place, so
-    callers may hold it; a record is shared by all ticks of its cell and read-only."""
+    callers may hold it; records, and the `valuations` and `moore` maps they share, are read-only."""
 
     def __init__(self, spec: FsmSpec, cfg: TimerConfig):
+        check_spec(spec)
         if sorted(spec.inputs) != sorted(CLOSED_LOOP_INPUTS):  # refuses an input listed twice
             raise SimError(
                 f"closed-loop simulation needs inputs exactly "
                 f"{sorted(CLOSED_LOOP_INPUTS)}, spec '{spec.name}' has {list(spec.inputs)}")
         self.spec, self.cfg = spec, cfg
+        self.valuations = {(r, c, ts, tl): {"reset": r, "c": c, "ts": ts, "tl": tl}
+                           for r in (0, 1) for c in (0, 1) for ts in (0, 1) for tl in (0, 1)}
+        self.moore = {s.name: {out: s.moore_assignments.get(out, 0) for out in spec.moore_outputs}
+                      for s in reversed(spec.states)}  # as in `moore_output`, the first of a name
         self.configs: list[tuple[str, int]] = [(spec.initial_state, 0)]
         self.ids = {self.configs[0]: 0}
         self.cells: list[tuple[int, TickRecord] | None] = [None] * 4
 
     def fill(self, k: int) -> tuple[int, TickRecord]:
-        record, nxt, count = closed_loop_tick(
-            self.spec, self.cfg, *self.configs[k >> 2], k >> 1 & 1, k & 1)
+        record, nxt, count = closed_loop_tick(self, *self.configs[k >> 2], k >> 1 & 1, k & 1)
         config = (nxt, count)
         if config not in self.ids:
             self.ids[config] = len(self.configs)

@@ -11,7 +11,7 @@ changed field by `_replace`.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
 Bit = int  # the int 0 or 1: a bool or a float is not a Bit
@@ -71,20 +71,19 @@ GuardExpr = Var | Not | And | Or | Const
 def eval_guard(expr: GuardExpr, valuation: Mapping[str, int], full: int = 1) -> int:
     """Evaluate a guard under an input valuation, returning 0 or 1; or, with each
     input mapped to its mask over N valuations and `full` = 2^N - 1, its truth table."""
-    if isinstance(expr, Var) and isinstance(expr.name, str):
+    cls = expr.__class__
+    if cls is Var:
         try:
             return valuation[expr.name]
         except KeyError:
             raise StructuralError(f"guard references unknown input '{expr.name}'") from None
-    if isinstance(expr, Not):
+    if cls is Not:
         return full ^ eval_guard(expr.operand, valuation, full)
-    if isinstance(expr, And):
+    if cls is And:
         return eval_guard(expr.left, valuation, full) & eval_guard(expr.right, valuation, full)
-    if isinstance(expr, Or):
+    if cls is Or:
         return eval_guard(expr.left, valuation, full) | eval_guard(expr.right, valuation, full)
-    if isinstance(expr, Const):
-        return full if expr.value else 0
-    raise StructuralError(f"not a guard expression: {expr!r}")
+    return full if expr.value else 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +115,148 @@ class FsmSpec(namedtuple("FsmSpec", "name inputs moore_outputs pulse_outputs sta
         return tuple(s.name for s in self.states)
 
 
+def is_int(value: object, least: float = -float("inf"), most: float = float("inf")) -> bool:
+    return value.__class__ is int and least <= value <= most  # never a bool or a float
+
+
+def is_number(value: object) -> bool:  # an int or a float, never a bool
+    return value.__class__ is int or value.__class__ is float
+
+
+def shown(value: object) -> str:  # repr for a refusal message, even of a value too deep
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deep to show"
+
+
+def _guard_break(guard: object, reads: set[str], depth: int = 0) -> str | bool | None:
+    """None for a guard within MAX_GUARD_DEPTH, names put in `reads`; True for a non-guard part."""
+    cls = guard.__class__
+    if cls is Var and guard.name.__class__ is str:
+        reads.add(guard.name)
+    elif cls is Not or cls is And or cls is Or:
+        if depth == MAX_GUARD_DEPTH:
+            return f"transition guard nests deeper than {MAX_GUARD_DEPTH} levels"
+        for operand in guard:  # an operator's fields are its operands
+            if why := _guard_break(operand, reads, depth + 1):
+                return why
+    elif not (cls is Const and is_int(guard.value, 0, 1)):
+        return True
+    return None
+
+
+def _refuse(message: str, state: str | None, shape: bool) -> None:
+    if shape:
+        raise StructuralError(message if state is None else f"state '{state}': {message}")
+
+
+def check_spec(spec: FsmSpec, report=_refuse) -> list[StateDef] | None:
+    """Walk `spec` once, calling report(message, state or None, shape) for each part out of
+    shape at any depth (README, "The refusal contract") and, shape False, each unresolved name;
+    by default a `StructuralError` for the first.  The states whose guards evaluate, or None."""
+    if spec.__class__ is not FsmSpec:
+        raise TypeError(f"expected an FsmSpec, got {type(spec).__name__}")
+    name, inputs, outputs, pulses, states, initial, reset = spec
+    if not (inputs.__class__ is outputs.__class__ is pulses.__class__ is states.__class__ is tuple
+            and all(x.__class__ is str for x in (name, initial, *inputs, *outputs, *pulses))
+            and (reset is None or reset.__class__ is str)):
+        report("a spec's names must be str and its signals and states tuples", None, True)
+        return None
+    declared: set[str] = set()
+    for s in states:
+        if s.__class__ is StateDef and s.name.__class__ is str:  # else reported below
+            if s.name in declared:
+                report(f"duplicate state name '{s.name}'", s.name, False)
+            declared.add(s.name)
+    seen_signals: set[str] = set()
+    for sig in (*inputs, *outputs, *pulses):
+        if sig in seen_signals:
+            report(f"duplicate signal name '{sig}'", None, False)
+        seen_signals.add(sig)
+    if initial not in declared:
+        report(f"initial state '{initial}' is not declared", None, False)
+    if reset is not None and reset not in inputs:
+        report(f"reset input '{reset}' is not a declared input", None, False)
+    sound, inputs, nothing = [], set(inputs), (None, None, None)
+    for s in states:
+        state, assigns, transitions = s if s.__class__ is StateDef else nothing
+        if not (state.__class__ is str and transitions.__class__ is tuple
+                and (assigns.__class__ is dict or isinstance(assigns, Mapping))):
+            report("a state must be a StateDef of a str name, a mapping and a tuple", None, True)
+            continue
+        for out, bit in assigns.items():  # a key that is no str is out of shape too
+            if out not in outputs:
+                report(f"assignment to unknown output {shown(out)}", state, type(out) is not str)
+            if bit.__class__ is not int or bit not in (0, 1):
+                report(f"output {shown(out)} assigned non-bit value {shown(bit)}", state, True)
+        evaluable = True
+        for t in transitions:
+            guard, destination, emits = t if t.__class__ is Transition else nothing
+            reads: set[str] = set()
+            if destination.__class__ is not str or emits.__class__ is not frozenset:
+                why = "a transition must name its state and a frozenset of pulses"
+            else:
+                if destination not in declared:
+                    report(f"transition to unknown state '{destination}'", state, False)
+                for p in emits:
+                    if p not in pulses:
+                        report(f"transition emits unknown pulse {shown(p)}", state, type(p) is not str)
+                why = _guard_break(guard, reads)
+            if why:
+                report(f"transition guard is not a guard expression: {shown(guard)}"
+                       if why is True else why, state, True)
+                evaluable = False
+            elif not reads <= inputs:
+                for unknown in sorted(reads - inputs):
+                    report(f"guard references unknown input '{unknown}'", state, False)
+                evaluable = False
+        if evaluable:
+            sound.append(s)
+    return sound
+
+
+def check_records(spec: FsmSpec, records: object, error: type[FsmError]) -> None:
+    """Check `spec`, then raise `error` unless `records` is a tuple or list of its `TickRecord`s."""
+    from .kernel import TickRecord  # the kernel imports this module
+    check_spec(spec)
+    if records.__class__ is not tuple and records.__class__ is not list:
+        raise error(f"records must be a tuple or list of TickRecords, got {type(records).__name__}")
+    states = spec.state_names()
+    for r in {id(r): r for r in records}.values():  # each shared record once
+        if not (r.__class__ is TickRecord and r.state in states and r.pulses.__class__ is frozenset
+                and all(isinstance(m, Mapping) and all(is_int(m.get(k), 0, 1) for k in names)
+                        for m, names in ((r.inputs, spec.inputs), (r.moore, spec.moore_outputs)))):
+            raise error(f"spec '{spec.name}' does not describe the record {shown(r)}")
+
+
+def pin_rows(pins: object, error: type[FsmError]) -> tuple[tuple[str, str, str], ...]:
+    """`pins` read once, as a tuple of rows that are each a tuple or list of 3 strs; else `error`."""
+    if not isinstance(pins, Iterable):
+        raise error(f"pins must be an iterable of (signal, location, kind) rows, got {shown(pins)}")
+    rows = tuple(pins)
+    for row in rows:
+        if not (isinstance(row, (tuple, list)) and [*map(type, row)] == [str, str, str]):
+            raise error(f"pin row must be three strings (signal, location, kind), got {shown(row)}")
+    return rows
+
+
+def check_runs(runs: object, error: type[FsmError]) -> None:
+    """Raise `error` unless `runs` is a non-empty tuple (a list does not hash) of (c, reset, n)
+    tuples of Bits and an int n >= 1; inline, as `is_int` per run tripled a stimulus build."""
+    if runs.__class__ is not tuple:
+        raise error(f"stimulus runs must be a tuple of (c, reset, n) tuples, got {shown(runs)}")
+    if not runs:
+        raise error("stimulus must cover at least one tick")
+    for run in runs:
+        if run.__class__ is not tuple or len(run) != 3:
+            raise error(f"a run must be three values (c, reset, n), got {shown(run)}")
+        c, reset, n = run
+        if not (c.__class__ is reset.__class__ is int and c in (0, 1) and reset in (0, 1)):
+            raise error(f"c and reset must be 0 or 1, got c={shown(c)} reset={shown(reset)}")
+        if n.__class__ is not int or n < 1:
+            raise error(f"a run must last an int number of ticks >= 1, got {shown(n)}")
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -126,23 +267,17 @@ STRUCTURAL = "structural"
 
 # Validation holds a 2^n-bit truth table per guard and up to 2^(n-1) findings per state.
 MAX_INPUTS = 16
+# At most this many operators on a guard's root-to-leaf path, well within the recursion limit.
+MAX_GUARD_DEPTH = 100
 
 
 # kind is overlap | gap | structural; state and valuation are None where none applies.
 Finding = value_type(namedtuple("Finding", "kind state valuation message"))
 
 
-class _Reads(dict):
-    """The declared inputs at 0; reading any other name adds it to `unknown`."""
-
-    def __missing__(self, name: str) -> Bit:
-        self.unknown.add(name)
-        return 0
-
-
 def validate(spec: FsmSpec) -> tuple[Finding, ...]:
     """Check structure plus guard determinism and exhaustiveness; returns the
-    findings, and an empty tuple means the spec is clean.
+    findings (a break in its shape is a structural one); none means the spec is clean.
 
     Guard coverage is checked on truth tables over every input valuation but
     those with reset high: reset overrides guard matching entirely, so specs
@@ -150,56 +285,15 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
     """
     findings: list[Finding] = []
 
-    def structural(message: str, state: str | None = None) -> None:
+    def structural(message: str, state: str | None, shape: bool = True) -> None:
         findings.append(Finding(STRUCTURAL, state, None, message))
 
-    declared: set[str] = set()
-    for s in spec.states:
-        if s.name in declared:
-            structural(f"duplicate state name '{s.name}'", s.name)
-        declared.add(s.name)
-
-    seen_signals: set[str] = set()
-    for sig in (*spec.inputs, *spec.moore_outputs, *spec.pulse_outputs):
-        if sig in seen_signals:
-            structural(f"duplicate signal name '{sig}'")
-        seen_signals.add(sig)
-
-    if spec.initial_state not in declared:
-        structural(f"initial state '{spec.initial_state}' is not declared")
-    if spec.reset_input is not None and spec.reset_input not in spec.inputs:
-        structural(f"reset input '{spec.reset_input}' is not a declared input")
-
-    reads = _Reads.fromkeys(spec.inputs, 0)
-    unknown = reads.unknown = set()  # the undeclared names the current guard reads
-    broken_guard_states: set[str] = set()
-    for s in spec.states:
-        for out, bit in s.moore_assignments.items():
-            if out not in spec.moore_outputs:
-                structural(f"assignment to unknown output '{out}'", s.name)
-            if type(bit) is not int or bit not in (0, 1):
-                structural(f"output '{out}' assigned non-bit value {bit!r}", s.name)
-        for t in s.transitions:
-            if t.destination not in declared:
-                structural(f"transition to unknown state '{t.destination}'", s.name)
-            for p in t.pulses:
-                if p not in spec.pulse_outputs:
-                    structural(f"transition emits unknown pulse '{p}'", s.name)
-            try:
-                eval_guard(t.guard, reads)
-            except StructuralError:
-                broken_guard_states.add(s.name)
-                structural(f"transition guard is not a guard expression: {t.guard!r}", s.name)
-                unknown.clear()
-                continue
-            if unknown:
-                broken_guard_states.add(s.name)
-                for name in sorted(unknown):
-                    structural(f"guard references unknown input '{name}'", s.name)
-                unknown.clear()
+    sound = check_spec(spec, structural)
+    if sound is None:
+        return tuple(findings)
     n = len(spec.inputs)
     if n > MAX_INPUTS:
-        structural(f"{n} inputs declared; at most {MAX_INPUTS} are supported")
+        structural(f"{n} inputs declared; at most {MAX_INPUTS} are supported", None)
         return tuple(findings)
 
     # Bit v of a table is valuation v in binary, the first input most significant,
@@ -210,15 +304,14 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
              for name, run in zip(spec.inputs, (size >> k + 1 for k in range(n)))}
     care = full ^ masks.get(spec.reset_input, 0)
     # Coverage only makes sense once guards evaluate cleanly.
-    for s in spec.states:
-        if s.name in broken_guard_states:
-            continue
+    for s in sound:
         tables = [eval_guard(t.guard, masks, full) for t in s.transitions]
         one = two = 0  # valuations where at least one, and at least two, guards hold
         for g in tables:
             two |= one & g
             one |= g
-        bad = format((two | full ^ one) & care, f"0{size}b")[::-1]
+        bad = (two | full ^ one) & care  # as a string, bit v at index v
+        bad = format(bad, f"0{size}b")[::-1] if bad else ""
         v = bad.find("1")
         while v >= 0:
             valuation = dict(zip(spec.inputs, map(int, format(v, f"0{n}b"))))
@@ -232,7 +325,7 @@ def validate(spec: FsmSpec) -> tuple[Finding, ...]:
 
 
 def _fmt_valuation(v: Mapping[str, Bit]) -> str:
-    return "{" + ", ".join(f"{k}={b}" for k, b in v.items()) + "}"
+    return "{" + ", ".join(f"{k}={shown(b)}" for k, b in v.items()) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +338,16 @@ def step_spec(
     """One synchronous step: next state and the pulses the transition emits.
 
     Reset, when declared and asserted, dominates: the machine returns to its
-    initial state and no pulses fire.
+    initial state and no pulses fire.  The spec is checked only if a step raises.
     """
-    state = spec.state(current)
-    if spec.reset_input is not None and valuation.get(spec.reset_input):
-        return spec.initial_state, frozenset()
-    matches = [t for t in state.transitions if eval_guard(t.guard, valuation)]
+    try:
+        state = spec.state(current)
+        if spec.reset_input is not None and valuation.get(spec.reset_input):
+            return spec.initial_state, frozenset()
+        matches = [t for t in state.transitions if eval_guard(t.guard, valuation)]
+    except (AttributeError, TypeError, RecursionError):
+        check_spec(spec)  # else the valuation is out of shape
+        raise StructuralError("a valuation must map input names to Bits") from None
     if len(matches) != 1:
         raise ContractViolation(
             f"state '{current}': {len(matches)} transition guards true at "
@@ -261,5 +358,6 @@ def step_spec(
 
 def moore_output(spec: FsmSpec, state: str) -> dict[str, Bit]:
     """Output levels of a state; outputs the state does not assign are 0."""
+    check_spec(spec)
     s = spec.state(state)
     return {out: s.moore_assignments.get(out, 0) for out in spec.moore_outputs}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import ConfigError, value_type
+from .model import ConfigError, is_int, shown, value_type
 
 DEFAULT_SHORT_TICKS = 4
 DEFAULT_LONG_TICKS = 16
@@ -24,10 +24,9 @@ class TimerConfig(namedtuple("TimerConfig", "short_ticks long_ticks")):
 
     def __new__(cls, short_ticks: int = DEFAULT_SHORT_TICKS,
                 long_ticks: int = DEFAULT_LONG_TICKS) -> TimerConfig:
-        # `__class__` refuses a bool or a float, as `Stimulus` does for its bits.
-        if short_ticks.__class__ is not int or long_ticks.__class__ is not int:
+        if not (is_int(short_ticks) and is_int(long_ticks)):
             raise ConfigError(f"short_ticks and long_ticks must be ints "
-                              f"(got short={short_ticks!r}, long={long_ticks!r})")
+                              f"(got short={shown(short_ticks)}, long={shown(long_ticks)})")
         if not 0 < short_ticks < long_ticks:
             raise ConfigError(
                 f"short_ticks must be positive and < long_ticks "

@@ -40,6 +40,7 @@ def reference_run_env(spec, cfg, model):
     north before south, departures oldest first with north winning ties."""
     rng = SplitMix64(model.seed)
     state, count = spec.initial_state, 0
+    loop = _ClosedLoop(spec, cfg)  # the tick's spec, config and maps; not its memo
     slots = [None, None]
     records, waits = [], []
     arrivals = green_main = cycles = 0
@@ -49,7 +50,7 @@ def reference_run_env(spec, cfg, model):
                 slots[approach] = tick
                 arrivals += 1
         c = 0 if slots == [None, None] else 1
-        record, next_state, count = closed_loop_tick(spec, cfg, state, count, c, 0)
+        record, next_state, count = closed_loop_tick(loop, state, count, c, 0)
         records.append(record)
         if record.moore.get("mg"):
             green_main += 1
@@ -107,14 +108,14 @@ class TestTabulatedRun:
             south = not busy & 1 and bool(symbol & 1)
             busy |= symbol
             kernel, next_state, next_count = closed_loop_tick(
-                spec, cfg, state, count, 1 if busy else 0, 0)
+                table.loop, state, count, 1 if busy else 0, 0)
             assert table.loop.cells[4 * (k >> 4) + (2 if busy else 0)][1] == kernel, k
             # A side-green tick with a vehicle waiting serves: the cell leaves
             # both busy bits 0 and `run_env` sets those of vehicles still waiting.
             serve = bool(busy) and bool(kernel.moore.get("sg"))
             cycle = state != spec.initial_state and next_state == spec.initial_state
             # mg rises or falls where the next tick's record shows it differently.
-            after = closed_loop_tick(spec, cfg, next_state, next_count, 0, 0)[0]
+            after = closed_loop_tick(table.loop, next_state, next_count, 0, 0)[0]
             now, then = bool(kernel.moore.get("mg")), bool(after.moore.get("mg"))
             rise, fall = then and not now, now and not then
             assert event == 2 * north + south + 4 * serve + 8 * cycle + 16 * rise + 32 * fall, k

@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fsmkit
-from fsmkit.emit import InvalidSpecError
+from fsmkit.emit import DEFAULT_PIN_ROWS, InvalidSpecError
+from fsmkit.env import run_seeds
 
 REPO = Path(__file__).resolve().parent.parent
 TRACING = REPO / "perfbench" / "tracing.py"
@@ -48,13 +52,27 @@ def test_every_public_exception_is_an_fsm_error():
     assert [e.__name__ for e in errors if not issubclass(e, fsmkit.FsmError)] == []
 
 
+def _deep_guard(depth=3000):
+    """`c` under `depth` nested `!`s: deeper than the default recursion limit."""
+    guard = fsmkit.Var("c")
+    for _ in range(depth):
+        guard = fsmkit.Not(guard)
+    return guard
+
+
+def _with_guard(spec, guard):
+    """`spec` with `guard` as the only transition of its first state."""
+    s0 = spec.states[0]
+    return spec._replace(states=(s0._replace(transitions=(fsmkit.Transition(guard, "S1"),)),
+                                 *spec.states[1:]))
+
+
 def _library_refusals():
     """(id, call) pairs: each call is refused by the library."""
     spec = fsmkit.parse(Path(ITLC).read_text())
     open_loop = spec._replace(inputs=("c",))  # no reset, ts or tl
-    s0 = spec.states[0]
-    non_guard = spec._replace(states=(s0._replace(transitions=(fsmkit.Transition("c", "S1"),)),
-                                      *spec.states[1:]))
+    non_guard = _with_guard(spec, "c")
+    deep = _with_guard(spec, _deep_guard())
     cfg = fsmkit.TimerConfig()
     records = fsmkit.simulate(spec, cfg, fsmkit.Stimulus(((1, 0, 30),)))  # visits S0-S2
     undescribed = {"two-states": spec._replace(states=spec.states[:2]),
@@ -86,6 +104,17 @@ def _library_refusals():
         *((f"write_vcd-{name}", lambda other=other: fsmkit.write_vcd(other, records))
           for name, other in undescribed.items()),
         ("write_vcd-not-records", lambda: fsmkit.write_vcd(spec, [1, 2])),
+        ("write_vcd-int", lambda: fsmkit.write_vcd(spec, 5)),
+        *((f"write_vcd-{field}-None", lambda field=field: fsmkit.write_vcd(
+            spec, (records[0]._replace(**{field: None}),))) for field in ("inputs", "pulses")),
+        ("serialize-deep-guard", lambda: fsmkit.serialize(deep)),
+        ("simulate-deep-guard", lambda: fsmkit.simulate(deep, cfg, fsmkit.Stimulus(((0, 0, 3),)))),
+        ("run_env-deep-guard", lambda: fsmkit.run_env(fsmkit.TrafficTable(deep, cfg),
+                                                      fsmkit.TrafficModel(0.5, horizon=10))),
+        ("explore_reachable-deep-guard", lambda: fsmkit.explore_reachable(deep, cfg)),
+        ("step_spec-deep-guard", lambda: fsmkit.step_spec(
+            deep, "S0", {"reset": 0, "c": 1, "ts": 0, "tl": 0})),
+        ("emit_verilog-deep-guard", lambda: fsmkit.emit_verilog(deep)),
     ]
 
 
@@ -96,7 +125,7 @@ def test_every_library_refusal_is_an_fsm_error(call):
         call()
 
 
-@pytest.mark.parametrize("guard", ["c", fsmkit.And(fsmkit.Var("c"), "x"), None])
+@pytest.mark.parametrize("guard", ["c", fsmkit.And(fsmkit.Var("c"), "x"), None, _deep_guard()])
 def test_validate_reports_a_non_guard_rather_than_raising(guard):
     spec = fsmkit.parse(Path(ITLC).read_text())
     s0 = spec.states[0]
@@ -128,6 +157,123 @@ def test_every_guard_reader_refuses_the_same_non_guards(guard):
             run()
     with pytest.raises(InvalidSpecError):
         fsmkit.emit_verilog(spec)
+
+
+# What a swap puts in place of one part of a value: README's contract says
+# each is refused with an FsmError wherever it lands, or taken as it is.
+_JUNK = (None, 5, -1, True, 1.5, "x", [1], {"a": 1}, frozenset({1}), b"x", _deep_guard())
+
+
+def _parts(value):
+    """The keys of the parts of `value` a swap may replace: fields and items,
+    a mapping's values by key and, as (key,), its keys."""
+    if isinstance(value, (tuple, list)):
+        return list(range(len(value)))
+    if isinstance(value, Mapping):
+        return [*value, *((key,) for key in value)]
+    if isinstance(value, frozenset):
+        return sorted(value, key=repr)
+    return []
+
+
+def _part(value, key):
+    if isinstance(value, frozenset):
+        return key
+    return key[0] if isinstance(value, Mapping) and isinstance(key, tuple) else value[key]
+
+
+def _swapped(value, key, new):
+    """`value` with its part at `key` replaced by `new`, built the way its type builds."""
+    if hasattr(value, "_fields"):
+        return value._replace(**{value._fields[key]: new})
+    if isinstance(value, (tuple, list)):
+        return type(value)((*value[:key], new, *value[key + 1:]))
+    if isinstance(value, Mapping):
+        if isinstance(key, tuple):  # the key itself, for a hashable part
+            return {(new if new.__hash__ else 5) if k == key[0] else k: v for k, v in value.items()}
+        return {**value, key: new}
+    return value - {key} | {new if new.__hash__ else 5}
+
+
+@st.composite
+def _swap(draw, value, depth):
+    """`value` with one part, `depth` levels down or at a leaf above, swapped for junk."""
+    keys = _parts(value)
+    if not keys:
+        return draw(st.sampled_from(_JUNK))
+    key = draw(st.sampled_from(keys))
+    if depth == 1 or (isinstance(value, Mapping) and isinstance(key, tuple)):
+        new = draw(st.sampled_from(_JUNK))
+    else:
+        new = draw(_swap(_part(value, key), depth - 1))
+    return _swapped(value, key, new)
+
+
+def _calls():
+    """(name, arguments, call): each public call on valid arguments from
+    `designs/itlc.fsm`, its spec, stimulus, records, pins and metrics."""
+    f = fsmkit
+    spec, cfg = f.parse(Path(ITLC).read_text()), f.TimerConfig()
+    stim = f.Stimulus(((1, 0, 20), (0, 1, 2), (1, 0, 10)))
+    model = f.TrafficModel(0.5, horizon=40)
+    metrics = f.run_env(f.TrafficTable(spec, cfg), model)
+    valuation = {"reset": 0, "c": 1, "ts": 1, "tl": 1}
+    return [
+        ("validate", (spec,), f.validate),
+        ("serialize", (spec,), f.serialize),
+        ("emit_verilog", (spec,), f.emit_verilog),
+        ("emit_ucf", (spec, DEFAULT_PIN_ROWS), f.emit_ucf),
+        ("simulate", (spec, cfg, stim), f.simulate),
+        ("explore_reachable", (spec, cfg), f.explore_reachable),
+        ("run_env", (spec, cfg, model), lambda s, c, m: f.run_env(f.TrafficTable(s, c), m)),
+        ("run_seeds", (spec, cfg, model, 1),
+         lambda s, c, m, n: list(run_seeds(f.TrafficTable(s, c), m, n))),
+        ("step_spec", (spec, "S0", valuation), f.step_spec),
+        ("moore_output", (spec, "S2"), f.moore_output),
+        ("write_vcd", (spec, f.simulate(spec, cfg, stim)), f.write_vcd),
+        ("TimerConfig", (cfg,), f.TimerConfig._make),
+        ("TrafficModel", (model,), f.TrafficModel._make),
+        ("Stimulus", (stim,), f.Stimulus._make),
+        ("aggregate", ([metrics, metrics],), f.Metrics.aggregate),
+    ]
+
+
+_CALLS = _calls()
+
+
+@settings(derandomize=True, max_examples=800, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.data())
+def test_a_swapped_part_anywhere_returns_or_is_an_fsm_error(data):
+    # README: any part of an argument, at any depth, may be malformed; a
+    # call then returns or raises an FsmError, never another exception.
+    name, args, call = data.draw(st.sampled_from(_CALLS), label="call")
+    depth = data.draw(st.integers(1, 6), label="depth")
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        try:
+            i = data.draw(st.sampled_from([i for i, arg in enumerate(args) if _parts(arg)]))
+            swapped = data.draw(_swap(args[i], depth))  # a checked type may refuse it here
+            call(*args[:i], swapped, *args[i + 1:])
+        except fsmkit.FsmError:
+            pass
+
+
+@pytest.mark.parametrize("above", [1, 2900])
+def test_a_guard_past_the_depth_cap_is_refused_by_every_guard_reader(above):
+    # The parser's cap: at most MAX_GUARD_DEPTH operators on any path.
+    cap, spec = fsmkit.model.MAX_GUARD_DEPTH, fsmkit.parse(Path(ITLC).read_text())
+    assert {f.kind for f in fsmkit.validate(_with_guard(spec, _deep_guard(cap)))} == {"gap"}
+    spec = _with_guard(spec, _deep_guard(cap + above))
+    assert fsmkit.validate(spec) == (fsmkit.Finding(
+        "structural", "S0", None, f"transition guard nests deeper than {cap} levels"),)
+    readers = {"serialize", "emit_verilog", "emit_ucf", "simulate", "explore_reachable",
+               "run_env", "run_seeds", "moore_output", "write_vcd"}
+    if above > 1:  # step_spec checks only when stepping raises, as evaluating this one does
+        readers.add("step_spec")
+    for name, args, call in _CALLS:
+        if name in readers:
+            with pytest.raises(fsmkit.FsmError):
+                call(spec, *args[1:])
 
 
 def test_no_module_imports_another_modules_private_name():

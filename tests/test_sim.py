@@ -70,8 +70,9 @@ def per_tick(runs):
 def reference_simulate(spec, cfg, stim):
     """The untabulated closed loop: one kernel call per tick."""
     state, count, records = spec.initial_state, 0, []
+    loop = kernel._ClosedLoop(spec, cfg)  # the tick's spec, config and maps; not its memo
     for c, reset in per_tick(stim.runs):
-        record, state, count = closed_loop_tick(spec, cfg, state, count, c, reset)
+        record, state, count = closed_loop_tick(loop, state, count, c, reset)
         records.append(record)
     return tuple(records)
 
