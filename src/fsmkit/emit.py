@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .dsl import format_guard
-from .model import Finding, FsmError, FsmSpec, check_spec, pin_rows, shown, validate
+from .model import Finding, FsmError, FsmSpec, check_spec, shown, validate
 
 BINARY = "binary"
 ONE_HOT = "onehot"
@@ -83,9 +83,14 @@ def emit_ucf(spec: FsmSpec, pins: Iterable[tuple[str, str, str]]) -> str:
     """UCF constraint text, one NET/LOC line per pin in map order; README's
     pins file section says which maps it refuses, with an `EmitError`."""
     check_spec(spec)
-    pins = pin_rows(pins, EmitError)  # one pass, so an iterator is checked and rendered alike
+    if not isinstance(pins, Iterable):
+        raise EmitError(f"pins must be an iterable of (signal, location, kind) rows, got {shown(pins)}")
+    pins = tuple(pins)  # one pass, so an iterator is checked and rendered alike
     seen: set[str] = set()
-    for signal, location, kind in pins:
+    for row in pins:
+        if not (isinstance(row, (tuple, list)) and [*map(type, row)] == [str, str, str]):
+            raise EmitError(f"pin row must be three strings (signal, location, kind), got {shown(row)}")
+        signal, location, kind = row
         if kind not in ("input", "output"):
             raise EmitError(f"pin '{signal}': kind must be input or output, got '{kind}'")
         if not (location.isascii() and location.replace("_", "0").isalnum()):

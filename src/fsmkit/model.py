@@ -11,7 +11,7 @@ changed field by `_replace`.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from types import MappingProxyType
 
 Bit = int  # the int 0 or 1: a bool or a float is not a Bit
@@ -215,47 +215,6 @@ def check_spec(spec: FsmSpec, report=_refuse) -> list[StateDef] | None:
             sound.append(s)
     return sound
 
-
-def check_records(spec: FsmSpec, records: object, error: type[FsmError]) -> None:
-    """Check `spec`, then raise `error` unless `records` is a tuple or list of its `TickRecord`s."""
-    from .kernel import TickRecord  # the kernel imports this module
-    check_spec(spec)
-    if records.__class__ is not tuple and records.__class__ is not list:
-        raise error(f"records must be a tuple or list of TickRecords, got {type(records).__name__}")
-    states = spec.state_names()
-    for r in {id(r): r for r in records}.values():  # each shared record once
-        if not (r.__class__ is TickRecord and r.state in states and r.pulses.__class__ is frozenset
-                and all(isinstance(m, Mapping) and all(is_int(m.get(k), 0, 1) for k in names)
-                        for m, names in ((r.inputs, spec.inputs), (r.moore, spec.moore_outputs)))):
-            raise error(f"spec '{spec.name}' does not describe the record {shown(r)}")
-
-
-def pin_rows(pins: object, error: type[FsmError]) -> tuple[tuple[str, str, str], ...]:
-    """`pins` read once, as a tuple of rows that are each a tuple or list of 3 strs; else `error`."""
-    if not isinstance(pins, Iterable):
-        raise error(f"pins must be an iterable of (signal, location, kind) rows, got {shown(pins)}")
-    rows = tuple(pins)
-    for row in rows:
-        if not (isinstance(row, (tuple, list)) and [*map(type, row)] == [str, str, str]):
-            raise error(f"pin row must be three strings (signal, location, kind), got {shown(row)}")
-    return rows
-
-
-def check_runs(runs: object, error: type[FsmError]) -> None:
-    """Raise `error` unless `runs` is a non-empty tuple (a list does not hash) of (c, reset, n)
-    tuples of Bits and an int n >= 1; inline, as `is_int` per run tripled a stimulus build."""
-    if runs.__class__ is not tuple:
-        raise error(f"stimulus runs must be a tuple of (c, reset, n) tuples, got {shown(runs)}")
-    if not runs:
-        raise error("stimulus must cover at least one tick")
-    for run in runs:
-        if run.__class__ is not tuple or len(run) != 3:
-            raise error(f"a run must be three values (c, reset, n), got {shown(run)}")
-        c, reset, n = run
-        if not (c.__class__ is reset.__class__ is int and c in (0, 1) and reset in (0, 1)):
-            raise error(f"c and reset must be 0 or 1, got c={shown(c)} reset={shown(reset)}")
-        if n.__class__ is not int or n < 1:
-            raise error(f"a run must last an int number of ticks >= 1, got {shown(n)}")
 
 # ---------------------------------------------------------------------------
 # Validation

@@ -18,7 +18,7 @@ from collections.abc import Hashable, Iterator, Mapping, Sequence
 from itertools import chain, islice
 
 from .kernel import SimError, TickRecord, _ClosedLoop
-from .model import Bit, FsmSpec, check_records, check_runs, value_type
+from .model import Bit, FsmSpec, check_spec, is_int, shown, value_type
 from .timer import TimerConfig
 
 
@@ -32,7 +32,21 @@ class Stimulus(namedtuple("Stimulus", "runs")):
     __slots__ = ()
 
     def __new__(cls, runs: tuple[tuple[Bit, Bit, int], ...]) -> Stimulus:
-        check_runs(runs, SimError)
+        # A list hashes not at all, and an iterator reads empty once checked.
+        if runs.__class__ is not tuple:
+            raise SimError(f"stimulus runs must be a tuple of (c, reset, n) tuples, got {shown(runs)}")
+        if not runs:
+            raise SimError("stimulus must cover at least one tick")
+        for run in runs:
+            if run.__class__ is not tuple or len(run) != 3:
+                raise SimError(f"a run must be three values (c, reset, n), got {shown(run)}")
+            c, reset, n = run
+            # `__class__` reads faster than `type()`, and refuses a bool or a float alike.
+            if (c.__class__ is not int or reset.__class__ is not int
+                    or c not in (0, 1) or reset not in (0, 1)):
+                raise SimError(f"c and reset must be 0 or 1, got c={shown(c)} reset={shown(reset)}")
+            if n.__class__ is not int or n < 1:
+                raise SimError(f"a run must last an int number of ticks >= 1, got {shown(n)}")
         return super().__new__(cls, runs)
 
     @property
@@ -188,13 +202,23 @@ def write_vcd(spec: FsmSpec, records: Sequence[TickRecord]) -> str:
     signals that changed.  Byte-identical for equal arguments.  Records that
     `spec` does not describe, or none, are a `SimError`.
     """
-    check_records(spec, records, SimError)
+    check_spec(spec)
+    if records.__class__ is not tuple and records.__class__ is not list:
+        raise SimError(f"records must be a tuple or list of TickRecords, got {type(records).__name__}")
     if not records:
         raise SimError("cannot write VCD for an empty trace")
-    # Records of one table cell are one object, rendered once: every keyed
-    # record lives in `records` until we return, so its id is not reused.
+    # Records of one table cell are one object, so each is checked once.  Every
+    # keyed record lives in `records` until we return, so its id cannot be
+    # reused for another.
     ids = list(map(id, records))
-    return render_vcd(spec, dict(zip(ids, records)), [ids], [len(ids)])
+    keyed = dict(zip(ids, records))
+    states = spec.state_names()
+    for r in keyed.values():
+        if not (r.__class__ is TickRecord and r.state in states and r.pulses.__class__ is frozenset
+                and all(isinstance(m, Mapping) and all(is_int(m.get(k), 0, 1) for k in names)
+                        for m, names in ((r.inputs, spec.inputs), (r.moore, spec.moore_outputs)))):
+            raise SimError(f"spec '{spec.name}' does not describe the record {shown(r)}")
+    return render_vcd(spec, keyed, [ids], [len(ids)])
 
 
 def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
@@ -241,8 +265,8 @@ def render_vcd(spec: FsmSpec, records: Mapping[Hashable, TickRecord],
     classes: dict[tuple, int] = {}  # visible class -> code, in first-seen order
     code_of = {key: classes.setdefault(visible(r), len(classes)) for key, r in records.items()}
     # Each class as the lines that show it: every signal, then the state vector.
-    lines = [(*[f"{value}{ids[name]}" for name, value in zip(signals, view[1:])],
-              f"b{state_index[view[0]]:0{width}b} {state_id}") for view in classes]
+    lines = [(*[f"{value}{ids[name]}" for name, value in zip(signals, shown[1:])],
+              f"b{state_index[shown[0]]:0{width}b} {state_id}") for shown in classes]
 
     old = code_of[paths[0][0]]
     # Nothing is shown before #0, so it dumps every line of the first class.
